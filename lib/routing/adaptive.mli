@@ -19,7 +19,8 @@ val create :
   name:string -> Topology.t -> (Routing.input -> Topology.node -> Topology.channel list) -> t
 (** [create ~name topo f] wraps option function [f].  [f input dest] lists
     the permitted output channels; [[]] means consume (legal only at the
-    destination). *)
+    destination).  As for {!Routing.create}, [f] must be deterministic and
+    read-only: the switching kernel memoizes its option rows across runs. *)
 
 val name : t -> string
 val topology : t -> Topology.t

@@ -21,7 +21,14 @@ val create :
   name:string -> Topology.t -> (input -> Topology.node -> Topology.channel option) -> t
 (** [create ~name topo f] wraps routing function [f].  [f input dest] returns
     the output channel, or [None] to consume (legal only when the current
-    node {e is} [dest]). *)
+    node {e is} [dest]).
+
+    [f] must be deterministic and read-only: the same [(input, dest)]
+    always gives the same answer, and calling it changes no state anyone
+    can observe.  Two things rely on this.  The switching kernel walks a
+    route once per (source, destination) and then reuses the row for
+    every later run on the same [t] ([Switch_core.run]).  Parallel sweeps
+    call [f] from several domains at once. *)
 
 val name : t -> string
 val topology : t -> Topology.t

@@ -126,6 +126,12 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     sp.messages;
   let templates = Array.of_list sp.messages in
   let gap_arr = Array.of_list sp.gaps in
+  (* the template candidate lists as arrays, once per sweep: the innermost
+     loop indexes them per run *)
+  let lengths = Array.map (fun t -> Array.of_list t.t_lengths) templates in
+  let holds_of = Array.map (fun t -> Array.of_list t.t_holds) templates in
+  let offsets = Array.map (fun t -> Array.of_list t.t_offsets) templates in
+  let buffers = Array.of_list sp.buffers in
   (* All permutations of 0..n-1 in [Combinat.iter_permutations] order, so a
      task index maps to exactly the (order, priority) pair the sequential
      nesting would visit at that position. *)
@@ -154,6 +160,22 @@ let explore ?(stop_at_first = true) ?domains rt sp =
       | Follow_order -> Some order
       | All_permutations -> Some perms.(ti mod prios_per_order)
     in
+    (* one arbitration and one config per buffer size for the whole task:
+       every run of the task hands the kernel the physically same priority
+       list, so its rank map is computed once per task, not once per run *)
+    let arbitration =
+      match priority with
+      | None -> Engine.Fifo
+      | Some p -> Engine.Priority (Array.to_list (Array.map (fun mi -> templates.(mi).t_label) p))
+    in
+    let configs =
+      Array.map
+        (fun buffer ->
+          { Engine.buffer_capacity = buffer; arbitration; discipline = Engine.Wormhole;
+            max_cycles = sp.max_cycles; faults = Fault.empty; recovery = None })
+        buffers
+    in
+    let inject_time = Array.make n 0 in
     let runs = ref 0 in
     let my_started = ref 0 in
     let witness = ref None in
@@ -161,16 +183,15 @@ let explore ?(stop_at_first = true) ?domains rt sp =
       incr my_started;
       ignore (Atomic.fetch_and_add started 1)
     in
-    let run ~gap_choice ~len_choice ~hold_choice ~off_choice ~buffer =
+    let run ~gap_choice ~len_choice ~hold_choice ~off_choice ~config =
       (* a lower-indexed task has already found a witness: this task's
          partial tally is discarded by the reduce, so just bail out *)
       if stop () then raise Task_done;
-      let inject_time = Array.make n 0 in
       let t = ref 0 in
       Array.iteri
         (fun j mi ->
           if j > 0 then t := !t + gap_choice.(j - 1);
-          inject_time.(mi) <- !t + List.nth templates.(mi).t_offsets off_choice.(mi))
+          inject_time.(mi) <- !t + offsets.(mi).(off_choice.(mi)))
         order;
       let sched =
         List.init n (fun mi ->
@@ -179,30 +200,23 @@ let explore ?(stop_at_first = true) ?domains rt sp =
               Schedule.ms_label = tpl.t_label;
               ms_src = tpl.t_src;
               ms_dst = tpl.t_dst;
-              ms_length = List.nth tpl.t_lengths len_choice.(mi);
+              ms_length = lengths.(mi).(len_choice.(mi));
               ms_inject_at = inject_time.(mi);
-              ms_holds = List.nth tpl.t_holds hold_choice.(mi);
+              ms_holds = holds_of.(mi).(hold_choice.(mi));
             })
-      in
-      let arbitration =
-        match priority with
-        | None -> Engine.Fifo
-        | Some p ->
-          Engine.Priority (Array.to_list (Array.map (fun mi -> templates.(mi).t_label) p))
-      in
-      let config =
-        { Engine.buffer_capacity = buffer; arbitration; discipline = Engine.Wormhole;
-          max_cycles = sp.max_cycles; faults = Fault.empty; recovery = None }
       in
       incr runs;
       note_start ();
       match Engine.run ~config rt sched with
       | Engine.Deadlock info ->
-        (* replay to confirm determinism before reporting *)
+        (* replay to confirm determinism before reporting.  The replay runs
+           on the kernel the first run just left behind, so comparing the
+           whole witness (not only its cycle) also proves that the kernel's
+           per-run reset is complete. *)
         let confirmed =
           note_start ();
           match Engine.run ~config rt sched with
-          | Engine.Deadlock info' -> info'.Engine.d_cycle = info.Engine.d_cycle
+          | Engine.Deadlock info' -> info' = info
           | _ -> false
         in
         if not confirmed then
@@ -230,24 +244,24 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     and lens mi =
       if mi = n then offs 0
       else
-        for l = 0 to List.length templates.(mi).t_lengths - 1 do
+        for l = 0 to Array.length lengths.(mi) - 1 do
           len_choice.(mi) <- l;
           lens (mi + 1)
         done
     and offs mi =
       if mi = n then holds 0
       else
-        for o = 0 to List.length templates.(mi).t_offsets - 1 do
+        for o = 0 to Array.length offsets.(mi) - 1 do
           off_choice.(mi) <- o;
           offs (mi + 1)
         done
     and holds mi =
       if mi = n then
-        List.iter
-          (fun b -> run ~gap_choice ~len_choice ~hold_choice ~off_choice ~buffer:b)
-          sp.buffers
+        Array.iter
+          (fun config -> run ~gap_choice ~len_choice ~hold_choice ~off_choice ~config)
+          configs
       else
-        for h = 0 to List.length templates.(mi).t_holds - 1 do
+        for h = 0 to Array.length holds_of.(mi) - 1 do
           hold_choice.(mi) <- h;
           holds (mi + 1)
         done

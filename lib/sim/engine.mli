@@ -239,6 +239,14 @@ val run :
     blocked traffic is reported as [Deadlock] (permanently blocked), exactly
     like a protocol deadlock, and existing witnesses are unchanged.
 
+    The first run on a routing compiles it: each message's route is walked
+    and validated once per (source, destination) and kept, with the
+    kernel's other per-routing arrays, in a one-slot memo per domain keyed
+    by the physical identity of [rt].  Later runs on the same [rt] only
+    reset that kernel at entry; a run that raises leaves nothing behind,
+    and a run called from inside a probe gets a private kernel.  See
+    {!Switch_core.run}.
+
     @raise Invalid_argument when {!Schedule.validate} rejects the schedule
     or the config is malformed (including a [recovery.reroute] built on a
     different topology). *)

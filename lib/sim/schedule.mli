@@ -23,11 +23,31 @@ val message : ?length:int -> ?at:int -> ?holds:(Topology.channel * int) list ->
 (** Convenience constructor; [length] defaults to 1, [at] to 0. *)
 
 val validate : Routing.t -> t -> (unit, string) result
-(** Labels unique; lengths and times sane; every message routable. *)
+(** Labels unique; lengths, times and holds sane (every hold names a
+    channel of the routing's topology); every message routable. *)
 
 val validate_paths : Routing.t -> t -> (Topology.channel array array, string) result
 (** As {!validate}, but on success returns each message's computed route (in
-    schedule order), so a caller that needs the paths anyway -- the
-    switching kernel -- walks the routing exactly once. *)
+    schedule order).  The checks run message by message in schedule order
+    ({!message_error}, then {!route_row}), so the first failing message
+    names the error. *)
+
+(** {2 The pieces of {!validate_paths}}
+
+    The switching kernel runs the same checks with the same messages, but
+    looks routes up in its compiled path rows instead of re-walking the
+    routing for every run. *)
+
+val has_duplicate_label : t -> bool
+(** Some label occurs twice ("duplicate message labels"). *)
+
+val message_error : nchan:int -> message_spec -> string option
+(** The routing-independent checks of one message, in order: length,
+    injection time, distinct endpoints, hold times, hold channels in
+    [0, nchan).  The error text starts with the message's label. *)
+
+val route_row : Routing.t -> message_spec -> (Topology.channel array, string) result
+(** The message's route as a channel row, rejected when the routing fails
+    for its endpoints or the route visits a channel twice. *)
 
 val pp : Topology.t -> Format.formatter -> t -> unit

@@ -161,8 +161,258 @@ let outcome_string = function
   | Deadlock _ -> "deadlock"
   | Cutoff _ -> "cutoff"
   | Recovered _ -> "recovered"
-let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
-  let oblivious = match policy with Oblivious _ -> true | Adaptive _ -> false in
+
+(* -- the compiled kernel --
+
+   Everything a run needs that depends only on the policy is built once
+   and reused by every later run on the same policy in the same domain:
+
+   (a) oblivious path rows per (src, dst), walked and validated lazily on
+       first use.  A row is cached only once the walk succeeded and the
+       duplicate-channel check passed; routing errors are not cached, so a
+       bad pair re-walks and reports the same message on every run.  The
+       rows are SHARED by all later runs, so an oblivious [path_.(j)] is
+       never written in place: reroute replaces the row wholesale, and
+       only adaptive carving appends, into per-message rows the arena owns
+       ([carve] asserts this);
+   (b) the channel-sized columns and scratch rows, and the adaptive option
+       rows keyed by (channel, destination node);
+   (c) the message-indexed arena, grown geometrically, for schedules of
+       up to [pooled_limit] messages;
+   (d) the [Priority] rank map of the previous run, reused when the order
+       list and the label sequence are physically the same.
+
+   The memo is one slot per domain ([Domain.DLS]) keyed by the physical
+   identity of the policy's routing ([==]), so parallel sweeps never share
+   a kernel, and a run stays a pure function of (policy, schedule,
+   config): every field a run reads is reset at entry, over the prefix it
+   uses, before the first cycle.  Nothing is reset on exit, so a run that
+   raises (a probe, a sink, the sanitizer) leaves nothing behind that the
+   next run could see.  A run that starts while the slot's kernel is busy
+   -- [run] called from inside a probe -- compiles a private kernel. *)
+
+type msgs = {
+  m_cap : int;
+  specs : Schedule.message_spec array;
+  len_ : int array;
+  dst_ : int array;
+  path_ : int array array;
+  occ_ : int array array;
+  holds_ : int array array;
+  plen_ : int array;
+  head_ : int array;
+  arrived_ : Bitset.t;
+  injected_ : int array;
+  consumed_ : int array;
+  hold_ : int array;
+  hold_fresh_ : Bitset.t;
+  injected_at_ : int array;
+  delivered_at_ : int array;
+  released_ : int array;
+  attempt_ : int array;
+  retries_ : int array;
+  fate_ : int array;
+  last_progress_ : int array;
+  progressed_ : Bytes.t;
+  waiting_ : int array;
+  wait_since_ : int array;
+  awarded_ : int array;
+  wait_edge_ : int array;
+  forced_ : int array array;
+  rank_of : int array;
+  rank_labels : string array;  (* (d): the labels [rank_of] was computed for, *)
+  mutable rank_order : string list option;  (* ... the order list, *)
+  mutable rank_n : int;  (* ... and the message count *)
+  live : int array;
+  (* adaptive only (empty in oblivious kernels) *)
+  inject_opts : int array array;
+  carved_mark : Bytes.t array;
+  opt_tag_ : int array;
+  first_opt_ : int array;
+  opt_row_ : int array array;
+  opt_h_ : int array;
+  claim_order : int array;
+}
+
+type kernel = {
+  k_policy : policy;  (* the memo key, compared physically *)
+  k_nchan : int;
+  k_nnodes : int;
+  k_oblivious : bool;
+  mutable k_busy : bool;
+  k_rows : int array array;  (* (a): src * nnodes + dst, [unset_row] until walked *)
+  mutable k_zero_row : int array;  (* shared all-zero holds row, as long as any cached path *)
+  k_no_faults : Fault.compiled;
+  k_owner : int array;
+  k_cap : int array;
+  k_req_stamp : int array;
+  k_req_list : int array;
+  k_cand_j : int array;
+  k_cand_since : int array;
+  k_cand_rank : int array;
+  k_hold_scratch : int array;
+  k_chan_dst : int array;
+  k_opt_rows : int array array;  (* adaptive: channel * nnodes + dst *)
+  k_inject_rows : int array array;  (* adaptive: src * nnodes + dst *)
+  mutable k_msgs : msgs;
+}
+
+(* Memo tables are indexed by node or channel times node; past this many
+   entries a kernel walks routes and option sets uncached instead. *)
+let max_memo_entries = 1 lsl 22
+
+let dummy_spec = Schedule.message "" 0 1
+
+let make_msgs ~oblivious ~nchan cap =
+  let an = if oblivious then 0 else cap in
+  {
+    m_cap = cap;
+    specs = Array.make cap dummy_spec;
+    len_ = Array.make cap 0;
+    dst_ = Array.make cap 0;
+    path_ = Array.make cap [||];
+    occ_ = Array.make cap [||];
+    holds_ = Array.make cap [||];
+    plen_ = Array.make cap 0;
+    head_ = Array.make cap (-1);
+    arrived_ = Bitset.create cap;
+    injected_ = Array.make cap 0;
+    consumed_ = Array.make cap 0;
+    hold_ = Array.make cap 0;
+    hold_fresh_ = Bitset.create cap;
+    injected_at_ = Array.make cap (-1);
+    delivered_at_ = Array.make cap (-1);
+    released_ = Array.make cap 0;
+    attempt_ = Array.make cap 0;
+    retries_ = Array.make cap 0;
+    fate_ = Array.make cap f_live;
+    last_progress_ = Array.make cap 0;
+    progressed_ = Bytes.make cap '\000';
+    waiting_ = Array.make cap (-1);
+    wait_since_ = Array.make cap 0;
+    awarded_ = Array.make cap (-1);
+    wait_edge_ = Array.make cap (-1);
+    forced_ = Array.make cap [||];
+    rank_of = Array.make cap 0;
+    rank_labels = Array.make cap "";
+    rank_order = None;
+    rank_n = 0;
+    live = Array.make cap 0;
+    inject_opts = Array.make an [||];
+    carved_mark = Array.init an (fun _ -> Bytes.make (max nchan 1) '\000');
+    opt_tag_ = Array.make an (-1);
+    first_opt_ = Array.make an (-1);
+    opt_row_ = Array.make an unset_row;
+    opt_h_ = Array.make an min_int;
+    claim_order = Array.make an 0;
+  }
+
+let compile policy =
+  let topo, oblivious =
+    match policy with
+    | Oblivious rt -> (Routing.topology rt, true)
+    | Adaptive ad -> (Adaptive.topology ad, false)
+  in
+  let nchan = Topology.num_channels topo and nnodes = Topology.num_nodes topo in
+  let col n v = Array.make (if oblivious then n else 0) v in
+  let memo n = Array.make (if n <= max_memo_entries then n else 0) unset_row in
+  {
+    k_policy = policy;
+    k_nchan = nchan;
+    k_nnodes = nnodes;
+    k_oblivious = oblivious;
+    k_busy = false;
+    k_rows = (if oblivious then memo (nnodes * nnodes) else [||]);
+    k_zero_row = [||];
+    k_no_faults = Fault.compile ~nchan Fault.empty;
+    k_owner = Array.make nchan (-1);
+    k_cap = Array.make (max nchan 1) 1;
+    k_req_stamp = col nchan (-1);
+    k_req_list = col nchan 0;
+    k_cand_j = col nchan (-1);
+    k_cand_since = col nchan 0;
+    k_cand_rank = col nchan 0;
+    k_hold_scratch = col nchan 0;
+    k_chan_dst = (if oblivious then [||] else Array.init nchan (Topology.dst topo));
+    k_opt_rows = (if oblivious then [||] else memo (nchan * nnodes));
+    k_inject_rows = (if oblivious then [||] else memo (nnodes * nnodes));
+    k_msgs = make_msgs ~oblivious ~nchan 8;
+  }
+
+(* A schedule of at most [pooled_limit] messages runs in the kernel's
+   arena, on the memo's shared route rows.  A larger one gets a fresh arena
+   and private copies of its rows, laid out in schedule order: its run is
+   long, so the setup cost does not matter, while route and occupancy rows
+   left scattered through the heap by earlier runs made the steady cycle
+   (which walks messages in schedule order) up to a quarter slower on the
+   saturated 16x16 mesh. *)
+let pooled_limit = 256
+
+let arena k nmsg =
+  let m = k.k_msgs in
+  if nmsg <= m.m_cap then m
+  else if nmsg > pooled_limit then make_msgs ~oblivious:k.k_oblivious ~nchan:k.k_nchan nmsg
+  else begin
+    let cap = min pooled_limit (max nmsg (2 * m.m_cap)) in
+    let m = make_msgs ~oblivious:k.k_oblivious ~nchan:k.k_nchan cap in
+    k.k_msgs <- m;
+    m
+  end
+
+let kernel_slot : kernel option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let same_policy a b =
+  match (a, b) with
+  | Oblivious x, Oblivious y -> x == y
+  | Adaptive x, Adaptive y -> x == y
+  | (Oblivious _ | Adaptive _), _ -> false
+
+let acquire policy =
+  let slot = Domain.DLS.get kernel_slot in
+  match !slot with
+  | Some k when k.k_busy -> compile policy
+  | Some k when same_policy k.k_policy policy -> k
+  | Some _ | None ->
+    let k = compile policy in
+    slot := Some k;
+    k
+
+(* slot of the pair (a, b) in a memo table of [a * n + b] entries; -1 when
+   the pair is out of range or the table was not allocated (too large), in
+   which case the caller computes uncached *)
+let memo_index memo n a b =
+  let i = (a * n) + b in
+  if a >= 0 && b >= 0 && b < n && i < Array.length memo then i else -1
+
+(* oblivious route row of message [m] from the kernel's memo, walking and
+   validating the routing on first use *)
+let path_row k rt (m : Schedule.message_spec) =
+  let i = memo_index k.k_rows k.k_nnodes m.Schedule.ms_src m.Schedule.ms_dst in
+  let r = if i >= 0 then k.k_rows.(i) else unset_row in
+  if r != unset_row then Ok r
+  else
+    match Schedule.route_row rt m with
+    | Error _ as e -> e
+    | Ok r as ok ->
+      if i >= 0 then begin
+        k.k_rows.(i) <- r;
+        if Array.length r > Array.length k.k_zero_row then
+          k.k_zero_row <- Array.make (Array.length r) 0
+      end;
+      ok
+
+(* adaptive option row of [input] toward [d], memoized at slot [i] *)
+let option_row memo i ad input d =
+  let r = if i >= 0 then memo.(i) else unset_row in
+  if r != unset_row then r
+  else begin
+    let row = Array.of_list (Adaptive.options ad input d) in
+    if i >= 0 then memo.(i) <- row;
+    row
+  end
+
+let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
+  let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Adaptive_engine.run: " in
   let inv msg = invalid_arg (caller ^ msg) in
   let topo =
@@ -211,42 +461,53 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
     | Some rt' when Routing.topology rt' != topo ->
       inv "recovery reroute built on a different topology"
     | Some _ | None -> ()));
-  let ob_paths =
-    match policy with
-    | Oblivious rt ->
-      (* one walk of the routing serves both validation and the kernel's
-         route rows ({!Schedule.validate_paths}) *)
-      let paths =
-        match Schedule.validate_paths rt sched with Ok p -> p | Error e -> inv e
-      in
-      (match discipline with
-      | Store_and_forward ->
-        List.iter
-          (fun (m : Schedule.message_spec) ->
-            if m.ms_length > cap then
-              inv "store-and-forward needs buffer_capacity >= message length")
-          sched
-      | Wormhole | Virtual_cut_through -> ());
-      paths
-    | Adaptive _ ->
-      (* no static routability check here: an adaptive function's coverage is
-         {!Adaptive.validate}'s concern, and [config.discipline] is ignored
-         (adaptive runs always switch wormhole) *)
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun (m : Schedule.message_spec) ->
-          if Hashtbl.mem seen m.ms_label then inv "duplicate message labels"
-          else Hashtbl.add seen m.ms_label ())
-        sched;
-      List.iter
-        (fun (m : Schedule.message_spec) ->
-          if m.ms_length < 1 then inv "length < 1";
-          if m.ms_src = m.ms_dst then inv "source equals destination")
-        sched;
-      [||]
+  let nchan = k.k_nchan in
+  (* ---- flat message state (see the struct-of-arrays note above), drawn
+     from the kernel's arena and reset over the [nmsg] prefix below ---- *)
+  let nmsg = List.length sched in
+  let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; arrived_; injected_;
+         consumed_; hold_; hold_fresh_; injected_at_; delivered_at_; released_; attempt_;
+         retries_; fate_; last_progress_; progressed_; waiting_; wait_since_; awarded_;
+         wait_edge_; forced_; rank_of; rank_labels; live; inject_opts; carved_mark; opt_tag_;
+         first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
+    arena k nmsg
   in
-  let nchan = Topology.num_channels topo in
-  let faults = Fault.compile ~nchan config.faults in
+  let pooled = ar == k.k_msgs in
+  List.iteri (fun j s -> specs.(j) <- s) sched;
+  let label j = specs.(j).Schedule.ms_label in
+  (* validation, with the wording of {!Schedule.validate_paths}: labels,
+     then message by message the static checks and the route *)
+  if Schedule.has_duplicate_label sched then inv "duplicate message labels";
+  (match policy with
+  | Oblivious rt ->
+    for j = 0 to nmsg - 1 do
+      let s = specs.(j) in
+      (match Schedule.message_error ~nchan s with Some e -> inv e | None -> ());
+      match path_row k rt s with Ok r -> path_.(j) <- r | Error e -> inv e
+    done;
+    (match discipline with
+    | Store_and_forward ->
+      List.iter
+        (fun (m : Schedule.message_spec) ->
+          if m.ms_length > cap then
+            inv "store-and-forward needs buffer_capacity >= message length")
+        sched
+    | Wormhole | Virtual_cut_through -> ())
+  | Adaptive _ ->
+    (* no static routability check here: an adaptive function's coverage is
+       {!Adaptive.validate}'s concern, and [config.discipline] is ignored
+       (adaptive runs always switch wormhole); holds are ignored too, but
+       one naming a channel outside the topology is still malformed *)
+    List.iter
+      (fun (m : Schedule.message_spec) ->
+        if m.ms_length < 1 then inv "length < 1";
+        if m.ms_src = m.ms_dst then inv "source equals destination";
+        if List.exists (fun (c, _) -> c < 0 || c >= nchan) m.ms_holds then
+          inv (m.ms_label ^ ": hold on unknown channel"))
+      sched);
+  let faults =
+    if Fault.is_empty config.faults then k.k_no_faults else Fault.compile ~nchan config.faults
+  in
   (* per-channel buffer-capacity column (SoA).  Wormhole and SAF fill it
      with the scalar capacity; virtual cut-through provisions every channel
      for the longest scheduled packet, which is exactly what makes a
@@ -258,7 +519,8 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
     | Virtual_cut_through -> max cap max_len
     | Wormhole | Store_and_forward -> cap
   in
-  let cap_ = Array.make (max nchan 1) chan_cap in
+  let cap_ = k.k_cap in
+  Array.fill cap_ 0 (Array.length cap_) chan_cap;
   note_run_started ();
   (* -- observability: hoist the sink once per run; every emission site is
         guarded by [obs_on] so a disabled bus allocates nothing.  Emission
@@ -283,7 +545,7 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
     emit
       (Obs_event.Run_start
          { engine = (if oblivious then "oblivious" else "adaptive");
-           algorithm = algo_name; messages = List.length sched });
+           algorithm = algo_name; messages = nmsg });
     List.iter
       (fun (ev : Fault.event) ->
         emit
@@ -331,20 +593,18 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
     in
     st.Obs_stats.st_disc_runs.(di) <- st.Obs_stats.st_disc_runs.(di) + 1
   end;
-  (* ---- flat message state (see the struct-of-arrays note above) ---- *)
-  let specs = Array.of_list sched in
-  let nmsg = Array.length specs in
-  let label j = specs.(j).Schedule.ms_label in
-  let len_ = Array.init nmsg (fun j -> specs.(j).Schedule.ms_length) in
-  let dst_ = Array.init nmsg (fun j -> specs.(j).Schedule.ms_dst) in
   (* A schedule's holds are an assoc list keyed by channel; they are
      resolved to a per-path-position array through a channel-indexed
-     scratch row (built once per run, cleared after each use), replacing
-     the old per-position [List.assoc_opt] scan. *)
-  let hold_scratch = Array.make (if oblivious then nchan else 0) 0 in
+     scratch row (cleared after each use), replacing the old per-position
+     [List.assoc_opt] scan.  Messages without holds share the kernel's
+     all-zero row: hold rows are only ever read. *)
+  let hold_scratch = k.k_hold_scratch in
+  Array.fill hold_scratch 0 (Array.length hold_scratch) 0;
   let holds_for_path (spec : Schedule.message_spec) path =
     match spec.Schedule.ms_holds with
-    | [] -> Array.make (Array.length path) 0
+    | [] ->
+      if Array.length path <= Array.length k.k_zero_row then k.k_zero_row
+      else Array.make (Array.length path) 0
     | hs ->
       (* write later bindings first so the earliest binding for a channel
          wins, exactly as [List.assoc_opt] resolved duplicates *)
@@ -353,41 +613,68 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
       List.iter (fun (c, _) -> hold_scratch.(c) <- 0) hs;
       r
   in
-  let path_ = if oblivious then ob_paths else Array.make nmsg [||] in
-  let occ_ = Array.init nmsg (fun j -> Array.make (Array.length path_.(j)) 0) in
-  let holds_ =
-    Array.init nmsg (fun j ->
-        if oblivious then holds_for_path specs.(j) path_.(j) else [||])
-  in
-  let plen_ = Array.init nmsg (fun j -> Array.length path_.(j)) in
-  let head_ = Array.make nmsg (-1) in
-  let arrived_ = Bitset.create (max nmsg 1) in
-  let injected_ = Array.make nmsg 0 in
-  let consumed_ = Array.make nmsg 0 in
-  let hold_ = Array.make nmsg 0 in
-  let hold_fresh_ = Bitset.create (max nmsg 1) in
-  let injected_at_ = Array.make nmsg (-1) in
-  let delivered_at_ = Array.make nmsg (-1) in
-  let released_ = Array.make nmsg 0 in
-  let attempt_ = Array.init nmsg (fun j -> specs.(j).Schedule.ms_inject_at) in
-  let retries_ = Array.make nmsg 0 in
-  let fate_ = Array.make nmsg f_live in
-  let last_progress_ = Array.make nmsg 0 in
-  let progressed_ = Bytes.make (max nmsg 1) '\000' in
-  let waiting_ = Array.make nmsg (-1) in
-  let wait_since_ = Array.make nmsg (if oblivious then 0 else max_int) in
-  let awarded_ = Array.make nmsg (-1) in
-  let wait_edge_ = Array.make nmsg (-1) in
-  let forced_ = Array.make nmsg [||] in
-  let owner = Array.make nchan (-1) in
+  (* reset the message prefix of the arena *)
+  Bitset.clear arrived_;
+  Bitset.clear hold_fresh_;
+  for j = 0 to nmsg - 1 do
+    let s = specs.(j) in
+    len_.(j) <- s.Schedule.ms_length;
+    dst_.(j) <- s.Schedule.ms_dst;
+    if oblivious then begin
+      (* a fresh arena takes private copies of the shared rows, each next
+         to its occupancy row, in schedule order *)
+      if not pooled then path_.(j) <- Array.copy path_.(j);
+      let p = Array.length path_.(j) in
+      plen_.(j) <- p;
+      if Array.length occ_.(j) < p then occ_.(j) <- Array.make p 0
+      else Array.fill occ_.(j) 0 p 0;
+      holds_.(j) <- holds_for_path s path_.(j)
+    end
+    else plen_.(j) <- 0;
+    head_.(j) <- -1;
+    injected_.(j) <- 0;
+    consumed_.(j) <- 0;
+    hold_.(j) <- 0;
+    injected_at_.(j) <- -1;
+    delivered_at_.(j) <- -1;
+    released_.(j) <- 0;
+    attempt_.(j) <- s.Schedule.ms_inject_at;
+    retries_.(j) <- 0;
+    fate_.(j) <- f_live;
+    last_progress_.(j) <- 0;
+    waiting_.(j) <- -1;
+    wait_since_.(j) <- (if oblivious then 0 else max_int);
+    awarded_.(j) <- -1;
+    wait_edge_.(j) <- -1;
+    forced_.(j) <- [||];
+    live.(j) <- j
+  done;
+  let owner = k.k_owner in
+  Array.fill owner 0 nchan (-1);
   (* arbitration rank per schedule position.  The priority variant used to
      build a per-run Hashtbl and hash every label; a sorted index over the
      order list with a leftmost binary search gives the same
-     first-occurrence rank without it. *)
-  let rank_of =
-    match config.arbitration with
-    | Fifo -> Array.init nmsg (fun j -> j)
-    | Priority order ->
+     first-occurrence rank without it.  The map depends only on the order
+     list and the label sequence, so a sweep that passes the physically
+     same list and labels run after run ({!Explorer}) reuses it. *)
+  (match config.arbitration with
+  | Fifo ->
+    ar.rank_order <- None;
+    for j = 0 to nmsg - 1 do
+      rank_of.(j) <- j
+    done
+  | Priority order ->
+    let same =
+      match ar.rank_order with
+      | Some o when o == order && ar.rank_n = nmsg ->
+        let ok = ref true in
+        for j = 0 to nmsg - 1 do
+          if rank_labels.(j) != label j then ok := false
+        done;
+        !ok
+      | Some _ | None -> false
+    in
+    if not same then begin
       let ord = Array.of_list order in
       let n = Array.length ord in
       let sorted = Array.init n (fun i -> i) in
@@ -402,59 +689,42 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
         done;
         if !lo < n && ord.(sorted.(!lo)) = l then sorted.(!lo) else n
       in
-      Array.init nmsg (fun j -> (find (label j) * nmsg) + j)
-  in
-  (* adaptive option sets: destinations are interned to slots, and the raw
-     option row of a (channel, destination slot) pair is memoized as an int
-     array on first touch -- the steady cycle then only filters it in
-     place (down / owned / already-carved checks) without allocating.
-     Inject-state options are precomputed per message. *)
+      for j = 0 to nmsg - 1 do
+        rank_of.(j) <- (find (label j) * nmsg) + j;
+        rank_labels.(j) <- label j
+      done;
+      ar.rank_order <- Some order;
+      ar.rank_n <- nmsg
+    end);
+  (* adaptive option sets: the raw option row of a (channel, destination)
+     pair is memoized in the kernel as an int array on first touch -- the
+     steady cycle then only filters it in place (down / owned /
+     already-carved checks) without allocating.  Inject-state options are
+     memoized per (source, destination) the same way. *)
   let ad_opt = match policy with Adaptive ad -> Some ad | Oblivious _ -> None in
-  let dslot_ = Array.make nmsg 0 in
-  let dst_of_slot = Array.make (max nmsg 1) 0 in
-  let nd = ref 0 in
+  let nnodes = k.k_nnodes in
   (match ad_opt with
   | None -> ()
-  | Some _ ->
-    let slot_of = Array.make (Topology.num_nodes topo) (-1) in
-    Array.iteri
-      (fun j d ->
-        if slot_of.(d) < 0 then begin
-          slot_of.(d) <- !nd;
-          dst_of_slot.(!nd) <- d;
-          incr nd
-        end;
-        dslot_.(j) <- slot_of.(d))
-      dst_);
-  let nd = max 1 !nd in
-  let opt_rows = Array.make (if oblivious then 0 else nchan * nd) unset_row in
-  let inject_opts =
-    match ad_opt with
-    | None -> [||]
-    | Some ad ->
-      Array.init nmsg (fun j ->
-          Array.of_list
-            (Adaptive.options ad (Routing.Inject specs.(j).Schedule.ms_src) dst_.(j)))
-  in
-  let chan_dst_ =
-    if oblivious then [||] else Array.init nchan (fun c -> Topology.dst topo c)
-  in
-  (* per-message carved-channel membership, one byte per channel: [carve]
-     sets, [drain] clears, and the claim filter's "not already on my carved
-     path" test becomes a single load instead of an O(carved length) rescan *)
-  let carved_mark =
-    if oblivious then [||] else Array.init nmsg (fun _ -> Bytes.make (max nchan 1) '\000')
-  in
-  let row_get c slot =
-    let i = (c * nd) + slot in
-    let r = opt_rows.(i) in
-    if r != unset_row then r
-    else begin
-      let ad = match ad_opt with Some ad -> ad | None -> assert false in
-      let row = Array.of_list (Adaptive.options ad (Routing.From c) dst_of_slot.(slot)) in
-      opt_rows.(i) <- row;
-      row
-    end
+  | Some ad ->
+    for j = 0 to nmsg - 1 do
+      let s = specs.(j).Schedule.ms_src and d = dst_.(j) in
+      inject_opts.(j) <-
+        option_row k.k_inject_rows (memo_index k.k_inject_rows nnodes s d) ad (Routing.Inject s) d;
+      (* per-message carved-channel membership, one byte per channel:
+         [carve] sets, [drain] clears, and the claim filter's "not already
+         on my carved path" test becomes a single load instead of an
+         O(carved length) rescan *)
+      Bytes.fill carved_mark.(j) 0 (Bytes.length carved_mark.(j)) '\000';
+      opt_tag_.(j) <- -1;
+      first_opt_.(j) <- -1;
+      opt_row_.(j) <- unset_row;
+      opt_h_.(j) <- min_int
+    done);
+  let opt_rows = k.k_opt_rows in
+  let chan_dst_ = k.k_chan_dst in
+  let row_get c d =
+    let ad = match ad_opt with Some ad -> ad | None -> assert false in
+    option_row opt_rows (memo_index opt_rows nnodes c d) ad (Routing.From c) d
   in
   (* per-cycle scratch, reused across cycles -- nothing here is allocated
      inside the steady loop.  Oblivious: [req_stamp.(c) = t] marks channel
@@ -463,24 +733,21 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
      (min over the unique (wait_since, rank) key) during registration, so
      the award pass is O(requested channels) instead of the old
      O(requests x messages) rescan.  Adaptive: the option-source tag and
-     first usable option per message, plus the claimant order. *)
-  let req_stamp = Array.make (if oblivious then nchan else 0) (-1) in
-  let req_list = Array.make (if oblivious then nchan else 0) 0 in
+     first usable option per message, plus the claimant order.  [opt_h_]
+     is the head position for which [opt_tag_]/[opt_row_] are currently
+     valid: on a fault-free run a header that failed to move re-registers
+     with the exact same tag, row and first option next cycle, so the
+     recomputation (forced-row reads, row lookup, down-filter rescan) is
+     skipped while a worm is parked.  [min_int] = invalid; [drain] resets
+     it because a retry carves a fresh path through the same head
+     positions. *)
+  let req_stamp = k.k_req_stamp in
+  Array.fill req_stamp 0 (Array.length req_stamp) (-1);
+  let req_list = k.k_req_list in
   let req_count = ref 0 in
-  let cand_j = Array.make (if oblivious then nchan else 0) (-1) in
-  let cand_since = Array.make (if oblivious then nchan else 0) 0 in
-  let cand_rank = Array.make (if oblivious then nchan else 0) 0 in
-  let opt_tag_ = Array.make (if oblivious then 0 else nmsg) (-1) in
-  let first_opt_ = Array.make (if oblivious then 0 else nmsg) (-1) in
-  let opt_row_ = Array.make (if oblivious then 0 else nmsg) unset_row in
-  (* head position for which [opt_tag_]/[opt_row_] are currently valid:
-     on a fault-free run a header that failed to move re-registers with the
-     exact same tag, row and first option next cycle, so the recomputation
-     (forced-row reads, row lookup, down-filter rescan) is skipped while a
-     worm is parked.  [min_int] = invalid; [drain] resets it because a
-     retry carves a fresh path through the same head positions. *)
-  let opt_h_ = Array.make (if oblivious then 0 else nmsg) min_int in
-  let claim_order = Array.make (if oblivious then 0 else nmsg) 0 in
+  let cand_j = k.k_cand_j in
+  let cand_since = k.k_cand_since in
+  let cand_rank = k.k_cand_rank in
   let claim_count = ref 0 in
   (* pre-allocated cursors for the inner scans below: OCaml refs are heap
      blocks, so hot helpers share these per-run cells instead of minting
@@ -492,7 +759,6 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
   (* live-message index list in schedule order; delivered and abandoned
      messages are compacted out at end of cycle so steady-state loops only
      touch in-flight work *)
-  let live = Array.init nmsg (fun j -> j) in
   let nlive = ref nmsg in
   let last_finished = ref 0 in
   (* With no recovery configured the attempt windows never move, and the
@@ -549,6 +815,9 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
   (* append channel [c] to an adaptive message's carved path (amortized
      doubling; [occ] grows in lockstep) *)
   let carve j c =
+    (* only adaptive rows grow in place: oblivious rows are the kernel's
+       shared path memo *)
+    assert (not oblivious);
     let path = path_.(j) in
     let n = Array.length path in
     if plen_.(j) = n then begin
@@ -626,7 +895,7 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
       if chan_down c t then -1 else c
     end
     else begin
-      let row = if tag = -3 then inject_opts.(j) else row_get tag dslot_.(j) in
+      let row = if tag = -3 then inject_opts.(j) else row_get tag dst_.(j) in
       opt_row_.(j) <- row;
       scan_found := -1;
       for i = Array.length row - 1 downto 0 do
@@ -697,7 +966,7 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
             else begin opt_tag_.(j) <- -1; -1 end
           else begin
             opt_tag_.(j) <- hc;
-            let row = row_get hc dslot_.(j) in
+            let row = row_get hc dst_.(j) in
             opt_row_.(j) <- row;
             scan_found := -1;
             for i = Array.length row - 1 downto 0 do
@@ -744,7 +1013,7 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
       if chan_down c t then [] else [ c ]
     end
     else begin
-      let row = if tag = -3 then inject_opts.(j) else row_get tag dslot_.(j) in
+      let row = if tag = -3 then inject_opts.(j) else row_get tag dst_.(j) in
       List.filter (fun c -> not (chan_down c t)) (Array.to_list row)
     end
   in
@@ -981,7 +1250,7 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
   while !outcome = None do
     let t = !cycle in
     moved := false;
-    Bytes.fill progressed_ 0 (Bytes.length progressed_) '\000';
+    Bytes.fill progressed_ 0 nmsg '\000';
     (* live positions >= [nact] hold exactly the still-sleeping sources
        (see [static_windows]); the arbitration and movement loops below do
        not visit them.  The prefix test stays in each loop for the
@@ -1691,6 +1960,18 @@ let run ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
     emit (Obs_event.Run_end { cycle = final; outcome = outcome_string o })
   end;
   o
+
+let run ?config ?probe ?sanitizer ?obs ?stats policy sched =
+  let k = acquire policy in
+  k.k_busy <- true;
+  match run_on k ?config ?probe ?sanitizer ?obs ?stats policy sched with
+  | o ->
+    k.k_busy <- false;
+    o
+  | exception e ->
+    k.k_busy <- false;
+    raise e
+
 let pp_fate ppf = function
   | Delivered -> Format.pp_print_string ppf "delivered"
   | Dropped -> Format.pp_print_string ppf "dropped"

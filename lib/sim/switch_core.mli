@@ -258,7 +258,28 @@ val run :
 
     @raise Invalid_argument on malformed schedules or configs, with the
     calling engine's name ("Engine.run:" / "Adaptive_engine.run:") in the
-    message. *)
+    message.
+
+    {b Compiled kernel.}  What a run needs that depends only on the policy
+    is compiled once and kept in a one-slot per-domain memo ([Domain.DLS]),
+    keyed by the physical identity ([==]) of the policy's routing or
+    adaptive function: the validated oblivious path row of each (source,
+    destination) pair, filled on first use; the channel-sized columns and
+    scratch rows; the adaptive option rows per (channel, destination); the
+    message-indexed arrays of schedules up to 256 messages (a longer
+    schedule gets fresh ones, with its routes copied out in schedule
+    order); and the [Priority] rank map, reused while the
+    order list and the label sequence are physically the same as on the
+    previous run.  A run on another policy compiles a new kernel in its
+    place.  Routing errors are not cached, and every schedule and config
+    check still runs on every run with the same message.
+
+    The kernel is reset at the entry of every run, never on exit, so a run
+    that raises (from a probe, a sink or the sanitizer) leaves nothing the
+    next run can see.  A run started while the domain's kernel is in use
+    -- [run] called from inside a probe -- compiles a private kernel.  The
+    memo relies on the routing function being deterministic and read-only
+    (see {!Routing.create}).  See DESIGN.md section 18. *)
 
 val is_deadlock : outcome -> bool
 

@@ -194,6 +194,32 @@ let test_validate_rejected () =
   Alcotest.check_raises "bad length" (Invalid_argument "Engine.run: m: length < 1") (fun () ->
       ignore (Engine.run rt [ Schedule.message ~length:0 "m" 0 1 ]))
 
+(* a hold naming a channel outside the topology is rejected by validation
+   in both engines (it used to reach the kernel's channel-indexed hold
+   scratch row and die there with a bare index error) *)
+let test_hold_unknown_channel () =
+  let rt, _ = ring4 () in
+  let ad = Adaptive.of_oblivious rt in
+  let nchan = Topology.num_channels (Routing.topology rt) in
+  List.iter
+    (fun c ->
+      let bad = [ Schedule.message ~holds:[ (c, 2) ] "m" 0 2 ] in
+      Alcotest.check_raises "oblivious"
+        (Invalid_argument "Engine.run: m: hold on unknown channel") (fun () ->
+          ignore (Engine.run rt bad));
+      Alcotest.check_raises "adaptive"
+        (Invalid_argument "Adaptive_engine.run: m: hold on unknown channel") (fun () ->
+          ignore (Adaptive_engine.run ad bad));
+      check cb "Schedule.validate" true
+        (Schedule.validate rt bad = Error "m: hold on unknown channel"))
+    [ nchan; -1 ];
+  (* the rejected runs leave nothing behind: an in-range hold afterwards
+     runs exactly as on a freshly built routing *)
+  let first = List.hd (Routing.path_exn rt 0 2) in
+  let good = [ Schedule.message ~length:2 ~holds:[ (first, 3) ] "m" 0 2 ] in
+  let fresh = Routing.create ~name:(Routing.name rt) (Routing.topology rt) (Routing.next rt) in
+  check cb "same outcome as a fresh routing" true (Engine.run rt good = Engine.run fresh good)
+
 let test_cutoff () =
   let rt, _ = ring4 () in
   let config = { Engine.default_config with max_cycles = 2 } in
@@ -402,6 +428,7 @@ let () =
       ( "api",
         [
           Alcotest.test_case "validation errors" `Quick test_validate_rejected;
+          Alcotest.test_case "hold on unknown channel" `Quick test_hold_unknown_channel;
           Alcotest.test_case "cutoff" `Quick test_cutoff;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "schedule pp/validate" `Quick test_schedule_pp_and_validate;
