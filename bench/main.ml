@@ -129,7 +129,7 @@ let entries =
        price of option lists + first-free claims over seniority awards *)
     case "sim/adaptive-hotpath"
       (let ad = Adaptive.of_oblivious mesh8_rt in
-       fun () -> Adaptive_engine.run ad mesh_schedule);
+       fun () -> Engine.run_adaptive ad mesh_schedule);
     case "search/figure1-order-sweep" (fun () -> Explorer.explore fig1_rt fig1_quick_space);
     case "search/figure2-witness" (fun () -> Explorer.explore fig2_rt fig2_space);
     (* the same sweep through the Wr_pool, pinned sequential vs parallel;
@@ -156,7 +156,7 @@ let entries =
        let sched =
          Traffic.bernoulli_schedule rng pattern ~coords:mesh2 ~rate:0.05 ~length:4 ~horizon:150
        in
-       fun () -> Adaptive_engine.run ad sched);
+       fun () -> Engine.run_adaptive ad sched);
     case "search/model-check-figure1"
       (let net = Paper_nets.figure1 () in
        fun () -> Model_checker.check_net ~extra:[ 0 ] net);

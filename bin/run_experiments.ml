@@ -9,47 +9,33 @@
 
 open Cmdliner
 
-let known =
+(* what an experiment may read from the command line *)
+type opts = { quick : bool; max_p : int option; detect : bool }
+
+(* every experiment in campaign order: its command-line name and its run *)
+let experiments =
   [
-    ("exp-f1", `F1);
-    ("exp-t2", `T2);
-    ("exp-corollaries", `C);
-    ("exp-t3", `T3);
-    ("exp-t4", `T4);
-    ("exp-t5", `T5);
-    ("exp-g", `G);
-    ("exp-s1", `S1);
-    ("exp-s2", `S2);
-    ("exp-mfm", `MFM);
-    ("exp-a", `A);
-    ("exp-sw", `SW);
-    ("exp-sw1", `SW1);
-    ("exp-mc", `MC);
-    ("exp-fault", `Fault);
-    ("exp-detect", `Detect);
-    ("exp-lint", `Lint);
-    ("exp-synth", `Synth);
+    ("exp-f1", fun o -> Experiments.exp_f1 ~quick:o.quick);
+    ("exp-t2", fun o -> Experiments.exp_t2 ~quick:o.quick);
+    ("exp-corollaries", fun o -> Experiments.exp_corollaries ~quick:o.quick);
+    ("exp-t3", fun o -> Experiments.exp_t3 ~quick:o.quick);
+    ("exp-t4", fun o -> Experiments.exp_t4 ~quick:o.quick);
+    ("exp-t5", fun o -> Experiments.exp_t5 ~quick:o.quick);
+    ("exp-g", fun o -> Experiments.exp_g ~quick:o.quick ?max_p:o.max_p);
+    ("exp-s1", fun o -> Experiments.exp_s1 ~quick:o.quick);
+    ("exp-s2", fun o -> Experiments.exp_s2 ~quick:o.quick);
+    ("exp-mfm", fun o -> Experiments.exp_mfm ~quick:o.quick);
+    ("exp-a", fun o -> Experiments.exp_a ~quick:o.quick);
+    ("exp-sw", fun o -> Experiments.exp_sw ~quick:o.quick);
+    ("exp-sw1", fun o -> Experiments.exp_sw1 ~quick:o.quick);
+    ("exp-mc", fun o -> Experiments.exp_mc ~quick:o.quick);
+    ("exp-fault", fun o -> Experiments.exp_fault ~quick:o.quick ~detect:o.detect);
+    ("exp-detect", fun o -> Experiments.exp_detect ~quick:o.quick);
+    ("exp-lint", fun o -> Experiments.exp_lint ~quick:o.quick);
+    ("exp-synth", fun o -> Experiments.exp_synth ~quick:o.quick);
   ]
 
-let run_one ~quick ~max_p ~detect ppf = function
-  | `F1 -> Experiments.exp_f1 ~quick ppf
-  | `T2 -> Experiments.exp_t2 ~quick ppf
-  | `C -> Experiments.exp_corollaries ~quick ppf
-  | `T3 -> Experiments.exp_t3 ~quick ppf
-  | `T4 -> Experiments.exp_t4 ~quick ppf
-  | `T5 -> Experiments.exp_t5 ~quick ppf
-  | `G -> Experiments.exp_g ~quick ?max_p ppf
-  | `S1 -> Experiments.exp_s1 ~quick ppf
-  | `S2 -> Experiments.exp_s2 ~quick ppf
-  | `MFM -> Experiments.exp_mfm ~quick ppf
-  | `A -> Experiments.exp_a ~quick ppf
-  | `SW -> Experiments.exp_sw ~quick ppf
-  | `SW1 -> Experiments.exp_sw1 ~quick ppf
-  | `MC -> Experiments.exp_mc ~quick ppf
-  | `Fault -> Experiments.exp_fault ~quick ~detect ppf
-  | `Detect -> Experiments.exp_detect ~quick ppf
-  | `Lint -> Experiments.exp_lint ~quick ppf
-  | `Synth -> Experiments.exp_synth ~quick ppf
+let experiment_names = String.concat ", " (List.map fst experiments)
 
 type timing = {
   tm_name : string;
@@ -190,26 +176,26 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   in
   let selected =
     match names with
-    | [] -> known
+    | [] -> experiments
     | names ->
       List.map
         (fun n ->
-          match List.assoc_opt n known with
-          | Some e -> (n, e)
+          match List.assoc_opt n experiments with
+          | Some run -> (n, run)
           | None ->
-            Printf.eprintf "unknown experiment %s (known: %s)\n" n
-              (String.concat ", " (List.map fst known));
+            Printf.eprintf "unknown experiment %s (known: %s)\n" n experiment_names;
             exit 2)
         names
   in
+  let opts = { quick; max_p; detect } in
   let timings = ref [] in
   let rows =
     List.concat_map
-      (fun (name, e) ->
+      (fun (name, run) ->
         let t0 = Unix.gettimeofday () in
         let runs0 = Engine.run_count () in
         let cancelled0 = Engine.cancelled_count () in
-        let rows = run_one ~quick ~max_p ~detect ppf e in
+        let rows = run opts ppf in
         Format.pp_print_flush ppf ();
         let tm =
           {
@@ -293,9 +279,7 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
     Format.fprintf ppf "@\ntiming JSON written to %s@." path
 
 let names_arg =
-  let doc = "Experiments to run (default: all).  One of exp-f1, exp-t2, exp-corollaries, \
-             exp-t3, exp-t4, exp-t5, exp-g, exp-s1, exp-s2, exp-mfm, exp-a, exp-sw, exp-sw1, \
-             exp-mc, exp-fault, exp-detect, exp-lint, exp-synth." in
+  let doc = "Experiments to run (default: all).  One of " ^ experiment_names ^ "." in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let quick_arg =

@@ -433,15 +433,15 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         finalize_stats ~topo:coords.Builders.topo sctx;
         if report.Measure.deadlocked then exit 3
       | `Adaptive ad ->
-        let out = Adaptive_engine.run ~config ?stats:(stats_acc sctx) ad sched in
+        let out = Engine.run_adaptive ~config ?stats:(stats_acc sctx) ad sched in
         (match out with
-        | Adaptive_engine.All_delivered { finished_at; messages } ->
+        | Engine.All_delivered { finished_at; messages } ->
           Format.printf "%d/%d delivered in %d cycles (adaptive)@." (List.length messages)
             (List.length sched) finished_at
         | o -> Format.printf "%a@." (Engine.pp_outcome coords.Builders.topo) o);
         let pm =
           match out with
-          | Adaptive_engine.Deadlock _ | Adaptive_engine.Recovered _ -> true
+          | Engine.Deadlock _ | Engine.Recovered _ -> true
           | _ -> false
         in
         (* adaptive: no oblivious routing function, so the post-mortem skips

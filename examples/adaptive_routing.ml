@@ -51,8 +51,8 @@ let () =
       messages
   | o -> Format.printf "%a@." (Engine.pp_outcome mesh1.topo) o);
   (* adaptive: the probe detours over the Y channel immediately *)
-  (match Adaptive_engine.run fully sched with
-  | Adaptive_engine.All_delivered { messages; _ } ->
+  (match Engine.run_adaptive fully sched with
+  | Engine.All_delivered { messages; _ } ->
     List.iter
       (fun (r : Engine.message_result) ->
         Format.printf "  adaptive: %s delivered at %s@." r.r_label

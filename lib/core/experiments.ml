@@ -858,8 +858,8 @@ let exp_a ?(quick = false) ppf =
     Traffic.bernoulli_schedule rng pattern ~coords:mesh2 ~rate:0.08 ~length:5 ~horizon
   in
   let delivered =
-    match Adaptive_engine.run duato sched with
-    | Adaptive_engine.All_delivered { finished_at; messages } ->
+    match Engine.run_adaptive duato sched with
+    | Engine.All_delivered { finished_at; messages } ->
       Format.fprintf ppf "stress: %d messages delivered by cycle %d@\n"
         (List.length messages) finished_at;
       true
@@ -1475,29 +1475,6 @@ let exp_synth ?(quick = false) ppf =
     ]
   in
   fig_ring_rows @ random_rows
-
-let all ?quick ppf =
-  List.concat
-    [
-      exp_f1 ?quick ppf;
-      exp_t2 ?quick ppf;
-      exp_corollaries ?quick ppf;
-      exp_t3 ?quick ppf;
-      exp_t4 ?quick ppf;
-      exp_t5 ?quick ppf;
-      exp_g ?quick ppf;
-      exp_s1 ?quick ppf;
-      exp_s2 ?quick ppf;
-      exp_mfm ?quick ppf;
-      exp_a ?quick ppf;
-      exp_sw ?quick ppf;
-      exp_sw1 ?quick ppf;
-      exp_mc ?quick ppf;
-      exp_fault ?quick ppf;
-      exp_detect ?quick ppf;
-      exp_lint ?quick ppf;
-      exp_synth ?quick ppf;
-    ]
 
 let summary_table rows =
   let table = Table.create [ "experiment"; "paper claim"; "measured"; "ok" ] in

@@ -124,9 +124,6 @@ val exp_synth : ?quick:bool -> Format.formatter -> row list
     bounded greedy routing family deadlocks; on pinned random digraphs the
     two verdicts always agree and both occur. *)
 
-val all : ?quick:bool -> Format.formatter -> row list
-(** Run everything in order. *)
-
 val summary_table : row list -> string
 (** Render rows as the EXPERIMENTS.md summary table. *)
 

@@ -23,7 +23,6 @@
 module Event = Obs_event
 module Metrics = Obs_metrics
 module Chrome = Obs_chrome
-module Timeline = Obs_timeline
 module Postmortem = Obs_postmortem
 
 module Stats = Obs_stats

@@ -3,7 +3,7 @@
     The event bus ({!Obs}) materializes one structured event per phenomenon,
     which is exactly what the zero-allocation kernel was built to avoid
     paying for.  This module is the cheap alternative: a preallocated
-    accumulator of flat int arrays that {!Switch_core.run} writes into with
+    accumulator of flat int arrays that {!Engine.run} writes into with
     plain stores — per-channel busy/owned/acquisition/wait counters,
     head-of-line blocking attribution, a fixed-bucket latency histogram, and
     per-phase work counters.  The steady cycle stays allocation-free with
@@ -134,7 +134,7 @@ val to_json : ?topo:Topology.t -> t -> string
 (** One-object JSON document, schema [wormhole-stats/1]. *)
 
 val heatmap : ?width:int -> ?topo:Topology.t -> t -> string
-(** ASCII per-channel utilization heatmap in [Obs_timeline] style: one row
+(** ASCII per-channel utilization heatmap in [Trace.render] style: one row
     per active channel (index order), a [width]-column (default 40) bar of
     the channel's busy fraction, and the utilization/acquisition/wait/HoL
     numbers.  Empty string when no channel saw traffic. *)

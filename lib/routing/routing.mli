@@ -27,7 +27,7 @@ val create :
     always gives the same answer, and calling it changes no state anyone
     can observe.  Two things rely on this.  The switching kernel walks a
     route once per (source, destination) and then reuses the row for
-    every later run on the same [t] ([Switch_core.run]).  Parallel sweeps
+    every later run on the same [t] ([Engine.run]).  Parallel sweeps
     call [f] from several domains at once. *)
 
 val name : t -> string

@@ -1,7 +1,7 @@
-(** Per-cycle invariant checking for the simulation engines.
+(** Per-cycle invariant checking for the simulation engine.
 
     A sanitizer is a diagnostic collector passed to {!Engine.run} or
-    {!Adaptive_engine.run} via their [?sanitizer] argument.  When present,
+    {!Engine.run_adaptive} via their [?sanitizer] argument.  When present,
     the engine re-derives a set of structural invariants from its full state
     at the end of every cycle and reports any violation as a diagnostic:
 

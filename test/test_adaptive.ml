@@ -154,9 +154,9 @@ let test_adaptive_engine_matches_oblivious_for_singletons () =
       Schedule.message ~length:2 ~at:3 "c" (mesh1.node_at [| 1; 0 |]) (mesh1.node_at [| 1; 3 |]);
     ]
   in
-  match (Engine.run rt sched, Adaptive_engine.run ad sched) with
+  match (Engine.run rt sched, Engine.run_adaptive ad sched) with
   | ( Engine.All_delivered { finished_at = t1; messages = m1 },
-      Adaptive_engine.All_delivered { finished_at = t2; messages = m2 } ) ->
+      Engine.All_delivered { finished_at = t2; messages = m2 } ) ->
     check ci "same finish" t1 t2;
     check cb "same results" true (m1 = m2)
   | _ -> Alcotest.fail "expected delivery on both engines"
@@ -169,8 +169,8 @@ let test_adaptive_avoids_blocked_channel () =
   and n22 = mesh1.node_at [| 2; 2 |] in
   let hog = Schedule.message ~length:40 "hog" n00 n20 in
   let probe = Schedule.message ~length:2 ~at:2 "probe" n00 n22 in
-  match Adaptive_engine.run ad [ hog; probe ] with
-  | Adaptive_engine.All_delivered { messages; _ } ->
+  match Engine.run_adaptive ad [ hog; probe ] with
+  | Engine.All_delivered { messages; _ } ->
     let p = List.find (fun (r : Engine.message_result) -> r.r_label = "probe") messages in
     (* the probe must not wait for the hog's 40-flit worm to drain: it can
        leave over the Y channel immediately *)
@@ -185,8 +185,8 @@ let test_adaptive_ring_deadlock () =
   let sched =
     List.init 4 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 2) mod 4))
   in
-  match Adaptive_engine.run ad sched with
-  | Adaptive_engine.Deadlock { d_wait_cycle; d_blocked; _ } ->
+  match Engine.run_adaptive ad sched with
+  | Engine.Deadlock { d_wait_cycle; d_blocked; _ } ->
     check ci "four blocked" 4 (List.length d_blocked);
     check ci "cycle of four" 4 (List.length d_wait_cycle)
   | o -> Alcotest.failf "expected deadlock: %s" (Format.asprintf "%a" (Engine.pp_outcome r.topo) o)
@@ -199,8 +199,8 @@ let test_duato_mesh_survives_stress () =
   let sched =
     Traffic.bernoulli_schedule rng pattern ~coords:mesh2 ~rate:0.08 ~length:5 ~horizon:150
   in
-  match Adaptive_engine.run ad sched with
-  | Adaptive_engine.All_delivered _ -> ()
+  match Engine.run_adaptive ad sched with
+  | Engine.All_delivered _ -> ()
   | o -> Alcotest.failf "expected delivery: %s" (Format.asprintf "%a" (Engine.pp_outcome mesh2.topo) o)
 
 let test_adaptive_determinism () =
@@ -211,7 +211,7 @@ let test_adaptive_determinism () =
     Traffic.bernoulli_schedule rng pattern ~coords:mesh2 ~rate:0.05 ~length:4 ~horizon:80
   in
   check cb "replays identically" true
-    (Adaptive_engine.run ad sched = Adaptive_engine.run ad sched)
+    (Engine.run_adaptive ad sched = Engine.run_adaptive ad sched)
 
 let () =
   Alcotest.run "adaptive"

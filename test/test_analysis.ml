@@ -244,8 +244,8 @@ let test_sanitized_runs_clean () =
   check ci "one run checked" 1 (Sanitizer.runs_checked s);
   check cb "cycles were checked" true (Sanitizer.cycles_checked s > 0);
   let ad = Adaptive.fully_adaptive_minimal (Builders.mesh [ 3; 3 ]) in
-  (match Adaptive_engine.run ~sanitizer:s ad sched with
-  | Adaptive_engine.All_delivered _ -> ()
+  (match Engine.run_adaptive ~sanitizer:s ad sched with
+  | Engine.All_delivered _ -> ()
   | o ->
     Alcotest.failf "unexpected adaptive outcome %s"
       (Format.asprintf "%a" (Engine.pp_outcome topo) o));

@@ -56,8 +56,8 @@ let test_adaptive_cutoff () =
   let coords = Builders.mesh [ 3; 3 ] in
   let ad = Adaptive.fully_adaptive_minimal coords in
   let config = { Engine.default_config with max_cycles = 2 } in
-  match Adaptive_engine.run ~config ad [ Schedule.message ~length:30 "m" 0 8 ] with
-  | Adaptive_engine.Cutoff { at; _ } -> check ci "cutoff" 2 at
+  match Engine.run_adaptive ~config ad [ Schedule.message ~length:30 "m" 0 8 ] with
+  | Engine.Cutoff { at; _ } -> check ci "cutoff" 2 at
   | o -> Alcotest.failf "expected cutoff: %s"
            (Format.asprintf "%a" (Engine.pp_outcome coords.Builders.topo) o)
 

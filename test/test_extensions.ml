@@ -198,6 +198,64 @@ let test_trace_truncation () =
   check cb "notes exact truncated cycle count" true
     (contains (Printf.sprintf "… +%d cycles" (List.length trace - 5)) s)
 
+(* the ring's four two-hop messages wedge; the detector aborts [a], whose
+   channel empties at cycle 17 and which re-enters at cycle 25 *)
+let test_trace_detect_recovery () =
+  let ring = Builders.ring ~unidirectional:true 4 in
+  let rt = Ring_routing.clockwise ring in
+  let sched =
+    List.init 4 (fun i -> Schedule.message ~length:3 (String.make 1 "abcd".[i]) i ((i + 2) mod 4))
+  in
+  let config =
+    {
+      Engine.default_config with
+      recovery =
+        Some { Engine.default_recovery with trigger = Engine.Detect Obs_detect.default_config };
+    }
+  in
+  let get, probe = Trace.collector () in
+  check Alcotest.string "outcome" "recovered"
+    (Engine.outcome_string (Engine.run ~config ~probe rt sched));
+  check Alcotest.string "timeline"
+    (String.concat "\n"
+       [
+         "channel    0         1         2         3";
+         "n(0)->n(1) aaaaaaaaaaaaaaaaa.ddd....aaaa..";
+         "n(1)->n(2) bbbbbbbbbbbbbbbbbbbbbbbbbb.aaa.";
+         "n(2)->n(3) ccccccccccccccccccccccc.bbb....";
+         "n(3)->n(0) dddddddddddddddddddd.ccc.......";
+         "";
+       ])
+    (Trace.render ring.Builders.topo (get ()))
+
+(* the probe detours over the Y channel while the hog holds the X one *)
+let test_trace_adaptive () =
+  let mesh = Builders.mesh [ 3; 3 ] in
+  let n = mesh.Builders.node_at in
+  let sched =
+    [
+      Schedule.message ~length:6 "hog" (n [| 0; 0 |]) (n [| 2; 0 |]);
+      Schedule.message ~length:2 ~at:1 "probe" (n [| 0; 0 |]) (n [| 2; 2 |]);
+    ]
+  in
+  let get, probe = Trace.collector () in
+  check Alcotest.string "outcome" "all-delivered"
+    (Engine.outcome_string
+       (Engine.run_adaptive ~probe (Adaptive.fully_adaptive_minimal mesh) sched));
+  check Alcotest.string "timeline"
+    (String.concat "\n"
+       [
+         "channel        0       ";
+         "n(0,0)->n(1,0) hhhhhh..";
+         "n(0,0)->n(0,1) .pp.....";
+         "n(1,0)->n(2,0) .hhhhhh.";
+         "n(0,1)->n(1,1) ..pp....";
+         "n(1,1)->n(2,1) ...pp...";
+         "n(2,1)->n(2,2) ....pp..";
+         "";
+       ])
+    (Trace.render mesh.Builders.topo (get ()))
+
 let () =
   Alcotest.run "extensions"
     [
@@ -233,5 +291,7 @@ let () =
           Alcotest.test_case "collect and render" `Quick test_trace_collects_and_renders;
           Alcotest.test_case "occupancy_of" `Quick test_trace_occupancy_of;
           Alcotest.test_case "truncation" `Quick test_trace_truncation;
+          Alcotest.test_case "detect recovery" `Quick test_trace_detect_recovery;
+          Alcotest.test_case "adaptive" `Quick test_trace_adaptive;
         ] );
     ]

@@ -336,10 +336,10 @@ let test_adaptive_recovery_terminates () =
         Some { Engine.default_recovery with trigger = Engine.Watchdog 8; retry_limit = 3; backoff = 2 };
     }
   in
-  let run () = Adaptive_engine.run ~config ad sched in
+  let run () = Engine.run_adaptive ~config ad sched in
   let out = run () in
   (match out with
-  | Adaptive_engine.All_delivered _ | Adaptive_engine.Recovered _ -> ()
+  | Engine.All_delivered _ | Engine.Recovered _ -> ()
   | o ->
     Alcotest.failf "expected termination, got %s"
       (Format.asprintf "%a" (Engine.pp_outcome topo) o));

@@ -1,4 +1,4 @@
-(* Kernel-equivalence pins for the struct-of-arrays Switch_core (PR 8).
+(* Kernel-equivalence pins for the struct-of-arrays switching kernel.
 
    A deterministic matrix of seeded runs -- paper figure networks and
    mesh/torus substrates, oblivious and adaptive, with holds, priorities,
@@ -23,6 +23,14 @@
 
 let check = Alcotest.check
 
+(* the kernel's two routing modes, dispatched to their entry points *)
+type policy = Oblivious of Routing.t | Adaptive of Adaptive.t
+
+let run_policy ?config ?sanitizer ?probe policy sched =
+  match policy with
+  | Oblivious rt -> Engine.run ?config ?sanitizer ?probe rt sched
+  | Adaptive ad -> Engine.run_adaptive ?config ?sanitizer ?probe ad sched
+
 (* ---- fingerprinting ---- *)
 
 let digest_add d (s : string) =
@@ -30,24 +38,24 @@ let digest_add d (s : string) =
      Hashtbl.hash on arbitrary structure *)
   String.iter (fun ch -> d := ((!d lsl 5) + !d + Char.code ch) land 0x3FFFFFFF) s
 
-let fp_messages (ms : Switch_core.message_result list) =
+let fp_messages (ms : Engine.message_result list) =
   String.concat ","
     (List.map
-       (fun (r : Switch_core.message_result) ->
+       (fun (r : Engine.message_result) ->
          Printf.sprintf "%s:%s:%s" r.r_label
            (match r.r_injected_at with Some t -> string_of_int t | None -> "-")
            (match r.r_delivered_at with Some t -> string_of_int t | None -> "-"))
        ms)
 
-let fp_stats (ss : Switch_core.retry_stat list) =
+let fp_stats (ss : Engine.retry_stat list) =
   String.concat ","
     (List.map
-       (fun (s : Switch_core.retry_stat) ->
+       (fun (s : Engine.retry_stat) ->
          Printf.sprintf "%s:%d:%s" s.t_label s.t_retries
            (match s.t_fate with
-           | Switch_core.Delivered -> "d"
-           | Switch_core.Dropped -> "x"
-           | Switch_core.Gave_up -> "g"))
+           | Engine.Delivered -> "d"
+           | Engine.Dropped -> "x"
+           | Engine.Gave_up -> "g"))
        ss)
 
 let fp_occupancy topo occ =
@@ -56,20 +64,20 @@ let fp_occupancy topo occ =
        (fun (c, l, n) -> Printf.sprintf "%s=%s*%d" (Topology.channel_name topo c) l n)
        occ)
 
-let fp_outcome topo (o : Switch_core.outcome) =
+let fp_outcome topo (o : Engine.outcome) =
   match o with
-  | Switch_core.All_delivered { finished_at; messages } ->
+  | Engine.All_delivered { finished_at; messages } ->
     Printf.sprintf "all-delivered@%d[%s]" finished_at (fp_messages messages)
-  | Switch_core.Cutoff { at; messages } ->
+  | Engine.Cutoff { at; messages } ->
     Printf.sprintf "cutoff@%d[%s]" at (fp_messages messages)
-  | Switch_core.Recovered { finished_at; messages; stats } ->
+  | Engine.Recovered { finished_at; messages; stats } ->
     Printf.sprintf "recovered@%d[%s][%s]" finished_at (fp_messages messages)
       (fp_stats stats)
-  | Switch_core.Deadlock d ->
+  | Engine.Deadlock d ->
     let blocked =
       String.concat ";"
         (List.map
-           (fun (b : Switch_core.blocked_info) ->
+           (fun (b : Engine.blocked_info) ->
              Printf.sprintf "%s>{%s}%s" b.b_label
                (String.concat "," (List.map (Topology.channel_name topo) b.b_wants))
                (match b.b_holder with Some h -> "@" ^ h | None -> ""))
@@ -82,7 +90,7 @@ let fp_outcome topo (o : Switch_core.outcome) =
 
 let run_fingerprint topo ?config ?sanitizer ?probe_hook policy sched =
   let snap = ref 5381 in
-  let probe (s : Switch_core.snapshot) =
+  let probe (s : Engine.snapshot) =
     digest_add snap (Printf.sprintf "#%d%b" s.s_cycle s.s_moved);
     digest_add snap (fp_occupancy topo s.s_occupancy);
     List.iter
@@ -93,7 +101,7 @@ let run_fingerprint topo ?config ?sanitizer ?probe_hook policy sched =
       s.s_waiting;
     match probe_hook with Some f -> f s | None -> ()
   in
-  let outcome = Switch_core.run ?config ?sanitizer ~probe policy sched in
+  let outcome = run_policy ?config ?sanitizer ~probe policy sched in
   Printf.sprintf "%s snap=%08x" (fp_outcome topo outcome) !snap
 
 (* ---- the seeded case matrix ---- *)
@@ -134,12 +142,12 @@ let gen_config rng topo labels =
   let store_forward = Rng.int rng 5 = 0 in
   let buffer_capacity = if store_forward then 8 else 1 + Rng.int rng 2 in
   let arbitration =
-    if Rng.bool rng then Switch_core.Fifo
+    if Rng.bool rng then Engine.Fifo
     else begin
       let arr = Array.of_list labels in
       Rng.shuffle rng arr;
       let k = 1 + Rng.int rng (Array.length arr) in
-      Switch_core.Priority (Array.to_list (Array.sub arr 0 k))
+      Engine.Priority (Array.to_list (Array.sub arr 0 k))
     end
   in
   let faults =
@@ -153,7 +161,7 @@ let gen_config rng topo labels =
     if Rng.bool rng then
       Some
         {
-          Switch_core.trigger = Switch_core.Watchdog (16 + Rng.int rng 32);
+          Engine.trigger = Engine.Watchdog (16 + Rng.int rng 32);
           retry_limit = 1 + Rng.int rng 2;
           backoff = 2 + Rng.int rng 4;
           reroute = None;
@@ -161,10 +169,10 @@ let gen_config rng topo labels =
     else None
   in
   {
-    Switch_core.default_config with
+    Engine.default_config with
     buffer_capacity;
     arbitration;
-    discipline = (if store_forward then Switch_core.Store_and_forward else Switch_core.Wormhole);
+    discipline = (if store_forward then Engine.Store_and_forward else Engine.Wormhole);
     faults;
     recovery;
   }
@@ -172,9 +180,9 @@ let gen_config rng topo labels =
 (* one pinned run: everything [run_fingerprint] needs *)
 type run_spec = {
   topo : Topology.t;
-  policy : Switch_core.policy;
+  policy : policy;
   sched : Schedule.t;
-  config : Switch_core.config option;
+  config : Engine.config option;
 }
 
 let fp_of ?sanitizer ?probe_hook r =
@@ -202,9 +210,9 @@ let oblivious_family name base topo rt ~store_forward_ok ~seeds =
             let config = gen_config rng topo labels in
             let config =
               if store_forward_ok then config
-              else { config with discipline = Switch_core.Wormhole }
+              else { config with discipline = Engine.Wormhole }
             in
-            spec_of ~config topo (Switch_core.Oblivious rt) sched);
+            spec_of ~config topo (Oblivious rt) sched);
       })
 
 let adaptive_family name base topo ad ~routable ~seeds =
@@ -219,8 +227,8 @@ let adaptive_family name base topo ad ~routable ~seeds =
             let config = gen_config rng topo labels in
             (* adaptive runs switch wormhole; SF is rejected only for
                oblivious, but keep the matrix uniform *)
-            let config = { config with discipline = Switch_core.Wormhole } in
-            spec_of ~config topo (Switch_core.Adaptive ad) sched);
+            let config = { config with discipline = Engine.Wormhole } in
+            spec_of ~config topo (Adaptive ad) sched);
       })
 
 (* Discipline families (PR 10): the same seeded schedules re-run under
@@ -247,14 +255,14 @@ let discipline_family name base topo rt disc tag ~seeds =
             let config = gen_config rng topo labels in
             let buffer_capacity =
               match disc with
-              | Switch_core.Store_and_forward ->
+              | Engine.Store_and_forward ->
                 List.fold_left
                   (fun acc (m : Schedule.message_spec) -> max acc m.ms_length)
-                  config.Switch_core.buffer_capacity sched
-              | _ -> config.Switch_core.buffer_capacity
+                  config.Engine.buffer_capacity sched
+              | _ -> config.Engine.buffer_capacity
             in
-            let config = { config with Switch_core.discipline = disc; buffer_capacity } in
-            spec_of ~config topo (Switch_core.Oblivious rt) sched);
+            let config = { config with Engine.discipline = disc; buffer_capacity } in
+            spec_of ~config topo (Oblivious rt) sched);
       })
 
 let mesh4 = Builders.mesh [ 4; 4 ]
@@ -289,29 +297,29 @@ let special_cases =
       id = "obl/mesh8x8-hotpath";
       spec =
         (fun () ->
-          spec_of mesh8.Builders.topo (Switch_core.Oblivious mesh8_rt) (mesh8_schedule ()));
+          spec_of mesh8.Builders.topo (Oblivious mesh8_rt) (mesh8_schedule ()));
     };
     {
       id = "adp/mesh8x8-hotpath";
       spec =
         (fun () ->
           spec_of mesh8.Builders.topo
-            (Switch_core.Adaptive (Adaptive.of_oblivious mesh8_rt))
+            (Adaptive (Adaptive.of_oblivious mesh8_rt))
             (mesh8_schedule ()));
     };
     {
       id = "obl/torus5-tornado-deadlock";
       spec =
-        (fun () -> spec_of torus5.Builders.topo (Switch_core.Oblivious torus5_rt) (tornado5 ()));
+        (fun () -> spec_of torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
     {
       id = "obl/torus5-tornado-vct";
       spec =
         (fun () ->
           let config =
-            { Switch_core.default_config with discipline = Switch_core.Virtual_cut_through }
+            { Engine.default_config with discipline = Engine.Virtual_cut_through }
           in
-          spec_of ~config torus5.Builders.topo (Switch_core.Oblivious torus5_rt) (tornado5 ()));
+          spec_of ~config torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
     {
       id = "obl/torus5-tornado-saf";
@@ -319,12 +327,12 @@ let special_cases =
         (fun () ->
           let config =
             {
-              Switch_core.default_config with
-              discipline = Switch_core.Store_and_forward;
+              Engine.default_config with
+              discipline = Engine.Store_and_forward;
               buffer_capacity = 8;
             }
           in
-          spec_of ~config torus5.Builders.topo (Switch_core.Oblivious torus5_rt) (tornado5 ()));
+          spec_of ~config torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
     {
       id = "obl/torus5-tornado-detect";
@@ -332,25 +340,25 @@ let special_cases =
         (fun () ->
           let config =
             {
-              Switch_core.default_config with
+              Engine.default_config with
               recovery =
                 Some
                   {
-                    Switch_core.default_recovery with
-                    trigger = Switch_core.Detect Obs_detect.default_config;
+                    Engine.default_recovery with
+                    trigger = Engine.Detect Obs_detect.default_config;
                   };
             }
           in
-          spec_of ~config torus5.Builders.topo (Switch_core.Oblivious torus5_rt) (tornado5 ()));
+          spec_of ~config torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
     {
       id = "obl/torus5-tornado-watchdog";
       spec =
         (fun () ->
           let config =
-            { Switch_core.default_config with recovery = Some Switch_core.default_recovery }
+            { Engine.default_config with recovery = Some Engine.default_recovery }
           in
-          spec_of ~config torus5.Builders.topo (Switch_core.Oblivious torus5_rt) (tornado5 ()));
+          spec_of ~config torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
   ]
 
@@ -376,17 +384,17 @@ let cases =
         match Routing.path fig1_rt s d with Ok _ -> true | Error _ -> false)
       ~seeds:6
   @ discipline_family "figure2" 2 fig2.Paper_nets.topo fig2_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "figure2" 2 fig2.Paper_nets.topo fig2_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
   @ discipline_family "mesh4x4" 4 mesh4.Builders.topo mesh4_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "mesh4x4" 4 mesh4.Builders.topo mesh4_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
 
 (* ---- pins: load, compare, regenerate ---- *)
 
@@ -481,19 +489,19 @@ let long_sched () =
 
 let alloc_per_run policy =
   (* one warm-up run (fills any per-state memo tables), then measure *)
-  ignore (Switch_core.run policy (long_sched ()));
+  ignore (run_policy policy (long_sched ()));
   let before = Gc.minor_words () in
-  let outcome = Switch_core.run policy (long_sched ()) in
+  let outcome = run_policy policy (long_sched ()) in
   let delta = Gc.minor_words () -. before in
   (match outcome with
-  | Switch_core.All_delivered _ -> ()
-  | o -> Alcotest.failf "expected all-delivered, got %s" (Switch_core.outcome_string o));
+  | Engine.All_delivered _ -> ()
+  | o -> Alcotest.failf "expected all-delivered, got %s" (Engine.outcome_string o));
   delta
 
 let test_steady_cycle_allocation_oblivious () =
   if sanitize_on then ()
   else begin
-    let words = alloc_per_run (Switch_core.Oblivious line4_rt) in
+    let words = alloc_per_run (Oblivious line4_rt) in
     if words > 25_000.0 then
       Alcotest.failf "oblivious steady cycle allocates: %.0f minor words per ~16k-cycle run"
         words
@@ -503,7 +511,7 @@ let test_steady_cycle_allocation_adaptive () =
   if sanitize_on then ()
   else begin
     let ad = Adaptive.of_oblivious line4_rt in
-    let words = alloc_per_run (Switch_core.Adaptive ad) in
+    let words = alloc_per_run (Adaptive ad) in
     if words > 25_000.0 then
       Alcotest.failf "adaptive steady cycle allocates: %.0f minor words per ~16k-cycle run"
         words
@@ -511,18 +519,18 @@ let test_steady_cycle_allocation_adaptive () =
 
 (* ---- kernel reuse: memo-hit runs equal fresh-kernel runs ----
 
-   [Switch_core] compiles each policy once per domain and resets the
+   [Engine] compiles each routing once per domain and resets the
    compiled kernel at the entry of every run.  These tests run pinned
    cases back to back on their shared routings (so every run after the
    first hits the memo) and compare each with the same run on a physically
    fresh routing, which compiles a new kernel that no earlier run touched. *)
 
 let fresh_policy = function
-  | Switch_core.Oblivious rt ->
-    Switch_core.Oblivious
+  | Oblivious rt ->
+    Oblivious
       (Routing.create ~name:(Routing.name rt) (Routing.topology rt) (Routing.next rt))
-  | Switch_core.Adaptive ad ->
-    Switch_core.Adaptive
+  | Adaptive ad ->
+    Adaptive
       (Adaptive.create ~name:(Adaptive.name ad) (Adaptive.topology ad) (Adaptive.options ad))
 
 let fresh r = { r with policy = fresh_policy r.policy }
@@ -531,31 +539,31 @@ let fresh r = { r with policy = fresh_policy r.policy }
    faults, no recovery: cyclic routings wedge, leaving held channels and
    wait entries behind), a failing link with recovery that reroutes around
    it, a process-wide discipline override, or the sanitizer *)
-type variant = Plain | Bare | Reroute | Override of Switch_core.discipline | Sanitized
+type variant = Plain | Bare | Reroute | Override of Engine.discipline | Sanitized
 
 let variant_name = function
   | Plain -> "plain"
   | Bare -> "bare"
   | Reroute -> "reroute"
-  | Override d -> "override-" ^ Switch_core.discipline_string d
+  | Override d -> "override-" ^ Engine.discipline_string d
   | Sanitized -> "sanitized"
 
 let with_variant v r =
   match (v, r.policy, r.sched) with
   | Bare, _, _ ->
-    let config = Option.value r.config ~default:Switch_core.default_config in
+    let config = Option.value r.config ~default:Engine.default_config in
     { r with config = Some { config with faults = Fault.empty; recovery = None } }
-  | Reroute, Switch_core.Oblivious rt, (m : Schedule.message_spec) :: _ -> (
+  | Reroute, Oblivious rt, (m : Schedule.message_spec) :: _ -> (
     match Routing.path rt m.ms_src m.ms_dst with
     | Ok (c :: _) ->
       let config =
         {
-          (Option.value r.config ~default:Switch_core.default_config) with
+          (Option.value r.config ~default:Engine.default_config) with
           faults = Fault.make [ Fault.Link_failure { channel = c; at = 2 } ];
           recovery =
             Some
               {
-                Switch_core.trigger = Switch_core.Watchdog 16;
+                Engine.trigger = Engine.Watchdog 16;
                 retry_limit = 2;
                 backoff = 2;
                 reroute = Some (Routing.avoiding ~failed:[ c ] rt);
@@ -583,8 +591,8 @@ let fp_variant ?(sanitize = false) v r =
   match v with
   | Plain | Bare | Reroute | Sanitized -> run ()
   | Override d ->
-    Switch_core.set_discipline_override (Some d);
-    Fun.protect ~finally:(fun () -> Switch_core.set_discipline_override None) run
+    Engine.set_discipline_override (Some d);
+    Fun.protect ~finally:(fun () -> Engine.set_discipline_override None) run
 
 (* the pinned cases grouped by the routing they run on (physically), so a
    sequence drawn from one group keeps hitting one compiled kernel *)
@@ -592,8 +600,8 @@ let reuse_groups =
   lazy
     (let same a b =
        match (a, b) with
-       | Switch_core.Oblivious x, Switch_core.Oblivious y -> x == y
-       | Switch_core.Adaptive x, Switch_core.Adaptive y -> x == y
+       | Oblivious x, Oblivious y -> x == y
+       | Adaptive x, Adaptive y -> x == y
        | _ -> false
      in
      let groups =
@@ -608,8 +616,8 @@ let reuse_groups =
      Array.of_list (List.rev_map (fun (_, members) -> Array.of_list members) groups))
 
 let variants =
-  [| Plain; Bare; Reroute; Bare; Override Switch_core.Virtual_cut_through; Plain;
-     Override Switch_core.Store_and_forward; Sanitized |]
+  [| Plain; Bare; Reroute; Bare; Override Engine.Virtual_cut_through; Plain;
+     Override Engine.Store_and_forward; Sanitized |]
 
 let prop_reuse =
   QCheck.Test.make ~name:"memo-hit run sequences match fresh-kernel runs" ~count:40
@@ -681,7 +689,7 @@ let test_reentrant_probe () =
   let outer = case_spec "obl/figure2/1" and inner = case_spec "obl/figure2/2" in
   let want_outer = fp_of (fresh outer) and want_inner = fp_of (fresh inner) in
   let inner_fps = ref [] in
-  let probe_hook (s : Switch_core.snapshot) =
+  let probe_hook (s : Engine.snapshot) =
     if s.s_cycle = 0 then inner_fps := fp_of inner :: !inner_fps
   in
   check Alcotest.string "outer run" want_outer (fp_of ~probe_hook outer);
@@ -696,8 +704,8 @@ let test_raising_probe () =
   let want_long = fp_of (fresh long) and want_short = fp_of (fresh short) in
   let raised =
     match
-      Switch_core.run ?config:long.config
-        ~probe:(fun s -> if s.Switch_core.s_cycle = 100 then raise Exit)
+      run_policy ?config:long.config
+        ~probe:(fun s -> if s.Engine.s_cycle = 100 then raise Exit)
         long.policy long.sched
     with
     | _ -> false
@@ -708,7 +716,7 @@ let test_raising_probe () =
   check Alcotest.string "the interrupted run, clean" want_long (fp_of long);
   if not sanitize_on then begin
     let before = Gc.minor_words () in
-    ignore (Switch_core.run short.policy short.sched);
+    ignore (run_policy short.policy short.sched);
     let words = Gc.minor_words () -. before in
     (* a stuck busy flag would compile a private kernel for every run *)
     if words > 2_000.0 then
@@ -762,9 +770,9 @@ let short_run_word_budget = 868.0
 let test_short_run_allocation () =
   let replay = replay_list () in
   let n = List.length replay in
-  let config = { Switch_core.default_config with max_cycles = 10_000 } in
+  let config = { Engine.default_config with max_cycles = 10_000 } in
   let replay_all () =
-    List.iter (fun (rt, s) -> ignore (Switch_core.run ~config (Switch_core.Oblivious rt) s)) replay
+    List.iter (fun (rt, s) -> ignore (Engine.run ~config rt s)) replay
   in
   let runs0 = Engine.run_count () in
   replay_all ();

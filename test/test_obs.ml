@@ -110,9 +110,9 @@ let test_adaptive_sink_purity () =
   let sched =
     List.init 6 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 4) mod 9))
   in
-  let plain = Adaptive_engine.run ad sched in
+  let plain = Engine.run_adaptive ad sched in
   let sink, events = Obs.recorder () in
-  let observed = Adaptive_engine.run ~obs:sink ad sched in
+  let observed = Engine.run_adaptive ~obs:sink ad sched in
   check cb "adaptive outcome unchanged under observation" true (plain = observed);
   check cb "adaptive run emitted events" true (events () <> [])
 

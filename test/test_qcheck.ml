@@ -441,7 +441,7 @@ let prop_singleton_adaptive_matches_oblivious coords rt name =
         { Engine.default_config with arbitration; buffer_capacity; faults; recovery }
       in
       let oblivious = Engine.run ~config rt sched in
-      let adaptive = Adaptive_engine.run ~config ad sched in
+      let adaptive = Engine.run_adaptive ~config ad sched in
       if oblivious <> adaptive then
         QCheck.Test.fail_reportf "engines diverge: oblivious %s, adaptive %s"
           (Engine.outcome_string oblivious)

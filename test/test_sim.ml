@@ -184,18 +184,32 @@ let test_partial_traffic_then_quiesce () =
   | Engine.All_delivered { finished_at; _ } -> check cb "finishes after 20" true (finished_at >= 20)
   | _ -> Alcotest.fail "expected delivery"
 
+(* both routing modes reject a malformed schedule with the text of
+   [Schedule.validate]; only the prefix names the entry point *)
 let test_validate_rejected () =
   let rt, _ = ring4 () in
-  let bad label = Alcotest.check_raises label (Invalid_argument ("Engine.run: " ^ label)) in
-  bad "duplicate message labels" (fun () ->
-      ignore (Engine.run rt [ Schedule.message "m" 0 1; Schedule.message "m" 1 2 ]));
-  Alcotest.check_raises "src=dst" (Invalid_argument "Engine.run: m: source equals destination")
-    (fun () -> ignore (Engine.run rt [ Schedule.message "m" 0 0 ]));
-  Alcotest.check_raises "bad length" (Invalid_argument "Engine.run: m: length < 1") (fun () ->
-      ignore (Engine.run rt [ Schedule.message ~length:0 "m" 0 1 ]))
+  let ad = Adaptive.of_oblivious rt in
+  let first = List.hd (Routing.path_exn rt 0 1) in
+  List.iter
+    (fun (name, sched, text) ->
+      Alcotest.check_raises (name ^ ", oblivious") (Invalid_argument ("Engine.run: " ^ text))
+        (fun () -> ignore (Engine.run rt sched));
+      Alcotest.check_raises (name ^ ", adaptive")
+        (Invalid_argument ("Engine.run_adaptive: " ^ text))
+        (fun () -> ignore (Engine.run_adaptive ad sched));
+      check cb (name ^ ", Schedule.validate") true (Schedule.validate rt sched = Error text))
+    [
+      ( "duplicate labels",
+        [ Schedule.message "m" 0 1; Schedule.message "m" 1 2 ],
+        "duplicate message labels" );
+      ("src=dst", [ Schedule.message "m" 0 0 ], "m: source equals destination");
+      ("bad length", [ Schedule.message ~length:0 "m" 0 1 ], "m: length < 1");
+      ("negative time", [ Schedule.message ~at:(-3) "neg" 0 1 ], "neg: negative injection time");
+      ("negative hold", [ Schedule.message ~holds:[ (first, -1) ] "m" 0 1 ], "m: negative hold");
+    ]
 
 (* a hold naming a channel outside the topology is rejected by validation
-   in both engines (it used to reach the kernel's channel-indexed hold
+   in both modes (it used to reach the kernel's channel-indexed hold
    scratch row and die there with a bare index error) *)
 let test_hold_unknown_channel () =
   let rt, _ = ring4 () in
@@ -208,8 +222,8 @@ let test_hold_unknown_channel () =
         (Invalid_argument "Engine.run: m: hold on unknown channel") (fun () ->
           ignore (Engine.run rt bad));
       Alcotest.check_raises "adaptive"
-        (Invalid_argument "Adaptive_engine.run: m: hold on unknown channel") (fun () ->
-          ignore (Adaptive_engine.run ad bad));
+        (Invalid_argument "Engine.run_adaptive: m: hold on unknown channel") (fun () ->
+          ignore (Engine.run_adaptive ad bad));
       check cb "Schedule.validate" true
         (Schedule.validate rt bad = Error "m: hold on unknown channel"))
     [ nchan; -1 ];

@@ -166,9 +166,9 @@ let prop_stats_pure_adaptive =
   QCheck.Test.make ~name:"adaptive: stats-on outcome = stats-off outcome" ~count:80
     schedule_gen
     (fun sched ->
-      let off = Adaptive_engine.run mesh3_ad sched in
+      let off = Engine.run_adaptive mesh3_ad sched in
       let st = Obs_stats.create ~nchan:nchan3 in
-      Adaptive_engine.run ~stats:st mesh3_ad sched = off)
+      Engine.run_adaptive ~stats:st mesh3_ad sched = off)
 
 let prop_armed_pure =
   QCheck.Test.make ~name:"process-wide arming changes no outcome" ~count:40 schedule_gen
