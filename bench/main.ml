@@ -14,8 +14,10 @@
    Options:
      --quick               smoke subset with a small measurement quota (CI)
      --json                also write BENCH_<date>.json with ns/run per case
-                           plus per-case work counters (one extra observed
-                           execution of each case under a metrics sink) and
+                           plus per-case work counters (one extra execution
+                           of each case with the stats plane armed: engine
+                           runs and cancellations, stats runs, cycles,
+                           deliveries, blocked cycles, latency sum) and
                            per-case GC allocation deltas (minor/major words
                            over one plain execution)
      --campaign-json FILE  splice a wormhole-campaign/1 JSON (from
@@ -66,8 +68,8 @@ let fig2_space =
   Explorer.default_space templates
 
 (* Each case keeps its raw thunk next to the bechamel test, so --json can
-   re-run it exactly once under a metrics sink and report the work counters
-   (runs, flits, acquisitions, pool claims...) per case. *)
+   re-run it exactly once with stats armed and report the work counters
+   (runs, cycles, deliveries...) per case. *)
 type case = { c_name : string; c_test : Test.t; c_run : unit -> unit }
 
 let case name f =
@@ -193,21 +195,23 @@ let smoke =
 let chosen_cases ~quick =
   if quick then List.filter (fun c -> List.mem c.c_name smoke) entries else entries
 
-(* One observed execution of a case: fold its events into a fresh registry
-   (with the pool bridge attached, so sweep cases report claim/cancel
-   counts) and keep the non-zero counters.  Parallel sweeps make some of
-   these schedule-dependent -- like the timings, they describe this
-   machine's execution, not a canonical quantity. *)
+(* One counted execution of a case: arm the stats plane around it and keep
+   the non-zero deltas of the engine's run counters and of the armed stats
+   totals.  Parallel sweeps make some of these schedule-dependent (both
+   include speculative runs a sweep later cancelled) -- like the timings,
+   they describe this machine's execution, not a canonical quantity. *)
 let counters_of c =
-  let reg = Obs.Metrics.create () in
-  Obs.install (Obs.metrics_sink reg);
-  Obs.attach_pool ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.detach_pool ();
-      Obs.uninstall ())
-    c.c_run;
-  List.filter (fun (_, v) -> v <> 0) (Obs.Metrics.snapshot reg)
+  let totals () =
+    ("engine_runs", Engine.run_count ())
+    :: ("engine_cancelled", Engine.cancelled_count ())
+    :: List.map (fun (k, v) -> ("stats_" ^ k, v)) (Obs.Stats.armed_totals ())
+  in
+  let before = totals () in
+  Obs.Stats.arm ();
+  Fun.protect ~finally:Obs.Stats.disarm c.c_run;
+  List.filter_map
+    (fun ((k, v), (_, v0)) -> if v = v0 then None else Some (k, v - v0))
+    (List.combine (totals ()) before)
 
 (* One warmed execution of a case bracketed by GC counters: the per-case
    allocation pressure (words, not bytes) that --json reports alongside the
@@ -365,9 +369,9 @@ let () =
   List.iter (fun (name, est) -> Table.add_row table [ name; human est ]) rows;
   Table.print table;
   if !json then begin
-    (* one extra observed execution per case for the work counters, and one
-       plain execution for the allocation deltas (the metrics sink itself
-       allocates, so the two cannot share a run) *)
+    (* one extra stats-armed execution per case for the work counters, and
+       one plain execution for the allocation deltas (arming allocates a
+       per-run accumulator, so the two cannot share a run) *)
     let cases = chosen_cases ~quick:!quick in
     let counters = List.map (fun c -> (c.c_name, counters_of c)) cases in
     let allocs = List.map (fun c -> (c.c_name, alloc_of c)) cases in

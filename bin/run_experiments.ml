@@ -150,7 +150,18 @@ let write_metrics path ~quick ~rows timings =
   close_out oc
 
 let main names quick max_p sanitize detect discipline domains json metrics verdicts latency =
-  (match domains with None -> () | Some d -> Wr_pool.set_default_domains d);
+  (match domains with
+  | Some d when d < 1 ->
+    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
+    exit 2
+  | Some d -> Wr_pool.set_default_domains d
+  | None -> ());
+  (match max_p with
+  | Some p when p < 2 ->
+    Printf.eprintf
+      "--max-p must be at least 2 (got %d): exp-g's growth claim compares family members\n" p;
+    exit 2
+  | Some _ | None -> ());
   (match discipline with
   | None -> ()
   | Some spec -> (
@@ -287,7 +298,7 @@ let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let max_p_arg =
-  let doc = "Largest Section-6 family parameter for exp-g." in
+  let doc = "Largest Section-6 family parameter for exp-g (at least 2)." in
   Arg.(value & opt (some int) None & info [ "max-p" ] ~docv:"N" ~doc)
 
 let sanitize_arg =
@@ -311,9 +322,9 @@ let discipline_arg =
   Arg.(value & opt (some string) None & info [ "discipline" ] ~docv:"D" ~doc)
 
 let domains_arg =
-  let doc = "Domains for the parallel sweeps (default: the WORMHOLE_DOMAINS environment \
-             variable, else the machine's recommended domain count).  1 selects the exact \
-             sequential path; claim output is byte-identical for every value." in
+  let doc = "Domains for the parallel sweeps, at least 1 (default: the WORMHOLE_DOMAINS \
+             environment variable, else the machine's recommended domain count).  1 selects \
+             the exact sequential path; claim output is byte-identical for every value." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let json_arg =

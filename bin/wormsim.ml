@@ -223,28 +223,14 @@ let lint_discipline ~algorithm discipline sched buffer =
   if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
     failwith "invalid --discipline/--buffer configuration (E047)"
 
-(* Observability wiring for --trace-out/--metrics-out: a recorder (events
-   feed the Chrome exporter and the deadlock post-mortem) teed with a
-   metrics fold when requested.  wormsim is a single run, so folding the
-   event stream into metrics is deterministic here (DESIGN.md §11). *)
-type obs_ctx = {
-  oc_events : unit -> Obs.Event.t list;
-  oc_reg : Obs.Metrics.t;
-  oc_trace : string option;
-  oc_metrics : string option;
-}
-
-let setup_obs trace_out metrics_out =
-  if trace_out = None && metrics_out = None then None
-  else begin
+(* Observability wiring for --trace-out: a recorder whose events feed the
+   Chrome exporter and the deadlock post-mortem. *)
+let setup_obs = function
+  | None -> None
+  | Some path ->
     let sink, events = Obs.recorder () in
-    let reg = Obs.Metrics.create () in
-    let sinks =
-      match metrics_out with None -> [ sink ] | Some _ -> [ sink; Obs.metrics_sink reg ]
-    in
-    Obs.install (Obs.tee sinks);
-    Some { oc_events = events; oc_reg = reg; oc_trace = trace_out; oc_metrics = metrics_out }
-  end
+    Obs.install sink;
+    Some (events, path)
 
 let write_file path contents =
   let oc = open_out path in
@@ -256,27 +242,19 @@ let write_file path contents =
    Theorem 2-5 classification of the knot's channel cycle. *)
 let finalize_obs ?rt ~topo ~post_mortem = function
   | None -> ()
-  | Some ctx ->
+  | Some (events, path) ->
     Obs.uninstall ();
-    let events = ctx.oc_events () in
+    let events = events () in
     if post_mortem then
       Format.printf "%s@?" (Obs.Postmortem.render ~topo (Obs.Postmortem.analyze ?rt events));
-    (match ctx.oc_trace with
-    | Some path ->
-      write_file path (Obs.Chrome.to_json ~topo events);
-      Format.printf "chrome trace written to %s@." path
-    | None -> ());
-    (match ctx.oc_metrics with
-    | Some path ->
-      write_file path (Obs.Metrics.to_prometheus ctx.oc_reg);
-      Format.printf "metrics written to %s@." path
-    | None -> ())
+    write_file path (Obs.Chrome.to_json ~topo events);
+    Format.printf "chrome trace written to %s@." path
 
 (* Counters-first telemetry for --stats-out: one preallocated accumulator
    threaded through the run, rendered as Prometheus text (or JSON when the
    file ends in .json) plus a summary table and utilization heatmap on
-   stdout.  Unlike --trace-out/--metrics-out this never arms the event
-   bus, so it also works on runs too hot to trace. *)
+   stdout.  Unlike --trace-out this never arms the event bus, so it also
+   works on runs too hot to trace. *)
 let setup_stats topo = function
   | None -> None
   | Some path -> Some (Obs.Stats.create ~nchan:(Topology.num_channels topo), path)
@@ -305,7 +283,7 @@ let run_oblivious ?stats topo rt sched config =
 
 let main topology dims routing pattern rate length horizon permutation seed buffer
     discipline_spec faults_spec recovery_on retry_limit watchdog detect detect_bound
-    victim_policy witness trace_out metrics_out stats_out =
+    victim_policy witness trace_out stats_out =
   try
     let rng = Rng.create seed in
     let discipline =
@@ -331,11 +309,11 @@ let main topology dims routing pattern rate length horizon permutation seed buff
       | Explorer.No_deadlock { runs } ->
         Format.printf "no deadlock witness in %d runs@." runs;
         finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:false
-          (setup_obs trace_out metrics_out)
+          (setup_obs trace_out)
       | Explorer.Deadlock_found { runs; witness = w } ->
         Format.printf "deadlock witness found after %d runs; replaying under observation@."
           runs;
-        let obs = setup_obs trace_out metrics_out in
+        let obs = setup_obs trace_out in
         (* stats cover only the witness replay, not the sweep *)
         let sctx = setup_stats net.Paper_nets.topo stats_out in
         (* replay under --discipline: the sweep searches wormhole, but the
@@ -360,7 +338,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         if deadlocked then exit 3)
     | Some net ->
       (* the paper's CD networks replay their designated messages *)
-      let obs = setup_obs trace_out metrics_out in
+      let obs = setup_obs trace_out in
       let rt = paper_rt topology routing net in
       let sched =
         List.map
@@ -387,7 +365,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
       if deadlocked then exit 3
     | None ->
       if witness then failwith "--witness only applies to paper networks (figure1, figure2, ...)";
-      let obs = setup_obs trace_out metrics_out in
+      let obs = setup_obs trace_out in
       let { coords; routing = algo } = build topology dims routing in
       (match algo with
       | `Oblivious rt -> (
@@ -535,8 +513,9 @@ let witness_arg =
   Arg.(value & flag
     & info [ "witness" ]
         ~doc:"for paper networks: sweep the intents' schedule space (lengths, gaps, orders, \
-              priorities) for a deadlock witness and replay it; combine with --trace-out or \
-              --metrics-out to observe the deadlock and get a post-mortem")
+              priorities) for a deadlock witness and replay it; combine with --trace-out to \
+              record the deadlock and get a post-mortem, or with --stats-out for its \
+              counters")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -544,12 +523,6 @@ let trace_out_arg =
         ~doc:"record the run's structured events and write a Chrome trace_event JSON to \
               $(docv) (load in chrome://tracing or Perfetto); on deadlock or recovery a \
               post-mortem of the wait-for knot is printed too")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"fold the run's events into the standard wormhole_* metric families and write \
-              them to $(docv) in Prometheus text format")
 
 let stats_out_arg =
   Arg.(value & opt (some string) None
@@ -568,6 +541,6 @@ let cmd =
       $ horizon_arg $ permutation_arg $ seed_arg $ buffer_arg $ discipline_arg $ faults_arg
       $ recovery_arg
       $ retry_limit_arg $ watchdog_arg $ detect_arg $ detect_bound_arg $ victim_policy_arg
-      $ witness_arg $ trace_out_arg $ metrics_out_arg $ stats_out_arg)
+      $ witness_arg $ trace_out_arg $ stats_out_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -318,8 +318,9 @@ let exp_t5 ?(quick = false) ppf =
 (* ---- Section 6 ---- *)
 
 let exp_g ?(quick = false) ?max_p ppf =
-  header ppf "EXP-G: Section 6 (delay tolerance of the generalized family)";
   let max_p = match max_p with Some p -> p | None -> if quick then 2 else 3 in
+  if max_p < 2 then invalid_arg "Experiments.exp_g: max_p < 2";
+  header ppf "EXP-G: Section 6 (delay tolerance of the generalized family)";
   let table = Table.create [ "p"; "ring"; "safe w/o delay"; "min deadlock delay" ] in
   let results =
     List.map

@@ -45,7 +45,10 @@ val exp_t5 : ?quick:bool -> Format.formatter -> row list
 
 val exp_g : ?quick:bool -> ?max_p:int -> Format.formatter -> row list
 (** Section 6: [family p] is deadlock-free without adversarial delay, and
-    the minimum in-network delay that creates a deadlock grows with [p]. *)
+    the minimum in-network delay that creates a deadlock grows with [p],
+    for [p = 1..max_p] ([max_p] defaults to 2 with [quick], else 3).
+    @raise Invalid_argument when [max_p < 2]: with fewer than two family
+    members the growth claim holds vacuously. *)
 
 val exp_s1 : ?quick:bool -> Format.formatter -> row list
 (** Substrate validation (extension): torus e-cube without virtual channels

@@ -1,24 +1,28 @@
 (** The observability bus: process-wide sink management and the standard
     event consumers.
 
-    A {!sink} receives every {!Obs_event.t} the instrumented subsystems
-    emit.  Exactly one sink is installed at a time ({!install} /
-    {!uninstall}); the engines read it once per run and guard every
-    emission site, so a disabled bus costs one [Atomic.get] per run and
-    {e nothing} per cycle — zero-cost-when-off.
+    A {!sink} receives every {!Obs_event.t} the engines emit.  Exactly one
+    sink is installed at a time ({!install} / {!uninstall}); the engines
+    read it once per run and guard every emission site, so a disabled bus
+    costs one [Atomic.get] per run and {e nothing} per cycle —
+    zero-cost-when-off.
+
+    The bus serves the consumers that need events: the Chrome trace
+    ({!Chrome}), the online knot detector ({!Obs_detect}), the deadlock
+    post-mortem ({!Postmortem}) and {!recorder}.  Per-run counters do not
+    come from the bus: the kernel writes them into {!Stats} directly.
 
     Emitting is observation only: installing any sink must not change any
     engine outcome (enforced by a QCheck property in [test_obs]).  Sinks
     may be called from helper domains during pool sweeps, so they must be
-    domain-safe; {!recorder} and {!metrics_sink} both are.
+    domain-safe; {!recorder} is.
 
     Determinism contract (DESIGN.md §11): per-run event streams are
     deterministic, but a {e sweep's} interleaved stream is not — speculative
-    cancelled tasks run or don't depending on domain count.  Campaign-level
-    metrics must therefore be derived from canonically-reduced results
-    (claims, canonical run counts), never by folding a sweep's raw event
-    stream.  [wormsim] (single run) folds events; [run_experiments] builds
-    its registry from reduced results only. *)
+    cancelled tasks run or don't depending on domain count.  Per-run
+    counters come from {!Stats}; campaign metrics come from
+    canonically-reduced results (claims, canonical run counts), never from
+    folding a sweep's raw event stream. *)
 
 module Event = Obs_event
 module Metrics = Obs_metrics
@@ -53,18 +57,3 @@ val tee : sink list -> sink
 val recorder : unit -> sink * (unit -> Obs_event.t list)
 (** [recorder ()] is a mutex-protected accumulating sink and a function
     returning everything recorded so far, in emission order. *)
-
-val metrics_sink : Metrics.t -> sink
-(** Fold events into the standard [wormhole_*] metric families (runs,
-    outcomes, flits by kind, channel acquisitions/releases, wait edges and
-    wait-duration histogram, deliveries and latency histogram, aborts by
-    reason, retries, faults by kind, deadlock detections and victim aborts,
-    sanitizer trips by severity, pool claims/cancels, search totals).  All instruments are pre-registered, so
-    the emit path takes no registry lock. *)
-
-val attach_pool : unit -> unit
-(** Bridge {!Wr_pool} observer events onto the bus as [Task_claim] /
-    [Task_cancel] (pool ["wr_pool"]).  The bridge reads the installed sink
-    per event, so it can be attached once at startup. *)
-
-val detach_pool : unit -> unit

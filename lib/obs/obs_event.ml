@@ -44,10 +44,6 @@ type t =
     }
   | Victim_aborted of { cycle : int; label : string; policy : string }
   | Sanitizer_trip of Diagnostic.t
-  | Task_claim of { pool : string; first : int; last : int }
-  | Task_cancel of { pool : string; index : int }
-  | Search_start of { algorithm : string; tasks : int }
-  | Search_end of { algorithm : string; runs : int; cancelled : int; witness : bool }
 
 let flit_kind_string = function
   | Inject -> "inject"
@@ -62,7 +58,7 @@ let fault_kind_string = function
   | Drop_fired -> "drop-fired"
 
 let cycle_of = function
-  | Run_start _ | Search_start _ | Search_end _ | Task_claim _ | Task_cancel _ -> None
+  | Run_start _ -> None
   | Run_end { cycle; _ }
   | Channel_acquire { cycle; _ }
   | Channel_release { cycle; _ }
@@ -125,11 +121,3 @@ let pp ?topo () ppf e =
   | Victim_aborted { cycle; label; policy } ->
     Format.fprintf ppf "[%d] %s aborted as deadlock victim (%s policy)" cycle label policy
   | Sanitizer_trip d -> Format.fprintf ppf "sanitizer-trip %a" (Diagnostic.pp ?topo ()) d
-  | Task_claim { pool; first; last } ->
-    Format.fprintf ppf "pool %s claims tasks %d..%d" pool first last
-  | Task_cancel { pool; index } -> Format.fprintf ppf "pool %s cancels task %d" pool index
-  | Search_start { algorithm; tasks } ->
-    Format.fprintf ppf "search-start %s (%d tasks)" algorithm tasks
-  | Search_end { algorithm; runs; cancelled; witness } ->
-    Format.fprintf ppf "search-end %s: %d runs, %d cancelled, witness=%b" algorithm runs
-      cancelled witness

@@ -8,7 +8,9 @@
     head-of-line blocking attribution, a fixed-bucket latency histogram, and
     per-phase work counters.  The steady cycle stays allocation-free with
     stats on; with stats off the kernel pays one [Atomic.get] per run plus a
-    never-taken branch per accumulation site.
+    never-taken branch per accumulation site.  It is the one source of
+    per-run counters: [wormsim --stats-out] renders it and
+    [bench --json] reports its {!armed_totals}.
 
     Accumulators are single-domain values (plain ints, no atomics): give
     each run its own [t] and combine per-run accumulators with {!merge} in

@@ -150,7 +150,6 @@ let explore ?(stop_at_first = true) ?domains rt sp =
   (* Every Engine.run call across all tasks and domains, whether or not its
      task's result survives the canonical reduce. *)
   let started = Atomic.make 0 in
-  let emit e = match Obs.current () with Some s -> s.Obs.emit e | None -> () in
   let exception Task_done in
   let run_task ~stop ti =
     let order = orders.(ti / prios_per_order) in
@@ -269,7 +268,6 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     (try gaps 0 with Task_done -> ());
     { t_runs = !runs; t_started = !my_started; t_witness = !witness }
   in
-  emit (Obs_event.Search_start { algorithm = Routing.name rt; tasks = ntasks });
   let results =
     Wr_pool.map_until ?domains
       ~hit:(fun r -> stop_at_first && r.t_witness <> None)
@@ -301,14 +299,6 @@ let explore ?(stop_at_first = true) ?domains rt sp =
   (match Sanitizer.current () with
   | Some s -> Sanitizer.note_runs_cancelled s cancelled
   | None -> ());
-  emit
-    (Obs_event.Search_end
-       {
-         algorithm = Routing.name rt;
-         runs = !total;
-         cancelled;
-         witness = !last_witness <> None;
-       });
   match !last_witness with
   | Some w -> Deadlock_found { runs = !total; witness = w }
   | None -> No_deadlock { runs = !total }

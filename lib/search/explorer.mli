@@ -106,9 +106,8 @@ val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdi
     started but whose results the reduce discarded) are reported to
     {!Engine.note_runs_cancelled} and, when a sanitizer is installed, to
     {!Sanitizer.note_runs_cancelled}, so global run totals stay exact at
-    any domain count.  When an {!Obs} sink is installed, each call emits
-    [Search_start]/[Search_end] events carrying the task count, canonical
-    run tally, cancelled-run count, and whether a witness was found.
+    any domain count.  A sweep emits no events of its own; each engine run
+    inside it reports to the installed {!Obs} sink like any other run.
     @raise Engine_bug on [E090]/[E091] internal-consistency failures. *)
 
 val space_size : space -> int

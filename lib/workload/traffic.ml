@@ -70,6 +70,10 @@ let neighbor coords =
     coords
 
 let bernoulli_schedule rng pattern ~coords ~rate ~length ~horizon =
+  if not (rate >= 0. && rate <= 1.) then
+    invalid_arg (Printf.sprintf "Traffic.bernoulli_schedule: rate %g outside [0, 1]" rate);
+  if horizon < 0 then
+    invalid_arg (Printf.sprintf "Traffic.bernoulli_schedule: negative horizon %d" horizon);
   let n = num_nodes coords in
   let sched = ref [] in
   let seq = Array.make n 0 in

@@ -39,7 +39,9 @@ val bernoulli_schedule :
   Schedule.t
 (** Open-loop injection: each node flips a coin with probability [rate]
     every cycle of [0, horizon) and emits a [length]-flit message to the
-    pattern's destination.  Messages are labeled ["<node>/<seq>"]. *)
+    pattern's destination.  Messages are labeled ["<node>/<seq>"].
+    @raise Invalid_argument when [rate] is below 0, above 1 or NaN, or
+    when [horizon] is negative. *)
 
 val permutation_schedule :
   t -> coords:Builders.coords -> length:int -> Schedule.t

@@ -93,7 +93,12 @@ let test_exp_s1 () = all_ok "exp-s1" (Experiments.exp_s1 ~quick:true null_ppf)
 let test_exp_s2 () = all_ok "exp-s2" (Experiments.exp_s2 ~quick:true null_ppf)
 let test_exp_f1 () = all_ok "exp-f1" (Experiments.exp_f1 ~quick:true null_ppf)
 let test_exp_t5 () = all_ok "exp-t5" (Experiments.exp_t5 ~quick:true null_ppf)
-let test_exp_g () = all_ok "exp-g" (Experiments.exp_g ~quick:true ~max_p:1 null_ppf)
+let test_exp_g () = all_ok "exp-g" (Experiments.exp_g ~quick:true ~max_p:2 null_ppf)
+
+(* one family member makes G/growth hold vacuously, so it is refused *)
+let test_exp_g_needs_two_members () =
+  Alcotest.check_raises "max_p = 1 rejected" (Invalid_argument "Experiments.exp_g: max_p < 2")
+    (fun () -> ignore (Experiments.exp_g ~quick:true ~max_p:1 null_ppf))
 let test_exp_corollaries () = all_ok "exp-c" (Experiments.exp_corollaries ~quick:true null_ppf)
 let test_exp_fault () = all_ok "exp-fr" (Experiments.exp_fault ~quick:true null_ppf)
 
@@ -124,6 +129,7 @@ let () =
           Alcotest.test_case "exp-f1" `Slow test_exp_f1;
           Alcotest.test_case "exp-t5" `Slow test_exp_t5;
           Alcotest.test_case "exp-g" `Slow test_exp_g;
+          Alcotest.test_case "exp-g needs two members" `Quick test_exp_g_needs_two_members;
           Alcotest.test_case "exp-corollaries" `Slow test_exp_corollaries;
           Alcotest.test_case "exp-fault" `Quick test_exp_fault;
           Alcotest.test_case "summary table" `Quick test_summary_table;

@@ -5,14 +5,14 @@
      property over random schedules on an acyclic mesh and a deadlock-prone
      ring, with and without recovery.
    - Metrics registry laws and exact Prometheus/JSON rendering.
-   - Golden-file exporters: the figure-1 false-resource-cycle run and the
+   - Golden-file exporter: the figure-1 false-resource-cycle run and the
      figure-2 explorer-witness deadlock replay must reproduce the captured
-     wormsim outputs byte-for-byte (the files under test/golden).
+     wormsim --trace-out files byte-for-byte (the files under test/golden).
    - Deadlock post-mortem: the figure-2 knot names its channels, the
      expanded cycle is a genuine CDG cycle, and classification says
      Theorem-reachable; figure 1 has no knot.
-   - Trace truncation markers, pool claim coverage, the Obs pool bridge,
-     and exact cancelled-run accounting across domain counts. *)
+   - Trace truncation markers, pool claim coverage, and exact cancelled-run
+     accounting across domain counts. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -64,8 +64,7 @@ let ring5_rt = Ring_routing.clockwise ring5
 
 let observed_run ?config rt sched =
   let sink, _ = Obs.recorder () in
-  let reg = Obs.Metrics.create () in
-  Engine.run ?config ~obs:(Obs.tee [ sink; Obs.metrics_sink reg; Obs.null ]) rt sched
+  Engine.run ?config ~obs:(Obs.tee [ sink; Obs.null ]) rt sched
 
 let prop_sink_purity coords rt name =
   QCheck.Test.make ~name ~count:100 (schedule_gen coords) (fun sched ->
@@ -181,48 +180,10 @@ let test_json_rendering () =
      {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"b\"},\"value\":0}]}"
     (Obs.Metrics.to_json (small_registry ()))
 
-let test_metrics_sink_fold () =
-  let reg = Obs.Metrics.create () in
-  let sink = Obs.metrics_sink reg in
-  List.iter sink.Obs.emit
-    [
-      Obs.Event.Run_start { engine = "oblivious"; algorithm = "x"; messages = 2 };
-      Obs.Event.Channel_acquire { cycle = 1; label = "m"; channel = 0; waited = 0 };
-      Obs.Event.Wait_add { cycle = 1; label = "m"; channel = 1; holder = None };
-      Obs.Event.Channel_acquire { cycle = 2; label = "m"; channel = 1; waited = 3 };
-      Obs.Event.Flit { cycle = 2; label = "m"; channel = 1; kind = Obs.Event.Hop };
-      Obs.Event.Delivered { cycle = 5; label = "m"; latency = 5 };
-      Obs.Event.Task_claim { pool = "wr_pool"; first = 0; last = 4 };
-      Obs.Event.Search_end { algorithm = "x"; runs = 7; cancelled = 2; witness = true };
-      Obs.Event.Run_end { cycle = 5; outcome = "all-delivered" };
-    ];
-  let snap = Obs.Metrics.snapshot reg in
-  let v k =
-    match List.assoc_opt k snap with
-    | Some v -> v
-    | None -> Alcotest.fail ("missing metric " ^ k)
-  in
-  check ci "runs" 1 (v "wormhole_runs_total");
-  check ci "outcome" 1 (v "wormhole_run_outcomes_total{outcome=\"all-delivered\"}");
-  check ci "acquisitions" 2 (v "wormhole_channel_acquisitions_total");
-  check ci "wait edges" 1 (v "wormhole_wait_edges_total");
-  check ci "wait histogram counts only real waits" 1 (v "wormhole_wait_cycles_count");
-  check ci "wait histogram sum" 3 (v "wormhole_wait_cycles_sum");
-  check ci "hop flits" 1 (v "wormhole_flits_total{kind=\"hop\"}");
-  check ci "inject flits stay zero" 0 (v "wormhole_flits_total{kind=\"inject\"}");
-  check ci "delivered" 1 (v "wormhole_messages_delivered_total");
-  check ci "latency sum" 5 (v "wormhole_message_latency_cycles_sum");
-  check ci "run cycles sum" 5 (v "wormhole_run_cycles_sum");
-  check ci "pool claims" 1 (v "wormhole_pool_task_claims_total");
-  check ci "pool tasks" 5 (v "wormhole_pool_tasks_claimed_total");
-  check ci "search runs" 7 (v "wormhole_search_runs_total");
-  check ci "search cancelled" 2 (v "wormhole_search_cancelled_total")
-
 (* ---- golden exporters: figure 1 (false resource cycle, delivers) ---- *)
 
 (* Mirrors wormsim's paper-net branch exactly: default --length 4 intent
-   schedule, buffer 1, no faults or recovery, recorder teed with a metrics
-   fold. *)
+   schedule, buffer 1, no faults or recovery, --trace-out recorder. *)
 let fig1 =
   lazy
     (let net = Paper_nets.figure1 () in
@@ -233,34 +194,27 @@ let fig1 =
          net.Paper_nets.intents
      in
      let sink, events = Obs.recorder () in
-     let reg = Obs.Metrics.create () in
      let config =
        { Engine.default_config with buffer_capacity = 1; faults = Fault.empty; recovery = None }
      in
-     let out = Engine.run ~config ~obs:(Obs.tee [ sink; Obs.metrics_sink reg ]) rt sched in
-     (net, rt, out, events (), reg))
+     let out = Engine.run ~config ~obs:sink rt sched in
+     (net, rt, out, events ()))
 
 let test_figure1_delivers () =
-  let _, _, out, events, _ = Lazy.force fig1 in
+  let _, _, out, events = Lazy.force fig1 in
   (match out with
   | Engine.All_delivered _ -> ()
   | o -> Alcotest.fail ("figure1 should deliver, got " ^ Engine.outcome_string o));
   check cb "events recorded" true (events <> [])
 
 let test_figure1_chrome_golden () =
-  let net, _, _, events, _ = Lazy.force fig1 in
+  let net, _, _, events = Lazy.force fig1 in
   check cs "chrome trace matches wormsim --trace-out"
     (read_file "golden/figure1.trace.json")
     (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
 
-let test_figure1_metrics_golden () =
-  let _, _, _, _, reg = Lazy.force fig1 in
-  check cs "prometheus matches wormsim --metrics-out"
-    (read_file "golden/figure1.metrics.prom")
-    (Obs.Metrics.to_prometheus reg)
-
 let test_figure1_postmortem_no_knot () =
-  let _, rt, _, events, _ = Lazy.force fig1 in
+  let _, rt, _, events = Lazy.force fig1 in
   let pm = Obs.Postmortem.analyze ~rt events in
   check cb "no knot" true (pm.Obs.Postmortem.pm_knot = []);
   check cb "no cycle" true (Obs.Postmortem.knot_channels pm = []);
@@ -286,32 +240,21 @@ let fig2 =
      | Explorer.No_deadlock _ -> Alcotest.fail "figure2: expected a deadlock witness"
      | Explorer.Deadlock_found { witness = w; _ } ->
        let sink, events = Obs.recorder () in
-       let reg = Obs.Metrics.create () in
-       let out =
-         Engine.run ~config:w.Explorer.w_config
-           ~obs:(Obs.tee [ sink; Obs.metrics_sink reg ])
-           rt w.Explorer.w_schedule
-       in
-       (net, rt, out, events (), reg))
+       let out = Engine.run ~config:w.Explorer.w_config ~obs:sink rt w.Explorer.w_schedule in
+       (net, rt, out, events ()))
 
 let test_figure2_witness_deadlocks () =
-  let _, _, out, _, _ = Lazy.force fig2 in
+  let _, _, out, _ = Lazy.force fig2 in
   check cb "witness replay deadlocks" true (Engine.is_deadlock out)
 
 let test_figure2_chrome_golden () =
-  let net, _, _, events, _ = Lazy.force fig2 in
+  let net, _, _, events = Lazy.force fig2 in
   check cs "chrome trace matches wormsim --witness --trace-out"
     (read_file "golden/figure2.trace.json")
     (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
 
-let test_figure2_metrics_golden () =
-  let _, _, _, _, reg = Lazy.force fig2 in
-  check cs "prometheus matches wormsim --witness --metrics-out"
-    (read_file "golden/figure2.metrics.prom")
-    (Obs.Metrics.to_prometheus reg)
-
 let test_figure2_postmortem () =
-  let net, rt, _, events, _ = Lazy.force fig2 in
+  let net, rt, _, events = Lazy.force fig2 in
   let pm = Obs.Postmortem.analyze ~rt events in
   check cb "knot found" true (pm.Obs.Postmortem.pm_knot <> []);
   let cycle = Obs.Postmortem.knot_channels pm in
@@ -382,55 +325,13 @@ let test_pool_claims_cover_tasks () =
       check cb "claims cover every task exactly once" true
         (Array.for_all (fun n -> n = 1) covered))
 
-let test_pool_bridge () =
-  let sink, events = Obs.recorder () in
-  Obs.install sink;
-  Obs.attach_pool ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.detach_pool ();
-      Obs.uninstall ())
-    (fun () -> ignore (Wr_pool.map ~domains:2 (fun x -> x * 2) (List.init 12 Fun.id)));
-  let claimed =
-    List.fold_left
-      (fun acc e ->
-        match e with Obs.Event.Task_claim { first; last; _ } -> acc + (last - first + 1) | _ -> acc)
-      0 (events ())
-  in
-  check ci "bridge forwards every claimed task" 12 claimed
-
-(* ---- search events and exact cancelled accounting ---- *)
+(* ---- exact cancelled accounting ---- *)
 
 let fig2_space () =
   let net = Paper_nets.figure2 () in
   let rt = Cd_algorithm.of_net net in
   let templates = List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents in
   (rt, Explorer.default_space templates)
-
-let test_search_events () =
-  let rt, space = fig2_space () in
-  let sink, events = Obs.recorder () in
-  Obs.install sink;
-  let verdict =
-    Fun.protect ~finally:Obs.uninstall (fun () -> Explorer.explore ~domains:2 rt space)
-  in
-  let runs =
-    match verdict with
-    | Explorer.No_deadlock { runs } | Explorer.Deadlock_found { runs; _ } -> runs
-  in
-  let starts =
-    List.filter (function Obs.Event.Search_start _ -> true | _ -> false) (events ())
-  in
-  check ci "one Search_start" 1 (List.length starts);
-  (match starts with
-  | [ Obs.Event.Search_start { tasks; _ } ] -> check cb "task count positive" true (tasks > 0)
-  | _ -> ());
-  match List.filter (function Obs.Event.Search_end _ -> true | _ -> false) (events ()) with
-  | [ Obs.Event.Search_end { runs = r; cancelled; witness; _ } ] ->
-    check ci "Search_end reports the canonical run count" runs r;
-    check cb "cancelled is non-negative" true (cancelled >= 0);
-    check cb "witness flag matches verdict" (Explorer.is_deadlock_found verdict) witness
-  | evs -> Alcotest.fail (Printf.sprintf "expected one Search_end, got %d" (List.length evs))
 
 let test_cancelled_accounting () =
   let rt, space = fig2_space () in
@@ -468,32 +369,23 @@ let () =
           Alcotest.test_case "registry laws" `Quick test_metrics_basics;
           Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
           Alcotest.test_case "json rendering" `Quick test_json_rendering;
-          Alcotest.test_case "event fold" `Quick test_metrics_sink_fold;
         ] );
       ( "golden-figure1",
         [
           Alcotest.test_case "delivers" `Quick test_figure1_delivers;
           Alcotest.test_case "chrome trace" `Quick test_figure1_chrome_golden;
-          Alcotest.test_case "prometheus" `Quick test_figure1_metrics_golden;
           Alcotest.test_case "post-mortem: no knot" `Quick test_figure1_postmortem_no_knot;
         ] );
       ( "golden-figure2",
         [
           Alcotest.test_case "witness deadlocks" `Quick test_figure2_witness_deadlocks;
           Alcotest.test_case "chrome trace" `Quick test_figure2_chrome_golden;
-          Alcotest.test_case "prometheus" `Quick test_figure2_metrics_golden;
           Alcotest.test_case "post-mortem: knot + theorem" `Quick test_figure2_postmortem;
         ] );
       ( "trace",
         [ Alcotest.test_case "truncation markers" `Quick test_trace_truncation ] );
       ( "pool",
-        [
-          Alcotest.test_case "claims cover tasks" `Quick test_pool_claims_cover_tasks;
-          Alcotest.test_case "event-bus bridge" `Quick test_pool_bridge;
-        ] );
+        [ Alcotest.test_case "claims cover tasks" `Quick test_pool_claims_cover_tasks ] );
       ( "search",
-        [
-          Alcotest.test_case "search events" `Quick test_search_events;
-          Alcotest.test_case "cancelled accounting" `Quick test_cancelled_accounting;
-        ] );
+        [ Alcotest.test_case "cancelled accounting" `Quick test_cancelled_accounting ] );
     ]

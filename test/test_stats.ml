@@ -7,8 +7,9 @@
    order, so the --latency section is byte-identical at any domain count.
    The renderers must match what wormsim --stats-out writes byte for byte
    (the goldens under test/golden; regenerate with WORMHOLE_STATS_REGEN=1
-   and copy the files out of _build).  And a stats-armed steady cycle must
-   hold the same allocation bound the bare kernel does. *)
+   and copy the files out of _build).  On random runs the accumulator must
+   agree with the event stream of the same run.  And a stats-armed steady
+   cycle must hold the same allocation bound the bare kernel does. *)
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -128,8 +129,8 @@ let mesh3_rt = Dimension_order.mesh mesh3
 let mesh3_ad = Adaptive.of_oblivious mesh3_rt
 let nchan3 = Topology.num_channels mesh3.Builders.topo
 
-let schedule_gen =
-  let n = Topology.num_nodes mesh3.Builders.topo in
+let schedule_gen_on (coords : Builders.coords) =
+  let n = Topology.num_nodes coords.Builders.topo in
   QCheck.make
     QCheck.Gen.(
       let msg i =
@@ -151,6 +152,8 @@ let schedule_gen =
           build (i + 1) (m :: acc)
       in
       build 0 [])
+
+let schedule_gen = schedule_gen_on mesh3
 
 (* outcomes are plain data (records, lists, ints, strings), so structural
    equality is exactly "byte-identical outcome" *)
@@ -210,6 +213,71 @@ let prop_percentiles =
       && st.Obs_stats.st_delivered = List.length lats
       && st.Obs_stats.st_lat_max = List.fold_left max 0 lats
       && st.Obs_stats.st_lat_sum = List.fold_left ( + ) 0 lats)
+
+(* ---- agreement: stats and the event stream count the same run ---- *)
+
+(* One run observed both ways: the accumulator threaded through the kernel
+   and a recorder on the event bus must see one run, the same acquisitions
+   on every channel, the same deliveries and latency sum, and a deadlock
+   outcome in exactly its own class slot. *)
+let stats_match_events ~nchan run sched =
+  let st = Obs_stats.create ~nchan in
+  let sink, events = Obs.recorder () in
+  let out = run ~stats:st ~obs:sink sched in
+  let starts = ref 0 and delivered = ref 0 and lat_sum = ref 0 in
+  let acquired = Array.make nchan 0 in
+  List.iter
+    (function
+      | Obs_event.Run_start _ -> incr starts
+      | Obs_event.Channel_acquire { channel; _ } ->
+        acquired.(channel) <- acquired.(channel) + 1
+      | Obs_event.Delivered { latency; _ } ->
+        incr delivered;
+        lat_sum := !lat_sum + latency
+      | _ -> ())
+    (events ());
+  let classes =
+    Array.map
+      (fun c ->
+        match out with
+        | Engine.Deadlock d when Engine.deadlock_class_string d.Engine.d_class = c -> 1
+        | _ -> 0)
+      Obs_stats.classes
+  in
+  st.Obs_stats.st_runs = 1 && !starts = 1
+  && st.Obs_stats.st_acquired = acquired
+  && st.Obs_stats.st_delivered = !delivered
+  && st.Obs_stats.st_lat_sum = !lat_sum
+  && st.Obs_stats.st_classes = classes
+
+let prop_agree name (coords : Builders.coords) run =
+  QCheck.Test.make ~name ~count:100 (schedule_gen_on coords)
+    (stats_match_events ~nchan:(Topology.num_channels coords.Builders.topo) run)
+
+let ring5 = Builders.ring ~unidirectional:true 5
+let ring5_rt = Ring_routing.clockwise ring5
+let mesh3_vc2 = Builders.mesh ~vcs:2 [ 3; 3 ]
+let mesh3_duato = Adaptive.duato_mesh mesh3_vc2
+
+let recovering trigger =
+  {
+    Engine.default_config with
+    recovery = Some { Engine.default_recovery with trigger; retry_limit = 2; backoff = 4 };
+  }
+
+let agreement_props =
+  let ring config ~stats ~obs = Engine.run ~config ~stats ~obs ring5_rt in
+  [
+    prop_agree "stats = events (3x3 mesh, xy)" mesh3 (fun ~stats ~obs ->
+        Engine.run ~stats ~obs mesh3_rt);
+    prop_agree "stats = events (ring, deadlocks)" ring5 (ring Engine.default_config);
+    prop_agree "stats = events (ring, watchdog recovery)" ring5
+      (ring (recovering (Engine.Watchdog 8)));
+    prop_agree "stats = events (ring, detect recovery)" ring5
+      (ring (recovering (Engine.Detect Obs_detect.default_config)));
+    prop_agree "stats = events (3x3 mesh, duato)" mesh3_vc2 (fun ~stats ~obs ->
+        Engine.run_adaptive ~stats ~obs mesh3_duato);
+  ]
 
 (* ---- campaign reduction: byte-identical at any domain count ---- *)
 
@@ -290,6 +358,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge_law;
           QCheck_alcotest.to_alcotest prop_percentiles;
         ] );
+      ("agreement", List.map QCheck_alcotest.to_alcotest agreement_props);
       ( "campaign",
         [
           Alcotest.test_case "latency report domain-invariant" `Quick

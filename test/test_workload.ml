@@ -94,6 +94,28 @@ let test_bernoulli_schedule_deterministic () =
       check cb "time in horizon" true (m.ms_inject_at >= 0 && m.ms_inject_at < 100))
     a
 
+let test_bernoulli_rejects_bad_inputs () =
+  let gen ~rate ~horizon () =
+    let rng = Rng.create 1 in
+    let p = Traffic.uniform rng mesh4 in
+    ignore (Traffic.bernoulli_schedule rng p ~coords:mesh4 ~rate ~length:1 ~horizon)
+  in
+  Alcotest.check_raises "negative rate"
+    (Invalid_argument "Traffic.bernoulli_schedule: rate -1 outside [0, 1]")
+    (gen ~rate:(-1.) ~horizon:10);
+  Alcotest.check_raises "rate above 1"
+    (Invalid_argument "Traffic.bernoulli_schedule: rate 2 outside [0, 1]")
+    (gen ~rate:2. ~horizon:10);
+  Alcotest.check_raises "NaN rate"
+    (Invalid_argument "Traffic.bernoulli_schedule: rate nan outside [0, 1]")
+    (gen ~rate:Float.nan ~horizon:10);
+  Alcotest.check_raises "negative horizon"
+    (Invalid_argument "Traffic.bernoulli_schedule: negative horizon -1")
+    (gen ~rate:0.5 ~horizon:(-1));
+  (* the closed interval's ends and an empty horizon stay valid *)
+  gen ~rate:0. ~horizon:10 ();
+  gen ~rate:1. ~horizon:0 ()
+
 let test_bernoulli_rate_scales () =
   let count rate =
     let rng = Rng.create 7 in
@@ -146,6 +168,7 @@ let () =
           Alcotest.test_case "permutation" `Quick test_permutation_schedule;
           Alcotest.test_case "bernoulli deterministic" `Quick test_bernoulli_schedule_deterministic;
           Alcotest.test_case "rate scales" `Quick test_bernoulli_rate_scales;
+          Alcotest.test_case "bernoulli input checks" `Quick test_bernoulli_rejects_bad_inputs;
         ] );
       ( "measure",
         [
