@@ -291,6 +291,17 @@ let mesh8_schedule () =
 
 let tornado5 () = Traffic.permutation_schedule (Traffic.tornado torus5) ~coords:torus5 ~length:8
 
+(* wormsim --topology mesh --dims 4x4 --routing adaptive --rate 0.3
+   --length 6 --horizon 6 --seed 149: a local deadlock at cycle 56 whose
+   blocked header n7/3 still has two options, so the witness lists a full
+   option set and the claim pass resolves multi-option rows *)
+let mesh4_fully = Adaptive.fully_adaptive_minimal mesh4
+
+let mesh4_dense () =
+  let rng = Rng.create 149 in
+  let pattern = Traffic.uniform rng mesh4 in
+  Traffic.bernoulli_schedule rng pattern ~coords:mesh4 ~rate:0.3 ~length:6 ~horizon:6
+
 let special_cases =
   [
     {
@@ -360,6 +371,10 @@ let special_cases =
           in
           spec_of ~config torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
     };
+    {
+      id = "adp/mesh4x4-fully-deadlock";
+      spec = (fun () -> spec_of mesh4.Builders.topo (Adaptive mesh4_fully) (mesh4_dense ()));
+    };
   ]
 
 let cases =
@@ -371,8 +386,7 @@ let cases =
   @ oblivious_family "mesh4x4" 4 mesh4.Builders.topo mesh4_rt ~store_forward_ok:true ~seeds:8
   @ oblivious_family "torus4x4" 5 torus4.Builders.topo torus4_rt ~store_forward_ok:true
       ~seeds:8
-  @ adaptive_family "mesh4x4-minimal" 6 mesh4.Builders.topo
-      (Adaptive.fully_adaptive_minimal mesh4)
+  @ adaptive_family "mesh4x4-minimal" 6 mesh4.Builders.topo mesh4_fully
       ~routable:(fun s d -> s <> d)
       ~seeds:6
   @ adaptive_family "mesh4x4-duato" 7 mesh2vc.Builders.topo (Adaptive.duato_mesh mesh2vc)

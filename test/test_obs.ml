@@ -283,6 +283,36 @@ let test_figure2_postmortem () =
         (List.exists (fun o -> o.Obs.Postmortem.oc_channel = wanted) pm.Obs.Postmortem.pm_occupancy))
     pm.Obs.Postmortem.pm_knot
 
+(* ---- golden exporter: adaptive deadlock on a multi-option header ---- *)
+
+(* Mirrors wormsim --topology mesh --dims 4x4 --routing adaptive --pattern
+   uniform --rate 0.3 --length 6 --horizon 6 --seed 149: the run wedges at
+   cycle 56 with n7/3 blocked on two options, so the trace pins the adaptive
+   claim pass and its wait-for edges on rows with more than one entry. *)
+let adaptive_deadlock =
+  lazy
+    (let coords = Builders.mesh [ 4; 4 ] in
+     let rng = Rng.create 149 in
+     let pattern = Traffic.uniform rng coords in
+     let sched = Traffic.bernoulli_schedule rng pattern ~coords ~rate:0.3 ~length:6 ~horizon:6 in
+     let sink, events = Obs.recorder () in
+     let out = Engine.run_adaptive ~obs:sink (Adaptive.fully_adaptive_minimal coords) sched in
+     (coords.Builders.topo, out, events ()))
+
+let test_adaptive_multi_option_deadlock () =
+  let _, out, _ = Lazy.force adaptive_deadlock in
+  match out with
+  | Engine.Deadlock d ->
+    check cb "a blocked header has several options" true
+      (List.exists (fun b -> List.length b.Engine.b_wants > 1) d.Engine.d_blocked)
+  | o -> Alcotest.fail ("expected a deadlock, got " ^ Engine.outcome_string o)
+
+let test_adaptive_chrome_golden () =
+  let topo, _, events = Lazy.force adaptive_deadlock in
+  check cs "chrome trace matches wormsim --routing adaptive --trace-out"
+    (read_file "golden/adaptive-deadlock.trace.json")
+    (Obs.Chrome.to_json ~topo events)
+
 (* ---- trace truncation ---- *)
 
 let test_trace_truncation () =
@@ -381,6 +411,11 @@ let () =
           Alcotest.test_case "witness deadlocks" `Quick test_figure2_witness_deadlocks;
           Alcotest.test_case "chrome trace" `Quick test_figure2_chrome_golden;
           Alcotest.test_case "post-mortem: knot + theorem" `Quick test_figure2_postmortem;
+        ] );
+      ( "golden-adaptive",
+        [
+          Alcotest.test_case "multi-option deadlock" `Quick test_adaptive_multi_option_deadlock;
+          Alcotest.test_case "chrome trace" `Quick test_adaptive_chrome_golden;
         ] );
       ( "trace",
         [ Alcotest.test_case "truncation markers" `Quick test_trace_truncation ] );
