@@ -115,7 +115,7 @@ let entries =
       (let st = Obs_stats.create ~nchan:(Topology.num_channels mesh8.Builders.topo) in
        fun () -> Engine.run ~stats:st mesh8_rt mesh_schedule);
     (* the hot-path workload with online deadlock detection armed and no
-       event bus installed: the gap against engine-hotpath is the price of
+       event sink: the gap against engine-hotpath is the price of
        building events for the detector's feed plus its per-cycle tick *)
     case "sim/detect-overhead"
       (let config =
@@ -204,11 +204,11 @@ let counters_of c =
   let totals () =
     ("engine_runs", Engine.run_count ())
     :: ("engine_cancelled", Engine.cancelled_count ())
-    :: List.map (fun (k, v) -> ("stats_" ^ k, v)) (Obs.Stats.armed_totals ())
+    :: List.map (fun (k, v) -> ("stats_" ^ k, v)) (Obs_stats.armed_totals ())
   in
   let before = totals () in
-  Obs.Stats.arm ();
-  Fun.protect ~finally:Obs.Stats.disarm c.c_run;
+  Obs_stats.arm ();
+  Fun.protect ~finally:Obs_stats.disarm c.c_run;
   List.filter_map
     (fun ((k, v), (_, v0)) -> if v = v0 then None else Some (k, v - v0))
     (List.combine (totals ()) before)

@@ -76,7 +76,7 @@ let main net dot no_search model_check =
   | Some path ->
     let topo = Routing.topology rt in
     let highlight = List.concat_map (fun cr -> cr.Verify.cr_cycle) report.Verify.cycles in
-    Dot.write_file ~highlight ~label:net path topo;
+    Out_file.write ~cli:"cdg_tool" path (Dot.to_dot ~highlight ~label:net topo);
     Format.printf "wrote %s@." path
   | None -> ());
   match report.Verify.conclusion with

@@ -1,0 +1,22 @@
+(* Output files named on the command line.  A path that cannot be opened
+   is a usage error: the CLI prints "<cli>: cannot write PATH: <reason>"
+   and exits 2 instead of dying on an uncaught [Sys_error]. *)
+
+let fail ~cli path_and_reason =
+  Printf.eprintf "%s: cannot write %s\n" cli path_and_reason;
+  exit 2
+
+let write ~cli path contents =
+  (* [open_out]'s [Sys_error] message reads "PATH: reason" *)
+  match open_out path with
+  | exception Sys_error msg -> fail ~cli msg
+  | oc ->
+    output_string oc contents;
+    close_out oc
+
+(* For a CLI that writes its files only after a long run: reject a path
+   whose directory is missing before any of the work is done. *)
+let check_dir ~cli path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then fail ~cli (path ^ ": No such file or directory")
+  else if not (Sys.is_directory dir) then fail ~cli (path ^ ": Not a directory")

@@ -105,9 +105,7 @@ let write_json path ~quick ~domains ~claims ~failed timings =
            (if i = List.length timings - 1 then "" else ",")))
     timings;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  Out_file.write ~cli:"run_experiments" path (Buffer.contents buf)
 
 (* The campaign metrics file is built from canonically-reduced quantities
    only (claim verdicts, canonical run tallies), never from event-stream
@@ -115,39 +113,37 @@ let write_json path ~quick ~domains ~claims ~failed timings =
    dependent, so folding them would break the byte-determinism contract
    (DESIGN.md §11).  Everything written here is identical at any --domains. *)
 let write_metrics path ~quick ~rows timings =
-  let reg = Obs.Metrics.create () in
+  let reg = Obs_metrics.create () in
   let quick_g =
-    Obs.Metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
+    Obs_metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
   in
-  Obs.Metrics.set quick_g (if quick then 1 else 0);
+  Obs_metrics.set quick_g (if quick then 1 else 0);
   let claims status =
-    Obs.Metrics.counter reg ~help:"Campaign claims by verdict"
+    Obs_metrics.counter reg ~help:"Campaign claims by verdict"
       ~labels:[ ("status", status) ]
       "wormhole_campaign_claims_total"
   in
   let ok_c = claims "ok" and failed_c = claims "failed" in
   List.iter
-    (fun r -> Obs.Metrics.inc (if r.Experiments.x_ok then ok_c else failed_c))
+    (fun r -> Obs_metrics.inc (if r.Experiments.x_ok then ok_c else failed_c))
     rows;
   List.iter
     (fun tm ->
       let c =
-        Obs.Metrics.counter reg
+        Obs_metrics.counter reg
           ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
           ~labels:[ ("experiment", tm.tm_name) ]
           "wormhole_campaign_experiment_runs_total"
       in
-      Obs.Metrics.add c (tm.tm_runs - tm.tm_cancelled))
+      Obs_metrics.add c (tm.tm_runs - tm.tm_cancelled))
     timings;
   let total =
-    Obs.Metrics.counter reg ~help:"Canonical engine runs across the campaign"
+    Obs_metrics.counter reg ~help:"Canonical engine runs across the campaign"
       "wormhole_campaign_runs_total"
   in
-  Obs.Metrics.add total
+  Obs_metrics.add total
     (List.fold_left (fun acc tm -> acc + (tm.tm_runs - tm.tm_cancelled)) 0 timings);
-  let oc = open_out path in
-  output_string oc (Obs.Metrics.to_prometheus reg);
-  close_out oc
+  Out_file.write ~cli:"run_experiments" path (Obs_metrics.to_prometheus reg)
 
 let main names quick max_p sanitize detect discipline domains json metrics verdicts latency =
   (match domains with
@@ -172,11 +168,16 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
         "unknown --discipline %s (wormhole/wh, virtual-cut-through/vct, store-and-forward/saf)\n"
         spec;
       exit 2));
+  (* the output files are written after the whole campaign: refuse a
+     missing directory before the first experiment runs *)
+  List.iter
+    (Option.iter (Out_file.check_dir ~cli:"run_experiments"))
+    [ json; metrics; verdicts ];
   let ppf = Format.std_formatter in
   (* --latency arms the counters-first stats plane for the whole campaign:
      every engine run gets a private accumulator, proving stats-on changes
      no claim verdict (CI diffs the --verdicts files armed vs not) *)
-  if latency then Obs.Stats.arm ();
+  if latency then Obs_stats.arm ();
   let sanitizer =
     if sanitize then begin
       let s = Sanitizer.create () in
@@ -227,13 +228,13 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   | Some path ->
     (* one "id ok|FAIL" line per claim: a canonical, domain-independent
        reduction CI can diff across configurations (e.g. --detect on/off) *)
-    let oc = open_out path in
-    List.iter
-      (fun r ->
-        Printf.fprintf oc "%s %s\n" r.Experiments.x_id
-          (if r.Experiments.x_ok then "ok" else "FAIL"))
-      rows;
-    close_out oc;
+    Out_file.write ~cli:"run_experiments" path
+      (String.concat ""
+         (List.map
+            (fun r ->
+              Printf.sprintf "%s %s\n" r.Experiments.x_id
+                (if r.Experiments.x_ok then "ok" else "FAIL"))
+            rows));
     Format.fprintf ppf "@\nclaim verdicts written to %s@\n" path);
   let failed = List.filter (fun r -> not r.Experiments.x_ok) rows in
   if failed <> [] then begin
@@ -274,12 +275,12 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   (* armed totals count speculative (later-cancelled) sweep runs too, so
      like the timing table they stay out of the byte-diffed region *)
   if latency then begin
-    Obs.Stats.disarm ();
+    Obs_stats.disarm ();
     Format.fprintf ppf "@\nstats (armed campaign totals): %s@."
       (String.concat ", "
          (List.map
             (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Obs.Stats.armed_totals ())))
+            (Obs_stats.armed_totals ())))
   end;
   match json with
   | None -> ()

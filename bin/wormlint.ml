@@ -87,35 +87,33 @@ let run_synth json =
    every cell is pre-registered so CI thresholds can distinguish "linted
    clean" (0) from "not linted" (series absent). *)
 let write_metrics path results =
-  let reg = Obs.Metrics.create () in
+  let reg = Obs_metrics.create () in
   let severities = [ Diagnostic.Error; Diagnostic.Warning; Diagnostic.Info ] in
   let total s =
-    Obs.Metrics.counter reg ~help:"Lint diagnostics by severity"
+    Obs_metrics.counter reg ~help:"Lint diagnostics by severity"
       ~labels:[ ("severity", Diagnostic.severity_string s) ]
       "wormlint_diagnostics_total"
   in
   let per_algo name s =
-    Obs.Metrics.counter reg ~help:"Lint diagnostics by algorithm and severity"
+    Obs_metrics.counter reg ~help:"Lint diagnostics by algorithm and severity"
       ~labels:[ ("algorithm", name); ("severity", Diagnostic.severity_string s) ]
       "wormlint_algorithm_diagnostics_total"
   in
   let algos =
-    Obs.Metrics.counter reg ~help:"Algorithms linted" "wormlint_algorithms_total"
+    Obs_metrics.counter reg ~help:"Algorithms linted" "wormlint_algorithms_total"
   in
   List.iter (fun s -> ignore (total s)) severities;
   List.iter
     (fun (e, _, ds) ->
-      Obs.Metrics.inc algos;
+      Obs_metrics.inc algos;
       List.iter
         (fun s ->
           let n = Diagnostic.count s ds in
-          Obs.Metrics.add (total s) n;
-          Obs.Metrics.add (per_algo e.Registry.r_name s) n)
+          Obs_metrics.add (total s) n;
+          Obs_metrics.add (per_algo e.Registry.r_name s) n)
         severities)
     results;
-  let oc = open_out path in
-  output_string oc (Obs.Metrics.to_prometheus reg);
-  close_out oc
+  Out_file.write ~cli:"wormlint" path (Obs_metrics.to_prometheus reg)
 
 let lint_entries json fault_spec reroute_name all_flag metrics selection =
   let all = Registry.entries () in

@@ -223,41 +223,37 @@ let lint_discipline ~algorithm discipline sched buffer =
   if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
     failwith "invalid --discipline/--buffer configuration (E047)"
 
-(* Observability wiring for --trace-out: a recorder whose events feed the
-   Chrome exporter and the deadlock post-mortem. *)
+(* Observability wiring for --trace-out: a recorder, passed to the run as
+   its [?obs] sink, whose events feed the Chrome exporter and the deadlock
+   post-mortem. *)
 let setup_obs = function
   | None -> None
   | Some path ->
-    let sink, events = Obs.recorder () in
-    Obs.install sink;
-    Some (events, path)
+    let sink, events = Obs_event.recorder () in
+    Some (sink, events, path)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+let obs_sink = function None -> None | Some (sink, _, _) -> Some sink
 
 (* [post_mortem] when the run deadlocked or went through recovery: print the
    reconstructed wait-for knot, occupancy history and (given [rt]) the
    Theorem 2-5 classification of the knot's channel cycle. *)
 let finalize_obs ?rt ~topo ~post_mortem = function
   | None -> ()
-  | Some (events, path) ->
-    Obs.uninstall ();
+  | Some (_, events, path) ->
     let events = events () in
     if post_mortem then
-      Format.printf "%s@?" (Obs.Postmortem.render ~topo (Obs.Postmortem.analyze ?rt events));
-    write_file path (Obs.Chrome.to_json ~topo events);
+      Format.printf "%s@?" (Obs_postmortem.render ~topo (Obs_postmortem.analyze ?rt events));
+    Out_file.write ~cli:"wormsim" path (Obs_chrome.to_json ~topo events);
     Format.printf "chrome trace written to %s@." path
 
 (* Counters-first telemetry for --stats-out: one preallocated accumulator
    threaded through the run, rendered as Prometheus text (or JSON when the
    file ends in .json) plus a summary table and utilization heatmap on
-   stdout.  Unlike --trace-out this never arms the event bus, so it also
-   works on runs too hot to trace. *)
+   stdout.  Unlike --trace-out this builds no events, so it also works on
+   runs too hot to trace. *)
 let setup_stats topo = function
   | None -> None
-  | Some path -> Some (Obs.Stats.create ~nchan:(Topology.num_channels topo), path)
+  | Some path -> Some (Obs_stats.create ~nchan:(Topology.num_channels topo), path)
 
 let stats_acc = function None -> None | Some (st, _) -> Some st
 
@@ -265,18 +261,18 @@ let finalize_stats ~topo = function
   | None -> ()
   | Some (st, path) ->
     let doc =
-      if Filename.check_suffix path ".json" then Obs.Stats.to_json ~topo st
-      else Obs.Stats.to_prometheus ~topo st
+      if Filename.check_suffix path ".json" then Obs_stats.to_json ~topo st
+      else Obs_stats.to_prometheus ~topo st
     in
-    write_file path doc;
-    Format.printf "%s" (Obs.Stats.summary ~topo st);
-    (match Obs.Stats.heatmap ~topo st with
+    Out_file.write ~cli:"wormsim" path doc;
+    Format.printf "%s" (Obs_stats.summary ~topo st);
+    (match Obs_stats.heatmap ~topo st with
     | "" -> ()
     | hm -> Format.printf "%s" hm);
     Format.printf "stats written to %s@." path
 
-let run_oblivious ?stats topo rt sched config =
-  let out = Engine.run ~config ?stats rt sched in
+let run_oblivious ?obs ?stats topo rt sched config =
+  let out = Engine.run ~config ?obs ?stats rt sched in
   Format.printf "%a@." (Engine.pp_outcome topo) out;
   let pm = match out with Engine.Deadlock _ | Engine.Recovered _ -> true | _ -> false in
   (Engine.is_deadlock out, pm)
@@ -329,7 +325,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
           | Engine.Wormhole | Engine.Virtual_cut_through -> base
         in
         let deadlocked, pm =
-          run_oblivious ?stats:(stats_acc sctx) net.Paper_nets.topo rt
+          run_oblivious ?obs:(obs_sink obs) ?stats:(stats_acc sctx) net.Paper_nets.topo rt
             w.Explorer.w_schedule
             { w.Explorer.w_config with Engine.discipline; buffer_capacity = cap }
         in
@@ -357,7 +353,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         Format.printf "faults: %a@." (Fault.pp net.Paper_nets.topo) faults;
       let sctx = setup_stats net.Paper_nets.topo stats_out in
       let deadlocked, pm =
-        run_oblivious ?stats:(stats_acc sctx) net.Paper_nets.topo rt sched
+        run_oblivious ?obs:(obs_sink obs) ?stats:(stats_acc sctx) net.Paper_nets.topo rt sched
           { Engine.default_config with buffer_capacity = buffer; discipline; faults; recovery }
       in
       finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:pm obs;
@@ -403,7 +399,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
       let sctx = setup_stats coords.Builders.topo stats_out in
       (match algo with
       | `Oblivious rt ->
-        let report = Measure.run ~config ?stats:(stats_acc sctx) rt sched in
+        let report = Measure.run ~config ?obs:(obs_sink obs) ?stats:(stats_acc sctx) rt sched in
         Format.printf "%a@." Measure.pp report;
         finalize_obs ~rt ~topo:coords.Builders.topo
           ~post_mortem:(report.Measure.deadlocked || report.Measure.recovered)
@@ -411,7 +407,9 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         finalize_stats ~topo:coords.Builders.topo sctx;
         if report.Measure.deadlocked then exit 3
       | `Adaptive ad ->
-        let out = Engine.run_adaptive ~config ?stats:(stats_acc sctx) ad sched in
+        let out =
+          Engine.run_adaptive ~config ?obs:(obs_sink obs) ?stats:(stats_acc sctx) ad sched
+        in
         (match out with
         | Engine.All_delivered { finished_at; messages } ->
           Format.printf "%d/%d delivered in %d cycles (adaptive)@." (List.length messages)

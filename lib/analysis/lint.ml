@@ -58,23 +58,25 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) ?(max_c
   (* Closure lints and CDG classification need every path to exist; when the
      routing is not total the totality errors above already tell the story. *)
   (if !total then begin
-    let closure code prop what =
-      match prop rt with
+    let closure code verdict what =
+      match verdict with
       | Properties.Holds -> ()
       | Properties.Fails why ->
         add
           (Diagnostic.warning code (Diagnostic.Algorithm name) (what ^ ": " ^ why))
     in
-    closure "W012" Properties.suffix_closed "not suffix-closed (Definition 8)";
-    closure "W013" Properties.prefix_closed "not prefix-closed (Definition 7)";
-    closure "W014" Properties.no_repeated_nodes "a path repeats a node";
+    (* the W012 verdict also feeds the cycle classification below *)
+    let suffix = Properties.suffix_closed rt in
+    closure "W012" suffix "not suffix-closed (Definition 8)";
+    closure "W013" (Properties.prefix_closed rt) "not prefix-closed (Definition 7)";
+    closure "W014" (Properties.no_repeated_nodes rt) "a path repeats a node";
     let cdg = Cdg.build rt in
     if not (Cdg.is_acyclic cdg) then begin
       let minimal = Properties.is_holds (Properties.minimal rt) in
-      let suffix = Properties.is_holds (Properties.suffix_closed rt) in
+      let suffix_closed = Properties.is_holds suffix in
       List.iter
         (fun cycle ->
-          let _, verdict = Cycle_analysis.classify ~minimal ~suffix_closed:suffix cdg cycle in
+          let _, verdict = Cycle_analysis.classify ~minimal ~suffix_closed cdg cycle in
           let subject = Diagnostic.Cycle cycle in
           let ctx = [ ("algorithm", name) ] in
           match verdict with

@@ -1079,7 +1079,7 @@ let exp_detect ?(quick = false) ppf =
     Some ("torus5x5-tornado", torus.Builders.topo, rt, sched, Engine.default_config)
   in
   let observed_run ~recovery rt sched config =
-    let sink, events = Obs.recorder () in
+    let sink, events = Obs_event.recorder () in
     let out = Engine.run ~config:{ config with Engine.recovery } ~obs:sink rt sched in
     (out, events ())
   in

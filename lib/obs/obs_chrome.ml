@@ -4,7 +4,7 @@
    chrome://tracing and Perfetto: channel occupancies become "X" complete
    events on pid 0 (one tid per channel), message lifetimes become "X"
    events on pid 1 (one tid per message label), and point phenomena
-   (delivery, abort, retry, faults, sanitizer trips) become "i" instant
+   (delivery, abort, retry, faults, detections) become "i" instant
    events.  Cycles map 1:1 to microseconds, so a 40-cycle run renders as a
    40us trace. *)
 
@@ -143,11 +143,7 @@ let to_json ?topo events =
             str "victims" (String.concat ", " victims) ]
       | Victim_aborted { cycle; label; policy } ->
         instant ~pid:1 ~tid:(msg_tid label) ~name:"deadlock victim" ~cat:"detection"
-          ~ts:cycle [ str "policy" policy ]
-      | Sanitizer_trip d ->
-        instant ~pid:0 ~tid:0 ~name:("sanitizer " ^ d.Diagnostic.code) ~cat:"sanitizer"
-          ~ts:(match Obs_event.cycle_of e with Some c -> c | None -> final_cycle)
-          [ str "message" d.Diagnostic.message ])
+          ~ts:cycle [ str "policy" policy ])
     events;
   (* Close anything still open at the end of the stream (deadlocked owners
      never release; deadlocked messages never deliver). *)

@@ -174,7 +174,7 @@ let feed t (e : Obs_event.t) =
     Hashtbl.remove t.waits label;
     kill t (member label)
   | Flit { cycle; label; _ } -> touch t label cycle
-  | Retry _ | Run_end _ | Deadlock_detected _ | Victim_aborted _ | Sanitizer_trip _ -> ()
+  | Retry _ | Run_end _ | Deadlock_detected _ | Victim_aborted _ -> ()
 
 (* Confirmation-time structural re-check: every member still wants its
    recorded channel and every wanted channel is still held by the next

@@ -43,7 +43,6 @@ type t =
       victims : string list;
     }
   | Victim_aborted of { cycle : int; label : string; policy : string }
-  | Sanitizer_trip of Diagnostic.t
 
 let flit_kind_string = function
   | Inject -> "inject"
@@ -72,10 +71,6 @@ let cycle_of = function
   | Fault { cycle; _ }
   | Deadlock_detected { cycle; _ }
   | Victim_aborted { cycle; _ } -> Some cycle
-  | Sanitizer_trip d -> (
-    match List.assoc_opt "cycle" d.Diagnostic.context with
-    | Some s -> int_of_string_opt s
-    | None -> None)
 
 let pp ?topo () ppf e =
   let chan c =
@@ -120,4 +115,27 @@ let pp ?topo () ppf e =
       (String.concat ", " victims)
   | Victim_aborted { cycle; label; policy } ->
     Format.fprintf ppf "[%d] %s aborted as deadlock victim (%s policy)" cycle label policy
-  | Sanitizer_trip d -> Format.fprintf ppf "sanitizer-trip %a" (Diagnostic.pp ?topo ()) d
+
+type sink = { emit : t -> unit }
+
+let null = { emit = (fun _ -> ()) }
+
+let tee sinks =
+  let emit e = List.iter (fun s -> s.emit e) sinks in
+  { emit }
+
+let recorder () =
+  let lock = Mutex.create () in
+  let events = ref [] in
+  let emit e =
+    Mutex.lock lock;
+    events := e :: !events;
+    Mutex.unlock lock
+  in
+  let contents () =
+    Mutex.lock lock;
+    let l = List.rev !events in
+    Mutex.unlock lock;
+    l
+  in
+  ({ emit }, contents)

@@ -1,11 +1,12 @@
-(** Structured simulation events: the vocabulary of the observability layer.
+(** Structured simulation events and the sinks that receive them.
 
     Every dynamic phenomenon of one engine run is reported as one of these
-    constructors through an {!Obs.sink}.  Events are plain data --
-    consumers (the online knot detector, the Chrome-trace exporter, the
-    deadlock post-mortem, {!Obs.recorder}) never call back into the
-    emitting engine.  Per-run counters are not derived from events: the
-    kernel accumulates them in {!Obs_stats}.
+    constructors to the {!sink} the run was given as its [?obs] argument
+    ([Engine.run], [Engine.run_adaptive]); a run without one emits nothing.
+    Events are plain data -- consumers (the online knot detector, the
+    Chrome-trace exporter, the deadlock post-mortem, {!recorder}) never
+    call back into the emitting engine.  Per-run counters are not derived
+    from events: the kernel accumulates them in {!Obs_stats}.
 
     Channels are topology ids; messages are identified by their schedule
     label.  Cycle numbers are the engine's own cycle counter, so an event
@@ -77,7 +78,6 @@ type t =
   | Victim_aborted of { cycle : int; label : string; policy : string }
       (** detection-triggered recovery aborted this knot member; the
           matching {!Abort} event (reason ["deadlock"]) follows *)
-  | Sanitizer_trip of Diagnostic.t
 
 val flit_kind_string : flit_kind -> string
 val fault_kind_string : fault_kind -> string
@@ -87,3 +87,26 @@ val cycle_of : t -> int option
 
 val pp : ?topo:Topology.t -> unit -> Format.formatter -> t -> unit
 (** One line per event; channel ids resolve to names when [topo] is given. *)
+
+type sink = { emit : t -> unit }
+(** A per-run event consumer.  Emitting is observation only: a run takes
+    identical decisions with any sink attached (QCheck-checked in
+    [test_obs]).  A sink given to runs on several domains is called from
+    each of them, so it must be domain-safe; {!recorder} is.
+
+    Determinism (DESIGN.md section 11): one run's event stream is
+    deterministic, but the interleaved stream of a parallel sweep's runs is
+    not -- speculative cancelled tasks run or don't depending on the domain
+    count.  Per-run counters come from {!Obs_stats}; campaign metrics come
+    from canonically reduced results (claims, canonical run counts), never
+    from folding a sweep's raw event stream. *)
+
+val null : sink
+(** Swallows everything.  Useful to exercise emission paths in tests. *)
+
+val tee : sink list -> sink
+(** Fan one event out to several sinks, in list order. *)
+
+val recorder : unit -> sink * (unit -> t list)
+(** [recorder ()] is a mutex-protected accumulating sink and a function
+    returning everything recorded so far, in emission order. *)

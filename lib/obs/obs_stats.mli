@@ -1,8 +1,8 @@
 (** Counters-first telemetry plane for the struct-of-arrays kernel.
 
-    The event bus ({!Obs}) materializes one structured event per phenomenon,
-    which is exactly what the zero-allocation kernel was built to avoid
-    paying for.  This module is the cheap alternative: a preallocated
+    An event sink ({!Obs_event.sink}, a run's [?obs]) receives one
+    structured event per phenomenon, which is exactly what the
+    zero-allocation kernel was built to avoid paying for.  This module is the cheap alternative: a preallocated
     accumulator of flat int arrays that {!Engine.run} writes into with
     plain stores — per-channel busy/owned/acquisition/wait counters,
     head-of-line blocking attribution, a fixed-bucket latency histogram, and

@@ -124,13 +124,17 @@ let suffix_closed rt =
       in
       each inner)
 
+(* Definition 9 from the verdicts it conjoins: the first failure among no
+   repeated nodes, prefix-closed and suffix-closed, in that order *)
+let coherent_of ~no_repeated ~prefix ~suffix =
+  match (no_repeated, prefix) with
+  | Fails _, _ -> no_repeated
+  | Holds, Fails _ -> prefix
+  | Holds, Holds -> suffix
+
 let coherent rt =
-  match no_repeated_nodes rt with
-  | Fails w -> Fails w
-  | Holds -> (
-    match prefix_closed rt with
-    | Fails w -> Fails w
-    | Holds -> suffix_closed rt)
+  coherent_of ~no_repeated:(no_repeated_nodes rt) ~prefix:(prefix_closed rt)
+    ~suffix:(suffix_closed rt)
 
 let input_independent rt =
   let topo = Routing.topology rt in
@@ -152,11 +156,14 @@ let input_independent rt =
   match !conflict with None -> Holds | Some w -> Fails w
 
 let summary rt =
+  let no_repeated = no_repeated_nodes rt in
+  let prefix = prefix_closed rt in
+  let suffix = suffix_closed rt in
   [
     ("minimal", minimal rt);
-    ("no-repeated-nodes", no_repeated_nodes rt);
-    ("prefix-closed", prefix_closed rt);
-    ("suffix-closed", suffix_closed rt);
-    ("coherent", coherent rt);
+    ("no-repeated-nodes", no_repeated);
+    ("prefix-closed", prefix);
+    ("suffix-closed", suffix);
+    ("coherent", coherent_of ~no_repeated ~prefix ~suffix);
     ("input-independent", input_independent rt);
   ]

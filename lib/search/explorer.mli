@@ -106,8 +106,8 @@ val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdi
     started but whose results the reduce discarded) are reported to
     {!Engine.note_runs_cancelled} and, when a sanitizer is installed, to
     {!Sanitizer.note_runs_cancelled}, so global run totals stay exact at
-    any domain count.  A sweep emits no events of its own; each engine run
-    inside it reports to the installed {!Obs} sink like any other run.
+    any domain count.  A sweep takes no event sink: neither it nor the
+    engine runs inside it emit events.
     @raise Engine_bug on [E090]/[E091] internal-consistency failures. *)
 
 val space_size : space -> int

@@ -412,6 +412,40 @@ let option_row memo i ad input d =
     row
   end
 
+(* -- event constructors, one per repeated kind, and the occupancy rows of a
+   snapshot or witness.  Top-level functions over the arena rather than
+   per-run closures, so a run that emits nothing allocates nothing for
+   them. -- *)
+
+let flit_event t (ar : msgs) j channel kind =
+  Obs_event.Flit { cycle = t; label = ar.specs.(j).Schedule.ms_label; channel; kind }
+
+(* [max_int] is the adaptive "not waiting" stamp; an oblivious wait stamp
+   is always a cycle *)
+let wait_drop_event t (ar : msgs) j channel =
+  let since = ar.wait_since_.(j) in
+  Obs_event.Wait_drop
+    { cycle = t; label = ar.specs.(j).Schedule.ms_label; channel;
+      waited = (if since = max_int then 0 else t - since) }
+
+let wait_add_event t (ar : msgs) owner j channel =
+  let o = owner.(channel) in
+  Obs_event.Wait_add
+    { cycle = t; label = ar.specs.(j).Schedule.ms_label; channel;
+      holder = (if o >= 0 then Some ar.specs.(o).Schedule.ms_label else None) }
+
+(* (channel, label, buffered flits) of every non-empty buffer of the first
+   [nmsg] messages, sorted *)
+let occupancy (ar : msgs) nmsg =
+  let acc = ref [] in
+  for j = 0 to nmsg - 1 do
+    let path = ar.path_.(j) and occ = ar.occ_.(j) in
+    for i = 0 to ar.plen_.(j) - 1 do
+      if occ.(i) > 0 then acc := (path.(i), ar.specs.(j).Schedule.ms_label, occ.(i)) :: !acc
+    done
+  done;
+  List.sort compare !acc
+
 let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Engine.run_adaptive: " in
@@ -513,11 +547,10 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
   let cap_ = k.k_cap in
   Array.fill cap_ 0 (Array.length cap_) chan_cap;
   Atomic.incr runs_started;
-  (* -- observability: hoist the sink once per run; every emission site is
-        guarded by [obs_on] so a disabled bus allocates nothing.  Emission
+  (* -- observability: every emission site is guarded by [obs_on], so a
+        run with neither a sink nor a detector builds no events.  Emission
         is pure observation -- the run takes identical decisions with any
-        sink installed (QCheck-checked in test_obs). -- *)
-  let user_obs = match obs with Some _ as s -> s | None -> Obs.current () in
+        sink attached (QCheck-checked in test_obs). -- *)
   (* -- online detection: a [Detect] trigger instantiates the detector and
         forces event construction for this run (the detector IS engine
         semantics, so unlike user sinks its cost is accepted when chosen);
@@ -527,10 +560,10 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
     | Some { trigger = Watchdog _; _ } | None -> None
   in
-  let obs_on = user_obs <> None || det <> None in
+  let obs_on = obs <> None || det <> None in
   let emit e =
     (match det with Some d -> Obs_detect.feed d e | None -> ());
-    match user_obs with Some s -> s.Obs.emit e | None -> ()
+    match obs with Some s -> s.Obs_event.emit e | None -> ()
   in
   if obs_on then begin
     emit
@@ -561,7 +594,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         private accumulator whose scalar totals fold into the global armed
         counters at run end.  Every accumulation site is guarded by
         [stats_on], so a disarmed run pays one [Atomic.get] here plus a
-        never-taken branch per site -- and like the event bus, stats are
+        never-taken branch per site -- and like event sinks, stats are
         pure observation (QCheck-checked in test_stats). -- *)
   let stats_auto =
     match stats with None -> Obs_stats.armed () | Some _ -> false
@@ -791,10 +824,6 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         })
   in
   let active j = delivered_at_.(j) < 0 && fate_.(j) = f_live in
-  (* [chan_down] stays for the cold paths (probe, witness, sanitizer); the
-     per-cycle loops below inline the [have_faults &&] short-circuit so a
-     fault-free run pays one register test instead of a call per check *)
-  let chan_down c t = have_faults && Fault.down faults c t in
   (* wormhole and cut-through headers advance as soon as possible; a
      store-and-forward header only requests the next channel once the whole
      packet is staged in its current one *)
@@ -843,68 +872,24 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     hold_.(j) <- h;
     if h > 0 then Bitset.unsafe_add hold_fresh_ j else Bitset.unsafe_remove hold_fresh_ j
   in
-  (* adaptive: classify the header's current option source without
-     allocating.  -1 = no options (inactive, arrived, fault-pinned or
-     source-side before its attempt window); -2 = forced-next (reroute pin,
-     the single channel [forced_.(j).(plen_.(j))]); -3 = inject options;
-     otherwise the head channel whose (channel, destination) row applies.
-     Channels that are down are not offered: adaptive routing steers
-     around faults by construction. *)
-  let opt_tag_of j t =
-    if not (active j) then -1
-    else begin
-      let h = head_.(j) in
-      (* [h >= plen] is exactly the arrived state (the header was consumed
-         at the destination), checked here without touching the bitset *)
-      if h >= plen_.(j) && h >= 0 then -1
-      else if h = -1 then begin
-        if injected_.(j) = 0 && t >= attempt_.(j) then
-          if Array.length forced_.(j) > 0 then
-            if plen_.(j) < Array.length forced_.(j) then -2 else -1
-          else -3
-        else -1
-      end
-      else begin (* 0 <= h < plen: in flight *)
-        let c = path_.(j).(h) in
-        (* the header cannot leave a down channel, so don't let it claim
-           the next one either: an award always implies the hop completes *)
-        if chan_down c t then -1
-        else if chan_dst_.(c) = dst_.(j) then -1
-        else if Array.length forced_.(j) > 0 then
-          if plen_.(j) < Array.length forced_.(j) then -2 else -1
-        else c
-      end
-    end
-  in
-  (* first not-down option under a tag, -1 when the filtered set is empty.
-     Rows are tiny (node degree), so a reverse full scan into the shared
-     cursor stays cheap and closure-free. *)
-  let first_opt_of j tag t =
-    if tag = -1 then -1
-    else if tag = -2 then begin
-      let c = forced_.(j).(plen_.(j)) in
-      if chan_down c t then -1 else c
-    end
-    else begin
-      let row = if tag = -3 then inject_opts.(j) else row_get tag dst_.(j) in
-      opt_row_.(j) <- row;
-      scan_found := -1;
-      for i = Array.length row - 1 downto 0 do
-        let c = Array.unsafe_get row i in
-        if not (chan_down c t) then scan_found := c
-      done;
-      !scan_found
-    end
-  in
   let on_carved j c = Bytes.unsafe_get carved_mark.(j) c <> '\000' in
-  (* fused [opt_tag_of] + [first_opt_of] for the per-cycle registration
-     loop: one pass computes the tag, caches the row and returns the first
-     usable option, without re-branching on the tag or re-reading [forced_].
-     The split functions above stay for the cold probe/witness paths. *)
+  (* adaptive: classify the header's current option source into [opt_tag_]
+     and return its first usable option, -1 when the filtered set is empty,
+     without allocating.  Tags: -1 = no options (inactive, arrived,
+     fault-pinned or source-side before its attempt window); -2 =
+     forced-next (reroute pin, the single channel
+     [forced_.(j).(plen_.(j))]); -3 = inject options; otherwise the head
+     channel whose (channel, destination) row applies.  A row tag also
+     caches its row in [opt_row_].  Channels that are down are not offered:
+     adaptive routing steers around faults by construction.  Rows are tiny
+     (node degree), so a reverse full scan into the shared cursor stays
+     cheap and closure-free. *)
   let register_opts j t =
     if not (active j) then begin opt_tag_.(j) <- -1; -1 end
     else begin
       let h = head_.(j) in
+      (* [h >= plen] is exactly the arrived state (the header was consumed
+         at the destination), checked here without touching the bitset *)
       if h >= plen_.(j) && h >= 0 then begin opt_tag_.(j) <- -1; -1 end
       else if (not have_faults) && h >= 0 && opt_h_.(j) = h then begin
         (* memoized: the head has not moved since the tag/row were
@@ -945,6 +930,8 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         else begin
           let hc = path_.(j).(h) in
           opt_h_.(j) <- h;
+          (* the header cannot leave a down channel, so don't let it claim
+             the next one either: an award always implies the hop completes *)
           if (have_faults && Fault.down faults hc t) || chan_dst_.(hc) = dst_.(j) then begin
             opt_tag_.(j) <- -1; -1
           end
@@ -978,7 +965,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       if (not (have_faults && Fault.down faults c t)) && owner.(c) = -1 && not (on_carved j c) then c else -1
     end
     else begin
-      (* the row was cached by [first_opt_of] when this claimant registered *)
+      (* the row was cached by [register_opts] when this claimant registered *)
       let row = opt_row_.(j) in
       scan_found := -1;
       for i = Array.length row - 1 downto 0 do
@@ -990,24 +977,11 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     end
   in
   (* first channel the header is blocked on, mode-dispatched: used by the
-     probe snapshot and the deadlock witness *)
-  let first_want_chan j t =
-    if oblivious then wanted_chan j else first_opt_of j (opt_tag_of j t) t
-  in
-  (* full current option list (adaptive), cold: only the deadlock witness
-     builds it *)
-  let options_list j t =
-    let tag = opt_tag_of j t in
-    if tag = -1 then []
-    else if tag = -2 then begin
-      let c = forced_.(j).(plen_.(j)) in
-      if chan_down c t then [] else [ c ]
-    end
-    else begin
-      let row = if tag = -3 then inject_opts.(j) else row_get tag dst_.(j) in
-      List.filter (fun c -> not (chan_down c t)) (Array.to_list row)
-    end
-  in
+     probe snapshot and the deadlock witness.  Refreshing the adaptive
+     option cache here is safe: both run at the end of the cycle, after
+     every claim, and the next registration either recomputes the cache or
+     reuses the memo keyed by the same head position. *)
+  let first_want_chan j t = if oblivious then wanted_chan j else register_opts j t in
   (* -- sanitizer: re-derive the structural invariants from the full state
         at the end of every cycle (see Sanitizer's doc for the code table).
         Pure observation; a sanitized run takes the same decisions. -- *)
@@ -1140,22 +1114,14 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       end
     done;
     if oblivious then begin
-      if obs_on && waiting_.(j) >= 0 then
-        emit
-          (Obs_event.Wait_drop
-             { cycle = t; label = label j; channel = waiting_.(j);
-               waited = t - wait_since_.(j) });
+      if obs_on && waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
       waiting_.(j) <- -1
     end
     else begin
       (* retract the advertised wait-for edge: without this, a message
          aborted mid-wait leaves a dangling edge on the stream that the
          online detector would keep chasing (sanitizer E106) *)
-      if obs_on && wait_edge_.(j) >= 0 then
-        emit
-          (Obs_event.Wait_drop
-             { cycle = t; label = label j; channel = wait_edge_.(j);
-               waited = (if wait_since_.(j) = max_int then 0 else t - wait_since_.(j)) });
+      if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
       wait_edge_.(j) <- -1;
       wait_since_.(j) <- max_int;
       plen_.(j) <- 0;  (* the carved route is forgotten; a retry carves afresh *)
@@ -1220,10 +1186,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     consumed_.(j) <- consumed_.(j) + 1;
     moved := true;
     Bytes.unsafe_set progressed_ j '\001';
-    if obs_on then
-      emit
-        (Obs_event.Flit
-           { cycle = t; label = label j; channel = last; kind = Obs_event.Consume });
+    if obs_on then emit (flit_event t ar j last Obs_event.Consume);
     if consumed_.(j) = len_.(j) then begin
       delivered_at_.(j) <- t;
       if stats_on then
@@ -1287,15 +1250,8 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         then begin
           if waiting_.(j) <> c then begin
             if obs_on then begin
-              if waiting_.(j) >= 0 then
-                emit
-                  (Obs_event.Wait_drop
-                     { cycle = t; label = label j; channel = waiting_.(j);
-                       waited = t - wait_since_.(j) });
-              emit
-                (Obs_event.Wait_add
-                   { cycle = t; label = label j; channel = c;
-                     holder = (if owner.(c) >= 0 then Some (label owner.(c)) else None) })
+              if waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
+              emit (wait_add_event t ar owner j c)
             end;
             waiting_.(j) <- c;
             wait_since_.(j) <- t
@@ -1326,11 +1282,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
              owns the channel it wants and its hop is merely fault-deferred:
              an owner is not a waiter, so it must not keep a seniority stamp
              (the sanitizer's E104 check relies on this) *)
-          if obs_on && waiting_.(j) >= 0 then
-            emit
-              (Obs_event.Wait_drop
-                 { cycle = t; label = label j; channel = waiting_.(j);
-                   waited = t - wait_since_.(j) });
+          if obs_on && waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
           waiting_.(j) <- -1
         end
         end
@@ -1376,11 +1328,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         else if wait_edge_.(j) >= 0 then begin
           (* the header can no longer move at all (arrived, delivered, or
              fault-pinned): its advertised edge is stale *)
-          if obs_on then
-            emit
-              (Obs_event.Wait_drop
-                 { cycle = t; label = label j; channel = wait_edge_.(j);
-                   waited = (if wait_since_.(j) = max_int then 0 else t - wait_since_.(j)) });
+          if obs_on then emit (wait_drop_event t ar j wait_edge_.(j));
           wait_edge_.(j) <- -1
         end
         end
@@ -1425,41 +1373,26 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           Bytes.unsafe_set progressed_ j '\001';
           moved := true
         end
-        else if not obs_on then begin
-          (* wait-for edge maintenance, fused into the claim pass: a loser's
-             new edge depends only on its own phase-1 preference, never on
-             later claims, so updating it here is equivalent to the separate
-             post-claim sweep the event stream needs (below) *)
-          let c = first_opt_.(j) in
-          if c >= 0 && c <> wait_edge_.(j) then wait_edge_.(j) <- c
-        end
       done;
       (* wait-for edge maintenance: a claimant that won nothing advertises
          an edge on its first (preferred) option; when the preference moves
          the old edge is retracted before the new one appears, so the
          stream always carries at most one edge per message.  The Wait_add
-         holder field snapshots the post-claim owner, so with observability
-         on this stays a separate pass after all claims resolve. *)
-      if obs_on then
-        for a = 0 to !claim_count - 1 do
-          let j = claim_order.(a) in
-          if awarded_.(j) < 0 then begin
-            let c = first_opt_.(j) in
-            if c >= 0 && c <> wait_edge_.(j) then begin
-              if wait_edge_.(j) >= 0 then
-                emit
-                  (Obs_event.Wait_drop
-                     { cycle = t; label = label j; channel = wait_edge_.(j);
-                       waited =
-                         (if wait_since_.(j) = max_int then 0 else t - wait_since_.(j)) });
-              emit
-                (Obs_event.Wait_add
-                   { cycle = t; label = label j; channel = c;
-                     holder = (if owner.(c) >= 0 then Some (label owner.(c)) else None) });
-              wait_edge_.(j) <- c
-            end
+         holder field is the owner after every claim of the cycle, so this
+         is a separate pass after the claims. *)
+      for a = 0 to !claim_count - 1 do
+        let j = claim_order.(a) in
+        if awarded_.(j) < 0 then begin
+          let c = first_opt_.(j) in
+          if c >= 0 && c <> wait_edge_.(j) then begin
+            if obs_on then begin
+              if wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
+              emit (wait_add_event t ar owner j c)
+            end;
+            wait_edge_.(j) <- c
           end
-        done
+        end
+      done
     end;
     (* -- movement: per message, sweep from the front so freed slots are
           visible to the flits behind (wormhole pipelining).  A down channel
@@ -1504,11 +1437,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
              set_hold j (h + 1);
              moved := true;
              Bytes.unsafe_set progressed_ j '\001';
-             if obs_on then
-               emit
-                 (Obs_event.Flit
-                    { cycle = t; label = label j; channel = path.(h + 1);
-                      kind = Obs_event.Hop })
+             if obs_on then emit (flit_event t ar j path.(h + 1) Obs_event.Hop)
            end
          end
          else begin
@@ -1541,10 +1470,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
                injected_at_.(j) <- t;
                moved := true;
                Bytes.unsafe_set progressed_ j '\001';
-               if obs_on then
-                 emit
-                   (Obs_event.Flit
-                      { cycle = t; label = label j; channel = c; kind = Obs_event.Inject })
+               if obs_on then emit (flit_event t ar j c Obs_event.Inject)
              end
              else begin
                carve j c;
@@ -1555,10 +1481,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
                head_.(j) <- h + 1;
                moved := true;
                Bytes.unsafe_set progressed_ j '\001';
-               if obs_on then
-                 emit
-                   (Obs_event.Flit
-                      { cycle = t; label = label j; channel = c; kind = Obs_event.Hop })
+               if obs_on then emit (flit_event t ar j c Obs_event.Hop)
              end
            end
          end);
@@ -1578,11 +1501,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             occ.(i + 1) <- occ.(i + 1) + 1;
             moved := true;
             Bytes.unsafe_set progressed_ j '\001';
-            if obs_on then
-              emit
-                (Obs_event.Flit
-                   { cycle = t; label = label j; channel = path.(i + 1);
-                     kind = Obs_event.Cascade })
+            if obs_on then emit (flit_event t ar j path.(i + 1) Obs_event.Cascade)
           end
         done;
         (* injection at the source: the header first (oblivious mode -- an
@@ -1599,11 +1518,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             set_hold j 0;
             moved := true;
             Bytes.unsafe_set progressed_ j '\001';
-            if obs_on then
-              emit
-                (Obs_event.Flit
-                   { cycle = t; label = label j; channel = path.(0);
-                     kind = Obs_event.Inject })
+            if obs_on then emit (flit_event t ar j path.(0) Obs_event.Inject)
           end
         end
         else if
@@ -1618,11 +1533,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           injected_.(j) <- injected_.(j) + 1;
           moved := true;
           Bytes.unsafe_set progressed_ j '\001';
-          if obs_on then
-            emit
-              (Obs_event.Flit
-                 { cycle = t; label = label j; channel = path.(0);
-                   kind = Obs_event.Inject })
+          if obs_on then emit (flit_event t ar j path.(0) Obs_event.Inject)
         end;
         (* release: channels the whole message has passed through *)
         if injected_.(j) = len_.(j) then begin
@@ -1792,15 +1703,6 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     (match probe with
     | None -> ()
     | Some f ->
-      let occupancy =
-        let acc = ref [] in
-        for j = 0 to nmsg - 1 do
-          for i = 0 to plen_.(j) - 1 do
-            if occ_.(j).(i) > 0 then acc := (path_.(j).(i), label j, occ_.(j).(i)) :: !acc
-          done
-        done;
-        List.sort compare !acc
-      in
       let waiting =
         List.filter_map
           (fun j ->
@@ -1813,7 +1715,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             end)
           (List.init nmsg (fun j -> j))
       in
-      f { s_cycle = t; s_occupancy = occupancy; s_waiting = waiting; s_moved = !moved });
+      f { s_cycle = t; s_occupancy = occupancy ar nmsg; s_waiting = waiting; s_moved = !moved });
     if !finished = nmsg then
       outcome :=
         Some
@@ -1835,10 +1737,17 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       (* a stall window about to close or an unfired event can unblock *)
       if Fault.change_after faults t then scan_flag := true;
       if not !scan_flag then begin
-        (* permanently blocked: build the witness *)
+        (* permanently blocked: build the witness.  An adaptive header
+           wants its whole option set, the row [register_opts] cached for
+           [first_want_chan] just before. *)
         let wants j =
-          if oblivious then (match wanted_chan j with -1 -> [] | c -> [ c ])
-          else options_list j t
+          match first_want_chan j t with
+          | -1 -> []
+          | c when oblivious || opt_tag_.(j) = -2 -> [ c ]
+          | _ ->
+            List.filter
+              (fun c -> not (have_faults && Fault.down faults c t))
+              (Array.to_list opt_row_.(j))
         in
         let blocked =
           List.filter_map
@@ -1887,15 +1796,6 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           in
           try_starts start
         in
-        let occupancy =
-          let acc = ref [] in
-          for j = 0 to nmsg - 1 do
-            for i = 0 to plen_.(j) - 1 do
-              if occ_.(j).(i) > 0 then acc := (path_.(j).(i), label j, occ_.(j).(i)) :: !acc
-            done
-          done;
-          List.sort compare !acc
-        in
         (* Stramaglia-Keiren-Zantema classification from the terminal
            state.  No wait cycle means the blocked set is acyclic -- a
            topological drain order of the held channels exists, so the
@@ -1915,7 +1815,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         in
         outcome :=
           Some (Deadlock { d_cycle = t; d_class; d_blocked = blocked;
-                           d_wait_cycle = wait_cycle; d_occupancy = occupancy })
+                           d_wait_cycle = wait_cycle; d_occupancy = occupancy ar nmsg })
       end
     end;
     (* compact the live list only on cycles where something finished *)

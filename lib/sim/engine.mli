@@ -233,7 +233,7 @@ val run :
   ?config:config ->
   ?probe:(snapshot -> unit) ->
   ?sanitizer:Sanitizer.t ->
-  ?obs:Obs.sink ->
+  ?obs:Obs_event.sink ->
   ?stats:Obs_stats.t ->
   Routing.t ->
   Schedule.t ->
@@ -256,15 +256,16 @@ val run :
     @raise Invalid_argument when [stats] is sized for a different channel
     count than the routing's topology.
 
-    [obs] attaches a structured-event sink for this run (falling back to the
-    process-wide {!Obs.install}ed one); the [Run_start] event reports the
-    engine as ["oblivious"] or ["adaptive"].  [sanitizer] arms the per-cycle
+    [obs] is the run's structured-event sink, the only way a run emits
+    events: without it the run builds none (sinks compose with
+    {!Obs_event.tee}); the [Run_start] event reports the engine as
+    ["oblivious"] or ["adaptive"].  [sanitizer] arms the per-cycle
     invariant sweep (codes E101-E106), falling back to the process-wide
     {!Sanitizer.install}ed one.  Both are pure observation: the run takes
     identical decisions with any sink or sanitizer attached.  A [Detect]
     recovery trigger is different: the detector is part of the engine's
     semantics, so it is fed the event stream unconditionally (event
-    construction is forced for the run even with no sink installed).
+    construction is forced for the run even without a sink).
 
     Fault semantics: a channel that is down ({!Fault.down}) accepts no new
     acquisition and moves no flits in or out.  An oblivious header waits for
@@ -306,7 +307,7 @@ val run_adaptive :
   ?config:config ->
   ?probe:(snapshot -> unit) ->
   ?sanitizer:Sanitizer.t ->
-  ?obs:Obs.sink ->
+  ?obs:Obs_event.sink ->
   ?stats:Obs_stats.t ->
   Adaptive.t ->
   Schedule.t ->

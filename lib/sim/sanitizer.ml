@@ -27,10 +27,9 @@ let create ?(fail_fast = false) ?(limit = 100) () =
     cancelled = Atomic.make 0;
   }
 
+(* Trips are kept here and never emitted as events: a fail-fast trip
+   raises out of the run before any trace of it could be written. *)
 let record s d =
-  (* mirror every trip onto the event bus before a fail-fast raise, so
-     traces show what tripped even when the run is torn down *)
-  Obs.emit (Obs_event.Sanitizer_trip d);
   if s.fail_fast then raise (Violation d);
   let n = 1 + Atomic.fetch_and_add s.count 1 in
   if n <= s.limit then begin

@@ -34,9 +34,3 @@ let to_dot ?(highlight = []) ?label t =
     t;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file ?highlight ?label path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?highlight ?label t))

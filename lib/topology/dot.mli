@@ -3,6 +3,3 @@
 
 val to_dot : ?highlight:Topology.channel list -> ?label:string -> Topology.t -> string
 (** Render as a [digraph].  Highlighted channels are drawn bold red. *)
-
-val write_file : ?highlight:Topology.channel list -> ?label:string -> string -> Topology.t -> unit
-(** Write the dot rendering to a file path. *)

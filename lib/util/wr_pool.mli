@@ -36,8 +36,8 @@ val set_observer : (event -> unit) option -> unit
 (** Install (or with [None] remove) a process-wide pool observer.  The
     observer runs on whichever domain claims or cancels, so it must be
     domain-safe.  Observation only: the pool's results are unaffected.
-    Nothing feeds these events to the [Obs] event bus; they serve direct
-    observers such as the claim-coverage test.  The stream is inherently
+    These are not [Obs_event] events and reach no run's sink; they serve
+    direct observers such as the claim-coverage test.  The stream is inherently
     schedule-dependent (claims race), unlike the pool's canonically-reduced
     results. *)
 

@@ -12,8 +12,8 @@ type report = {
   throughput : float;
 }
 
-let run ?config ?stats rt sched =
-  let outcome = Engine.run ?config ?stats rt sched in
+let run ?config ?obs ?stats rt sched =
+  let outcome = Engine.run ?config ?obs ?stats rt sched in
   let by_label = Hashtbl.create 64 in
   List.iter (fun (m : Schedule.message_spec) -> Hashtbl.replace by_label m.ms_label m) sched;
   let stats = Stats.create () in

@@ -15,10 +15,16 @@ type report = {
   throughput : float;  (** delivered flits per cycle, network-wide *)
 }
 
-val run : ?config:Engine.config -> ?stats:Obs_stats.t -> Routing.t -> Schedule.t -> report
+val run :
+  ?config:Engine.config ->
+  ?obs:Obs_event.sink ->
+  ?stats:Obs_stats.t ->
+  Routing.t ->
+  Schedule.t ->
+  report
 (** Simulate and aggregate.  Latency for a message counts from its scheduled
     injection time (so source queueing is included).  A deadlocked run
-    reports [deadlocked = true] with zero delivery statistics.  [stats]
-    threads a telemetry accumulator through to {!Engine.run}. *)
+    reports [deadlocked = true] with zero delivery statistics.  [obs] and
+    [stats] are passed through to {!Engine.run}. *)
 
 val pp : Format.formatter -> report -> unit

@@ -9,7 +9,7 @@ let dcfg = Obs_detect.default_config
 let bound = dcfg.Obs_detect.bound
 
 let recorded_run ?config rt sched =
-  let sink, events = Obs.recorder () in
+  let sink, events = Obs_event.recorder () in
   let out = Engine.run ?config ~obs:sink rt sched in
   (out, events ())
 
@@ -168,15 +168,15 @@ let test_victim_event_ordering () =
 
 let test_postmortem_sections () =
   let (_, det_events), _ = Lazy.force tornado_runs in
-  let pm = Obs.Postmortem.analyze ~rt:torus5_rt det_events in
-  check cb "post-mortem records detections" true (pm.Obs.Postmortem.pm_detections <> []);
+  let pm = Obs_postmortem.analyze ~rt:torus5_rt det_events in
+  check cb "post-mortem records detections" true (pm.Obs_postmortem.pm_detections <> []);
   let victim_events =
     List.filter_map
       (function Obs_event.Victim_aborted { label; _ } -> Some label | _ -> None)
       det_events
   in
   check cb "post-mortem victims match the event stream" true
-    (List.map fst pm.Obs.Postmortem.pm_victims = victim_events)
+    (List.map fst pm.Obs_postmortem.pm_victims = victim_events)
 
 (* ---- differential: the seeded fault corpus of EXP-FR ---- *)
 

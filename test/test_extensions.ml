@@ -117,10 +117,37 @@ let test_input_dependent_dateline () =
   check cb "dateline input-dependent" false
     (Properties.is_holds (Properties.input_independent rt))
 
-let test_summary_includes_new_property () =
+(* [summary] derives "coherent" from the three verdicts it already has:
+   on every oblivious registry entry each row must equal its standalone
+   property, failure text included *)
+let test_summary_rows () =
   let rt = Dimension_order.mesh (Builders.mesh [ 2; 2 ]) in
   check cb "summary has input-independent" true
-    (List.mem_assoc "input-independent" (Properties.summary rt))
+    (List.mem_assoc "input-independent" (Properties.summary rt));
+  let verdict = Alcotest.testable Properties.pp_verdict ( = ) in
+  let standalone =
+    [
+      ("minimal", Properties.minimal);
+      ("no-repeated-nodes", Properties.no_repeated_nodes);
+      ("prefix-closed", Properties.prefix_closed);
+      ("suffix-closed", Properties.suffix_closed);
+      ("coherent", Properties.coherent);
+      ("input-independent", Properties.input_independent);
+    ]
+  in
+  List.iter
+    (fun (e : Registry.entry) ->
+      match e.r_algo with
+      | Registry.Adaptive _ -> ()
+      | Registry.Oblivious rt ->
+        let rows = Properties.summary rt in
+        check (Alcotest.list Alcotest.string) (e.r_name ^ " rows") (List.map fst standalone)
+          (List.map fst rows);
+        List.iter
+          (fun (name, prop) ->
+            check verdict (e.r_name ^ " " ^ name) (prop rt) (List.assoc name rows))
+          standalone)
+    (Registry.entries ())
 
 (* ---- engine probe ---- *)
 
@@ -279,7 +306,7 @@ let () =
           Alcotest.test_case "xy independent" `Quick test_input_independent_xy;
           Alcotest.test_case "cd dependent" `Quick test_input_dependent_cd;
           Alcotest.test_case "dateline dependent" `Quick test_input_dependent_dateline;
-          Alcotest.test_case "summary row" `Quick test_summary_includes_new_property;
+          Alcotest.test_case "summary row" `Quick test_summary_rows;
         ] );
       ( "probe",
         [

@@ -1,12 +1,13 @@
 (* Observability-layer tests.
 
-   - Sink purity: attaching any sink (explicit or installed) never changes
-     an engine outcome -- the central contract of the event bus, as a QCheck
-     property over random schedules on an acyclic mesh and a deadlock-prone
-     ring, with and without recovery.
+   - Sink purity: a run's [?obs] sink never changes an engine outcome --
+     the central contract of the event stream, as a QCheck property over
+     random schedules on an acyclic mesh and a deadlock-prone ring, with
+     and without recovery, plus an adaptive run.
    - Metrics registry laws and exact Prometheus/JSON rendering.
-   - Golden-file exporter: the figure-1 false-resource-cycle run and the
-     figure-2 explorer-witness deadlock replay must reproduce the captured
+   - Golden-file exporter: the figure-1 false-resource-cycle run, the
+     figure-2 explorer-witness deadlock replay and an adaptive mesh run
+     that wedges on a multi-option header must reproduce the captured
      wormsim --trace-out files byte-for-byte (the files under test/golden).
    - Deadlock post-mortem: the figure-2 knot names its channels, the
      expanded cycle is a genuine CDG cycle, and classification says
@@ -63,8 +64,8 @@ let ring5 = Builders.ring ~unidirectional:true 5
 let ring5_rt = Ring_routing.clockwise ring5
 
 let observed_run ?config rt sched =
-  let sink, _ = Obs.recorder () in
-  Engine.run ?config ~obs:(Obs.tee [ sink; Obs.null ]) rt sched
+  let sink, _ = Obs_event.recorder () in
+  Engine.run ?config ~obs:(Obs_event.tee [ sink; Obs_event.null ]) rt sched
 
 let prop_sink_purity coords rt name =
   QCheck.Test.make ~name ~count:100 (schedule_gen coords) (fun sched ->
@@ -90,19 +91,6 @@ let prop_sink_purity_recovery =
       in
       Engine.run ~config ring5_rt sched = observed_run ~config ring5_rt sched)
 
-let prop_sink_purity_installed =
-  (* the process-wide installed sink must be just as invisible as ?obs *)
-  QCheck.Test.make ~name:"installed sink never changes outcomes" ~count:60
-    (schedule_gen ring5)
-    (fun sched ->
-      let plain = Engine.run ring5_rt sched in
-      let sink, _ = Obs.recorder () in
-      Obs.install sink;
-      let observed =
-        Fun.protect ~finally:Obs.uninstall (fun () -> Engine.run ring5_rt sched)
-      in
-      plain = observed)
-
 let test_adaptive_sink_purity () =
   let coords = Builders.mesh ~vcs:2 [ 3; 3 ] in
   let ad = Adaptive.duato_mesh coords in
@@ -110,7 +98,7 @@ let test_adaptive_sink_purity () =
     List.init 6 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 4) mod 9))
   in
   let plain = Engine.run_adaptive ad sched in
-  let sink, events = Obs.recorder () in
+  let sink, events = Obs_event.recorder () in
   let observed = Engine.run_adaptive ~obs:sink ad sched in
   check cb "adaptive outcome unchanged under observation" true (plain = observed);
   check cb "adaptive run emitted events" true (events () <> [])
@@ -118,41 +106,41 @@ let test_adaptive_sink_purity () =
 (* ---- metrics registry ---- *)
 
 let test_metrics_basics () =
-  let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg ~help:"h" "c_total" in
-  Obs.Metrics.inc c;
-  Obs.Metrics.add c 4;
-  check ci "counter value" 5 (Obs.Metrics.value c);
+  let reg = Obs_metrics.create () in
+  let c = Obs_metrics.counter reg ~help:"h" "c_total" in
+  Obs_metrics.inc c;
+  Obs_metrics.add c 4;
+  check ci "counter value" 5 (Obs_metrics.value c);
   (* re-registration returns the same instrument *)
-  Obs.Metrics.inc (Obs.Metrics.counter reg "c_total");
-  check ci "counter upsert" 6 (Obs.Metrics.value c);
-  let g = Obs.Metrics.gauge reg "g" in
-  Obs.Metrics.set g 7;
-  Obs.Metrics.gauge_add g (-2);
-  check ci "gauge value" 5 (List.assoc "g" (Obs.Metrics.snapshot reg));
-  let h = Obs.Metrics.histogram reg ~buckets:[ 1; 10 ] "h" in
-  List.iter (Obs.Metrics.observe h) [ 0; 1; 5; 100 ];
-  let snap = Obs.Metrics.snapshot reg in
+  Obs_metrics.inc (Obs_metrics.counter reg "c_total");
+  check ci "counter upsert" 6 (Obs_metrics.value c);
+  let g = Obs_metrics.gauge reg "g" in
+  Obs_metrics.set g 7;
+  Obs_metrics.gauge_add g (-2);
+  check ci "gauge value" 5 (List.assoc "g" (Obs_metrics.snapshot reg));
+  let h = Obs_metrics.histogram reg ~buckets:[ 1; 10 ] "h" in
+  List.iter (Obs_metrics.observe h) [ 0; 1; 5; 100 ];
+  let snap = Obs_metrics.snapshot reg in
   check ci "histogram count" 4 (List.assoc "h_count" snap);
   check ci "histogram sum" 106 (List.assoc "h_sum" snap);
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check cb "kind clash rejected" true (raises (fun () -> Obs.Metrics.gauge reg "c_total"));
-  check cb "negative counter add rejected" true (raises (fun () -> Obs.Metrics.add c (-1)));
+  check cb "kind clash rejected" true (raises (fun () -> Obs_metrics.gauge reg "c_total"));
+  check cb "negative counter add rejected" true (raises (fun () -> Obs_metrics.add c (-1)));
   check cb "bad metric name rejected" true
-    (raises (fun () -> Obs.Metrics.counter reg "bad name"));
+    (raises (fun () -> Obs_metrics.counter reg "bad name"));
   check cb "unsorted buckets rejected" true
-    (raises (fun () -> Obs.Metrics.histogram reg ~buckets:[ 10; 1 ] "h2"));
+    (raises (fun () -> Obs_metrics.histogram reg ~buckets:[ 10; 1 ] "h2"));
   check cb "bucket redefinition rejected" true
-    (raises (fun () -> Obs.Metrics.histogram reg ~buckets:[ 1; 2 ] "h"))
+    (raises (fun () -> Obs_metrics.histogram reg ~buckets:[ 1; 2 ] "h"))
 
 let small_registry () =
-  let reg = Obs.Metrics.create () in
-  let a = Obs.Metrics.counter reg ~help:"Requests" ~labels:[ ("kind", "a") ] "req_total" in
-  Obs.Metrics.inc a;
-  ignore (Obs.Metrics.counter reg ~labels:[ ("kind", "b") ] "req_total");
-  let h = Obs.Metrics.histogram reg ~help:"Latency" ~buckets:[ 1; 2 ] "lat" in
-  Obs.Metrics.observe h 1;
-  Obs.Metrics.observe h 3;
+  let reg = Obs_metrics.create () in
+  let a = Obs_metrics.counter reg ~help:"Requests" ~labels:[ ("kind", "a") ] "req_total" in
+  Obs_metrics.inc a;
+  ignore (Obs_metrics.counter reg ~labels:[ ("kind", "b") ] "req_total");
+  let h = Obs_metrics.histogram reg ~help:"Latency" ~buckets:[ 1; 2 ] "lat" in
+  Obs_metrics.observe h 1;
+  Obs_metrics.observe h 3;
   reg
 
 let test_prometheus_rendering () =
@@ -168,7 +156,7 @@ let test_prometheus_rendering () =
      # TYPE req_total counter\n\
      req_total{kind=\"a\"} 1\n\
      req_total{kind=\"b\"} 0\n"
-    (Obs.Metrics.to_prometheus (small_registry ()))
+    (Obs_metrics.to_prometheus (small_registry ()))
 
 let test_json_rendering () =
   check cs "metrics json"
@@ -178,7 +166,7 @@ let test_json_rendering () =
      \"overflow\":1,\"sum\":4,\"count\":2},\
      {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"a\"},\"value\":1},\
      {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"b\"},\"value\":0}]}"
-    (Obs.Metrics.to_json (small_registry ()))
+    (Obs_metrics.to_json (small_registry ()))
 
 (* ---- golden exporters: figure 1 (false resource cycle, delivers) ---- *)
 
@@ -193,7 +181,7 @@ let fig1 =
          (fun (it : Paper_nets.intent) -> Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
          net.Paper_nets.intents
      in
-     let sink, events = Obs.recorder () in
+     let sink, events = Obs_event.recorder () in
      let config =
        { Engine.default_config with buffer_capacity = 1; faults = Fault.empty; recovery = None }
      in
@@ -211,18 +199,18 @@ let test_figure1_chrome_golden () =
   let net, _, _, events = Lazy.force fig1 in
   check cs "chrome trace matches wormsim --trace-out"
     (read_file "golden/figure1.trace.json")
-    (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
+    (Obs_chrome.to_json ~topo:net.Paper_nets.topo events)
 
 let test_figure1_postmortem_no_knot () =
   let _, rt, _, events = Lazy.force fig1 in
-  let pm = Obs.Postmortem.analyze ~rt events in
-  check cb "no knot" true (pm.Obs.Postmortem.pm_knot = []);
-  check cb "no cycle" true (Obs.Postmortem.knot_channels pm = []);
-  check cb "no outstanding waits" true (pm.Obs.Postmortem.pm_waits = []);
-  (match pm.Obs.Postmortem.pm_outcome with
+  let pm = Obs_postmortem.analyze ~rt events in
+  check cb "no knot" true (pm.Obs_postmortem.pm_knot = []);
+  check cb "no cycle" true (Obs_postmortem.knot_channels pm = []);
+  check cb "no outstanding waits" true (pm.Obs_postmortem.pm_waits = []);
+  (match pm.Obs_postmortem.pm_outcome with
   | Some "all-delivered" -> ()
   | o -> Alcotest.fail ("unexpected outcome " ^ Option.value ~default:"(none)" o));
-  check cb "no verdict without a knot" true (pm.Obs.Postmortem.pm_verdict = None)
+  check cb "no verdict without a knot" true (pm.Obs_postmortem.pm_verdict = None)
 
 (* ---- golden exporters: figure 2 (explorer witness, deadlocks) ---- *)
 
@@ -239,7 +227,7 @@ let fig2 =
      match Explorer.explore rt (Explorer.default_space templates) with
      | Explorer.No_deadlock _ -> Alcotest.fail "figure2: expected a deadlock witness"
      | Explorer.Deadlock_found { witness = w; _ } ->
-       let sink, events = Obs.recorder () in
+       let sink, events = Obs_event.recorder () in
        let out = Engine.run ~config:w.Explorer.w_config ~obs:sink rt w.Explorer.w_schedule in
        (net, rt, out, events ()))
 
@@ -251,14 +239,14 @@ let test_figure2_chrome_golden () =
   let net, _, _, events = Lazy.force fig2 in
   check cs "chrome trace matches wormsim --witness --trace-out"
     (read_file "golden/figure2.trace.json")
-    (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
+    (Obs_chrome.to_json ~topo:net.Paper_nets.topo events)
 
 let test_figure2_postmortem () =
   let net, rt, _, events = Lazy.force fig2 in
-  let pm = Obs.Postmortem.analyze ~rt events in
-  check cb "knot found" true (pm.Obs.Postmortem.pm_knot <> []);
-  let cycle = Obs.Postmortem.knot_channels pm in
-  check cb "cycle expands the knot" true (List.length cycle >= List.length pm.Obs.Postmortem.pm_knot);
+  let pm = Obs_postmortem.analyze ~rt events in
+  check cb "knot found" true (pm.Obs_postmortem.pm_knot <> []);
+  let cycle = Obs_postmortem.knot_channels pm in
+  check cb "cycle expands the knot" true (List.length cycle >= List.length pm.Obs_postmortem.pm_knot);
   (* the expanded cycle must be a genuine CDG cycle -- that is what makes
      the Theorem 2-5 classification sound *)
   let cdg = Cdg.build rt in
@@ -268,20 +256,20 @@ let test_figure2_postmortem () =
     | [] -> false
   in
   check cb "expanded cycle is a CDG cycle" true (edges_ok cycle);
-  (match pm.Obs.Postmortem.pm_verdict with
+  (match pm.Obs_postmortem.pm_verdict with
   | Some (_, Cycle_analysis.Deadlock_reachable _) -> ()
   | Some (_, v) ->
     Alcotest.fail (Format.asprintf "expected Deadlock_reachable, got %a" Cycle_analysis.pp_verdict v)
   | None -> Alcotest.fail "expected a classification verdict");
-  let rendered = Obs.Postmortem.render ~topo:net.Paper_nets.topo pm in
+  let rendered = Obs_postmortem.render ~topo:net.Paper_nets.topo pm in
   check cb "render names a theorem" true (contains rendered "Theorem");
   check cb "render names the knot" true (contains rendered "wait-for knot");
   (* occupancy history must cover every channel the knot waits on *)
   List.iter
     (fun (_, wanted) ->
       check cb "wanted channel has occupancy history" true
-        (List.exists (fun o -> o.Obs.Postmortem.oc_channel = wanted) pm.Obs.Postmortem.pm_occupancy))
-    pm.Obs.Postmortem.pm_knot
+        (List.exists (fun o -> o.Obs_postmortem.oc_channel = wanted) pm.Obs_postmortem.pm_occupancy))
+    pm.Obs_postmortem.pm_knot
 
 (* ---- golden exporter: adaptive deadlock on a multi-option header ---- *)
 
@@ -295,7 +283,7 @@ let adaptive_deadlock =
      let rng = Rng.create 149 in
      let pattern = Traffic.uniform rng coords in
      let sched = Traffic.bernoulli_schedule rng pattern ~coords ~rate:0.3 ~length:6 ~horizon:6 in
-     let sink, events = Obs.recorder () in
+     let sink, events = Obs_event.recorder () in
      let out = Engine.run_adaptive ~obs:sink (Adaptive.fully_adaptive_minimal coords) sched in
      (coords.Builders.topo, out, events ()))
 
@@ -311,7 +299,7 @@ let test_adaptive_chrome_golden () =
   let topo, _, events = Lazy.force adaptive_deadlock in
   check cs "chrome trace matches wormsim --routing adaptive --trace-out"
     (read_file "golden/adaptive-deadlock.trace.json")
-    (Obs.Chrome.to_json ~topo events)
+    (Obs_chrome.to_json ~topo events)
 
 (* ---- trace truncation ---- *)
 
@@ -391,7 +379,6 @@ let () =
           qtest prop_sink_purity_mesh;
           qtest prop_sink_purity_ring;
           qtest prop_sink_purity_recovery;
-          qtest prop_sink_purity_installed;
           Alcotest.test_case "adaptive engine" `Quick test_adaptive_sink_purity;
         ] );
       ( "metrics",
@@ -412,7 +399,10 @@ let () =
           Alcotest.test_case "chrome trace" `Quick test_figure2_chrome_golden;
           Alcotest.test_case "post-mortem: knot + theorem" `Quick test_figure2_postmortem;
         ] );
-      ( "golden-adaptive",
+      (* suite names stay within 14 characters: alcotest widens its name
+         column to the longest one, and the wider column cuts the printed
+         names of the long purity cases shorter *)
+      ( "golden-adapt",
         [
           Alcotest.test_case "multi-option deadlock" `Quick test_adaptive_multi_option_deadlock;
           Alcotest.test_case "chrome trace" `Quick test_adaptive_chrome_golden;

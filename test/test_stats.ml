@@ -217,12 +217,12 @@ let prop_percentiles =
 (* ---- agreement: stats and the event stream count the same run ---- *)
 
 (* One run observed both ways: the accumulator threaded through the kernel
-   and a recorder on the event bus must see one run, the same acquisitions
+   and a recorder passed as its [?obs] sink must see one run, the same acquisitions
    on every channel, the same deliveries and latency sum, and a deadlock
    outcome in exactly its own class slot. *)
 let stats_match_events ~nchan run sched =
   let st = Obs_stats.create ~nchan in
-  let sink, events = Obs.recorder () in
+  let sink, events = Obs_event.recorder () in
   let out = run ~stats:st ~obs:sink sched in
   let starts = ref 0 and delivered = ref 0 and lat_sum = ref 0 in
   let acquired = Array.make nchan 0 in
