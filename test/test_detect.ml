@@ -32,22 +32,22 @@ let delivered_labels = function
 (* ---- offline ground truth (fault-free, so every Deadlock outcome carries
    a genuine wait-for knot) ---- *)
 
-let schedule_gen coords =
+let schedule_gen ?(msgs = 6) ?(len = 6) ?(at = 10) coords =
   let n = Topology.num_nodes coords.Builders.topo in
   QCheck.make
     QCheck.Gen.(
       let msg i =
         let* s = 0 -- (n - 1) in
         let* d = 0 -- (n - 1) in
-        let* len = 1 -- 6 in
-        let* at = 0 -- 10 in
+        let* len = 1 -- len in
+        let* at = 0 -- at in
         return
           (Schedule.message ~length:len ~at
              (Printf.sprintf "m%d" i)
              s
              (if d = s then (d + 1) mod n else d))
       in
-      let* k = 1 -- 6 in
+      let* k = 1 -- msgs in
       let rec build i acc =
         if i = k then return (List.rev acc)
         else
@@ -93,6 +93,115 @@ let prop_scan_deterministic =
     (fun sched ->
       let _, events = recorded_run ring5_rt sched in
       Obs_detect.scan dcfg events = Obs_detect.scan dcfg events)
+
+(* ---- the detector's guarantees as properties (after Verbeek-Schmaltz,
+   arXiv 1110.4677), on oblivious and fully adaptive nets, each with and
+   without a random fault plan.  For every run without recovery:
+
+   (a) every offline confirmation is a wait-for cycle in the post-mortem of
+       the events up to its cycle: each member waits on its recorded
+       channel, held by the next member;
+   (b) every Deadlock whose kernel witness has a wait cycle is confirmed
+       within [bound] cycles of the engine's verdict;
+   (c) All_delivered and Cutoff runs get no confirmation;
+   (d) the post-mortem's class and every confirmation's class equal the
+       kernel's, and some confirmation has exactly the witness's members. *)
+
+let torus4 = Builders.torus [ 4; 4 ]
+let torus4_rt = Dimension_order.torus torus4
+
+let detector_nets =
+  let oblivious rt ~config ~obs sched = Engine.run ~config ~obs rt sched in
+  let adaptive coords =
+    let ad = Adaptive.fully_adaptive_minimal coords in
+    fun ~config ~obs sched -> Engine.run_adaptive ~config ~obs ad sched
+  in
+  (* the larger nets only knot under dense traffic: about one run in ten
+     ends in a wait cycle there *)
+  let dense = schedule_gen ~msgs:48 ~len:8 ~at:3 in
+  let mesh4 = Builders.mesh [ 4; 4 ] in
+  [
+    ("ring-5", ring5, schedule_gen ring5, oblivious ring5_rt);
+    ("torus-4x4 e-cube", torus4, dense torus4, oblivious torus4_rt);
+    ("adaptive mesh-3x3", mesh3, dense mesh3, adaptive mesh3);
+    ("adaptive mesh-4x4", mesh4, dense mesh4, adaptive mesh4);
+  ]
+
+let sorted_labels members = List.sort compare (List.map fst members)
+
+let detector_violation ~faulted coords run (sched, seed) =
+  let faults =
+    if faulted then
+      Fault.random ~link_failures:1 ~stalls:2 ~max_stall:16 ~horizon:15 (Rng.create seed)
+        coords.Builders.topo
+    else Fault.empty
+  in
+  let sink, recorded = Obs_event.recorder () in
+  let out = run ~config:{ Engine.default_config with faults } ~obs:sink sched in
+  let events = recorded () in
+  let dets = Obs_detect.scan dcfg events in
+  let is_pm_cycle (k : Obs_detect.detection) =
+    let upto =
+      List.filter
+        (fun e -> match Obs_event.cycle_of e with Some c -> c <= k.dk_cycle | None -> true)
+        events
+    in
+    let waits = (Obs_postmortem.analyze upto).Obs_postmortem.pm_waits in
+    let members = k.dk_members in
+    members <> []
+    && List.for_all2
+         (fun (l, c) (next, _) ->
+           List.exists
+             (fun (w : Obs_postmortem.wait_edge) ->
+               w.we_label = l && w.we_channel = c && w.we_holder = Some next)
+             waits)
+         members
+         (List.tl members @ [ List.hd members ])
+  in
+  if not (List.for_all is_pm_cycle dets) then Some "(a) a confirmation is no post-mortem cycle"
+  else
+    match out with
+    | Engine.All_delivered _ | Engine.Cutoff _ ->
+      if dets = [] then None else Some "(c) a run that finished got a confirmation"
+    | Engine.Recovered _ -> Some "a run without recovery recovered"
+    | Engine.Deadlock d ->
+      let pm = Obs_postmortem.analyze events in
+      if
+        d.Engine.d_wait_cycle <> []
+        && not
+             (List.exists
+                (fun (k : Obs_detect.detection) -> k.dk_cycle <= d.Engine.d_cycle + bound)
+                dets)
+      then Some "(b) a deadlock was not confirmed within the bound"
+      else if pm.Obs_postmortem.pm_class <> Some d.Engine.d_class then
+        Some "(d) the post-mortem class differs from the kernel's"
+      else if List.exists (fun (k : Obs_detect.detection) -> k.dk_class <> d.Engine.d_class) dets
+      then Some "(d) a confirmation class differs from the kernel's"
+      else if
+        d.Engine.d_wait_cycle <> []
+        && not
+             (List.exists
+                (fun (k : Obs_detect.detection) ->
+                  sorted_labels k.dk_members = List.sort compare d.Engine.d_wait_cycle)
+                dets)
+      then Some "(d) no confirmation has the witness's members"
+      else None
+
+let detector_properties =
+  List.concat_map
+    (fun (name, coords, gen, run) ->
+      List.map
+        (fun faulted ->
+          QCheck.Test.make
+            ~name:(if faulted then name ^ ", faulted" else name)
+            ~count:200
+            (QCheck.pair gen (QCheck.int_bound 100_000))
+            (fun case ->
+              match detector_violation ~faulted coords run case with
+              | None -> true
+              | Some why -> QCheck.Test.fail_report why))
+        [ false; true ])
+    detector_nets
 
 (* ---- online: the Detect trigger on the torus tornado knot ---- *)
 
@@ -270,6 +379,9 @@ let () =
           qtest prop_no_detection_on_acyclic;
           qtest prop_scan_deterministic;
         ] );
+      (* suite names stay within the 12 characters of "offline-scan":
+         alcotest widens its name column to the longest one *)
+      ("properties", List.map qtest detector_properties);
       ( "online",
         [
           Alcotest.test_case "tornado: targeted recovery beats the watchdog" `Quick

@@ -6,9 +6,11 @@
      and without recovery, plus an adaptive run.
    - Metrics registry laws and exact Prometheus/JSON rendering.
    - Golden-file exporter: the figure-1 false-resource-cycle run, the
-     figure-2 explorer-witness deadlock replay and an adaptive mesh run
-     that wedges on a multi-option header must reproduce the captured
-     wormsim --trace-out files byte-for-byte (the files under test/golden).
+     figure-2 explorer-witness deadlock replay, an adaptive mesh run that
+     wedges on a multi-option header and the 5x5 torus tornado under
+     --detect must reproduce the captured wormsim --trace-out files
+     byte-for-byte (the files under test/golden); so must the tornado's
+     post-mortem text without recovery.
    - Deadlock post-mortem: the figure-2 knot names its channels, the
      expanded cycle is a genuine CDG cycle, and classification says
      Theorem-reachable; figure 1 has no knot.
@@ -301,6 +303,41 @@ let test_adaptive_chrome_golden () =
     (read_file "golden/adaptive-deadlock.trace.json")
     (Obs_chrome.to_json ~topo events)
 
+(* ---- golden exporters: the 5x5 torus tornado, detected and wedged ---- *)
+
+(* Mirrors wormsim --topology torus --routing ecube --dims 5x5 --pattern
+   tornado --permutation --length 8, once with --detect (the CLI's default
+   --watchdog 64 is the backstop) and once without recovery.  The run wedges
+   into five disjoint knots at cycle 1: the trace pins the five rotated
+   detections, the post-mortem the knot it names. *)
+let tornado =
+  lazy
+    (let coords = Builders.torus [ 5; 5 ] in
+     let rt = Dimension_order.torus coords in
+     let sched = Traffic.permutation_schedule (Traffic.tornado coords) ~coords ~length:8 in
+     let recorded recovery =
+       let sink, events = Obs_event.recorder () in
+       ignore (Engine.run ~config:{ Engine.default_config with recovery } ~obs:sink rt sched);
+       events ()
+     in
+     let detect = Engine.Detect { Obs_detect.default_config with backstop = 64 } in
+     ( coords.Builders.topo,
+       rt,
+       recorded (Some { Engine.default_recovery with trigger = detect }),
+       recorded None ))
+
+let test_tornado_detect_golden () =
+  let topo, _, detected, _ = Lazy.force tornado in
+  check cs "chrome trace matches wormsim --detect --trace-out"
+    (read_file "golden/tornado-detect.trace.json")
+    (Obs_chrome.to_json ~topo detected)
+
+let test_tornado_postmortem_golden () =
+  let topo, rt, _, wedged = Lazy.force tornado in
+  check cs "post-mortem matches wormsim --trace-out"
+    (read_file "golden/tornado.postmortem.txt")
+    (Obs_postmortem.render ~topo (Obs_postmortem.analyze ~rt wedged))
+
 (* ---- trace truncation ---- *)
 
 let test_trace_truncation () =
@@ -406,6 +443,11 @@ let () =
         [
           Alcotest.test_case "multi-option deadlock" `Quick test_adaptive_multi_option_deadlock;
           Alcotest.test_case "chrome trace" `Quick test_adaptive_chrome_golden;
+        ] );
+      ( "golden-tornado",
+        [
+          Alcotest.test_case "detect chrome trace" `Quick test_tornado_detect_golden;
+          Alcotest.test_case "post-mortem: first knot" `Quick test_tornado_postmortem_golden;
         ] );
       ( "trace",
         [ Alcotest.test_case "truncation markers" `Quick test_trace_truncation ] );
