@@ -121,15 +121,15 @@ let diagnostic_codes : (string * Diagnostic.severity * string) list =
     ("E047", Diagnostic.Error, "store-and-forward buffer capacity below the longest message");
     ("W048", Diagnostic.Warning, "undersized virtual cut-through buffers are raised to whole-packet");
     ("E050", Diagnostic.Error, "Verify concludes the routing deadlocks");
-    ("E051", Diagnostic.Error, "Verify found a reachable cycle with no Theorem 2-5 certificate");
+    ("E051", Diagnostic.Error, "Verify: schedule search produced a replayable deadlock witness for a cycle");
     ("W052", Diagnostic.Warning, "Verify cannot conclude either way within its budget");
     ("I053", Diagnostic.Info, "Verify concludes the routing is deadlock-free");
-    ("I054", Diagnostic.Info, "Verify certificate detail for a covered cycle");
+    ("I054", Diagnostic.Info, "Verify: bounded-exhaustive search found no reachable deadlock on a cycle");
     ("E060", Diagnostic.Error, "network admits no deadlock-free oblivious routing");
     ("I061", Diagnostic.Info, "routing synthesized and certified (rank-increasing dependencies)");
     ("W062", Diagnostic.Warning, "synthesized routing restricts itself to a sub-network");
-    ("E090", Diagnostic.Error, "search layer: engine reported an inconsistent deadlock cycle");
-    ("E091", Diagnostic.Error, "search layer: engine outcome contradicts the replay");
+    ("E090", Diagnostic.Error, "search layer: deadlock witness failed to replay (engine nondeterminism)");
+    ("E091", Diagnostic.Error, "search layer: reported deadlock has no wait-for cycle");
     ("E101", Diagnostic.Error, "sanitizer: flit conservation violated");
     ("E102", Diagnostic.Error, "sanitizer: buffer occupancy out of bounds");
     ("E103", Diagnostic.Error, "sanitizer: channel hold inconsistent with message state");

@@ -8,8 +8,9 @@
    - The chronologically last edge of any cycle is a Wait_add: an
      acquisition clears the acquirer's own out-edge, so ownership changes
      alone cannot close a cycle -- the acquirer must block again first.
-     Walking from the label of each incoming Wait_add therefore finds
-     every cycle exactly when it closes.
+     Walking from the label of each incoming Wait_add ([Waitfor.cycle]
+     with that one start) therefore finds every cycle exactly when it
+     closes.
 
    - Distinct cycles are vertex-disjoint, so aborting any one member of a
      knot breaks that knot completely and victims for different knots
@@ -28,16 +29,6 @@ let victim_policy_of_string = function
   | "oldest" -> Some Oldest
   | _ -> None
 
-(* Stramaglia, Keiren & Zantema's taxonomy (arXiv 2101.06015), shared by
-   the kernel witness, the online detector and the post-mortem: the three
-   layers classify from different evidence but agree on the vocabulary. *)
-type deadlock_class = Global | Local | Weak
-
-let deadlock_class_string = function
-  | Global -> "global"
-  | Local -> "local"
-  | Weak -> "weak"
-
 type config = { bound : int; backstop : int; policy : victim_policy }
 
 let default_config = { bound = 16; backstop = 512; policy = Minimal_victim }
@@ -48,7 +39,7 @@ type detection = {
   dk_members : (string * Topology.channel) list;
   dk_held : (string * Topology.channel list) list;
   dk_victims : string list;
-  dk_class : deadlock_class;
+  dk_class : Waitfor.deadlock_class;
 }
 
 (* A closed wait-for cycle awaiting quiescence confirmation.  [formed] is
@@ -92,41 +83,12 @@ let kill t pred = t.candidates <- List.filter (fun k -> not (pred k)) t.candidat
 let touch t label cycle =
   List.iter (fun k -> if member label k then k.formed <- cycle) t.candidates
 
-(* Chase the functional graph from [start].  The walk terminates because
-   every visited label lands on [path] and a revisit stops it; on revisit
-   of [l] the cycle is the suffix of the walk from [l] -- which also
-   covers walks that merely run INTO a cycle not containing [start]. *)
-let walk t start =
-  let rec go path label =
-    match Hashtbl.find_opt t.waits label with
-    | None -> None
-    | Some (channel, _) -> (
-      match Hashtbl.find_opt t.owners channel with
-      | None -> None
-      | Some holder ->
-        let path = (label, channel) :: path in
-        if List.mem_assoc holder path then begin
-          let rec from = function
-            | (l, _) :: _ as xs when l = holder -> xs
-            | _ :: tl -> from tl
-            | [] -> []
-          in
-          Some (from (List.rev path))
-        end
-        else go path holder)
-  in
-  go [] start
-
-let rotate_to_smallest cycle =
-  let smallest =
-    List.fold_left (fun acc (l, _) -> min acc l) (fst (List.hd cycle)) cycle
-  in
-  let rec rot = function
-    | (l, _) :: _ as c when l = smallest -> c
-    | x :: tl -> rot (tl @ [ x ])
-    | [] -> []
-  in
-  rot cycle
+(* The functional wait-for edge out of [label]: the holder of the channel
+   it waits for. *)
+let holder t label =
+  match Hashtbl.find_opt t.waits label with
+  | None -> None
+  | Some (channel, _) -> Hashtbl.find_opt t.owners channel
 
 let feed t (e : Obs_event.t) =
   match e with
@@ -146,11 +108,13 @@ let feed t (e : Obs_event.t) =
     | Some (c, _) when c <> channel -> kill t (member label)
     | _ -> ());
     Hashtbl.replace t.waits label (channel, cycle);
-    match walk t label with
-    | None -> ()
-    | Some cyc ->
-      let members = rotate_to_smallest cyc in
-      let mset = List.sort compare (List.map fst members) in
+    match Waitfor.cycle ~next:(holder t) [ label ] with
+    | [] -> ()
+    | cyc ->
+      let members =
+        List.map (fun l -> (l, fst (Hashtbl.find t.waits l))) (Waitfor.rotate cyc)
+      in
+      let mset = List.sort compare cyc in
       if not (List.exists (fun k -> k.mset = mset) t.candidates) then
         t.candidates <- { formed = cycle; members; mset } :: t.candidates)
   | Channel_acquire { cycle; label; channel; _ } ->
@@ -239,11 +203,9 @@ let tick t ~now =
             dk_members = k.members;
             dk_held = List.map (fun (l, _) -> (l, held_sorted t l)) k.members;
             dk_victims = choose_victim t k.members;
-            (* a confirmed knot is a genuine wait cycle, never [Weak]; the
-               split is whether anyone else made it out before the knot
-               locked up (provisional -- the run-end kernel classification
-               is authoritative) *)
-            dk_class = (if t.delivered > 0 then Local else Global);
+            (* provisional: a message still in flight may yet deliver; the
+               run-end kernel classification is authoritative *)
+            dk_class = Waitfor.classify ~cycle:k.members ~delivered:(t.delivered > 0);
           }
       else None)
     ready
@@ -285,7 +247,7 @@ let pp_detection ?topo () ppf d =
   in
   Format.fprintf ppf "knot confirmed at cycle %d (quiet since %d, %s): %s; victim%s %s"
     d.dk_cycle d.dk_formed
-    (deadlock_class_string d.dk_class)
+    (Waitfor.deadlock_class_string d.dk_class)
     (String.concat " -> "
        (List.map (fun (l, c) -> Printf.sprintf "%s(%s)" l (chan c)) d.dk_members))
     (if List.length d.dk_victims = 1 then "" else "s")

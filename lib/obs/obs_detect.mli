@@ -8,14 +8,15 @@
       waiter --wants--> channel --held by--> next waiter
 
     is functional (out-degree at most one per message), so every cycle is
-    vertex-disjoint from every other and a single walk from the label of
-    each incoming wait edge finds any cycle that edge closes -- no global
-    rescan is ever needed.  A freshly closed cycle is only a {e candidate}:
-    worm tails may still cascade forward and release the very channel the
-    cycle turns on.  A candidate is confirmed as a genuine deadlock knot
-    once its members have been silent (no flit, acquire, release, or edge
-    change touching them) for [bound] consecutive cycles AND the cycle
-    re-verifies structurally against the live tables at confirmation time.
+    vertex-disjoint from every other and a single {!Waitfor.cycle} walk
+    from the label of each incoming wait edge finds any cycle that edge
+    closes -- no global rescan is ever needed.  A freshly closed cycle is
+    only a {e candidate}: worm tails may still cascade forward and release
+    the very channel the cycle turns on.  A candidate is confirmed as a
+    genuine deadlock knot once its members have been silent (no flit,
+    acquire, release, or edge change touching them) for [bound]
+    consecutive cycles AND the cycle re-verifies structurally against the
+    live tables at confirmation time.
     Resolution of a real wait cycle necessarily emits member events, so
     [bound] cycles of member silence over an intact cycle implies the knot
     is permanent; detection latency is bounded by [bound] cycles past the
@@ -47,26 +48,6 @@ val victim_policy_string : victim_policy -> string
 
 val victim_policy_of_string : string -> victim_policy option
 
-(** The Stramaglia-Keiren-Zantema deadlock taxonomy (arXiv 2101.06015),
-    shared across the kernel witness ([Engine.deadlock_info.d_class]), the
-    online detector ([detection.dk_class]) and the post-mortem
-    ([Obs_postmortem.t.pm_class]):
-
-    - [Global]: every undelivered message is permanently blocked and the
-      blocked set turns on a genuine wait-for cycle -- the paper's
-      [Deadlock].
-    - [Local]: a wait-for cycle wedged part of the traffic permanently,
-      but other messages progressed to delivery around it.
-    - [Weak]: traffic is permanently blocked yet the wait-for graph is
-      acyclic (e.g. a worm parked behind a failed link), so a drain order
-      exists -- freeing the resources in topological order would unblock
-      everyone.  Packet disciplines (VCT/SAF) expose this distinction;
-      wormhole conflates it with genuine cycles. *)
-type deadlock_class = Global | Local | Weak
-
-val deadlock_class_string : deadlock_class -> string
-(** ["global"], ["local"], ["weak"]. *)
-
 type config = {
   bound : int;
       (** Confirm a candidate cycle after this many member-quiet cycles.
@@ -90,18 +71,20 @@ type detection = {
   dk_formed : int;  (** Cycle of the last member activity before silence. *)
   dk_members : (string * Topology.channel) list;
       (** (waiter, wanted channel) around the cycle, rotated to start at
-          the smallest label. *)
+          the smallest label ({!Waitfor.rotate}). *)
   dk_held : (string * Topology.channel list) list;
       (** Channels each member holds at confirmation, sorted. *)
   dk_victims : string list;
       (** Chosen victim(s); always a single label under the built-in
           policies. *)
-  dk_class : deadlock_class;
-      (** A confirmed knot is a genuine cycle, so never [Weak]: [Local]
-          when any message was delivered before confirmation, [Global]
-          otherwise.  Provisional -- messages still in flight at
-          confirmation may yet deliver; the run-end classification
-          ([Engine.deadlock_info.d_class]) is authoritative. *)
+  dk_class : Waitfor.deadlock_class;
+      (** {!Waitfor.classify} of the knot and the deliveries before
+          confirmation: a confirmed knot is a genuine cycle, so never
+          [Weak]; [Local] when any message was delivered before
+          confirmation, [Global] otherwise.  Provisional -- messages still
+          in flight at confirmation may yet deliver; the run-end
+          classification ([Engine.deadlock_info.d_class]) is
+          authoritative. *)
 }
 
 type t

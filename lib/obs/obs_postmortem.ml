@@ -44,53 +44,10 @@ type t = {
   pm_detections : (int * string list) list;  (* chronological *)
   pm_victims : (string * int) list;  (* chronological *)
   pm_verdict : (Cycle_analysis.analysis * Cycle_analysis.verdict) option;
-  pm_class : Obs_detect.deadlock_class option;
-      (* Some only on a "deadlock" outcome: Weak when the terminal wait-for
-         graph has no knot (acyclic wedge), Local when some message was
-         delivered before the network wedged, Global otherwise. *)
+  pm_class : Waitfor.deadlock_class option;  (* Some only on a "deadlock" outcome *)
 }
 
 let knot_channels t = t.pm_cycle
-
-(* Find the cycle of the partial functional graph [next] (at most one
-   successor per label), deterministically: chase from every label in
-   sorted order, first cycle found wins, rotated to start at its smallest
-   label. *)
-let find_knot ~next labels =
-  let visited = Hashtbl.create 16 in
-  let rec drop_until l = function
-    | (l', _) :: _ as xs when l' = l -> xs
-    | _ :: tl -> drop_until l tl
-    | [] -> []
-  in
-  (* [path] is the current walk, newest first. *)
-  let rec walk path label =
-    if List.mem_assoc label path then Some (drop_until label (List.rev path))
-    else if Hashtbl.mem visited label then None  (* joins an earlier, cycle-free walk *)
-    else begin
-      Hashtbl.add visited label ();
-      match next label with
-      | Some (channel, holder) -> walk ((label, channel) :: path) holder
-      | None -> None
-    end
-  in
-  let rec first = function
-    | [] -> []
-    | l :: rest -> (
-      match walk [] l with
-      | Some cycle -> cycle
-      | None -> first rest)
-  in
-  match first labels with
-  | [] -> []
-  | cycle ->
-    let smallest = List.fold_left (fun acc (l, _) -> min acc l) (fst (List.hd cycle)) cycle in
-    let rec rotate = function
-      | (l, _) :: _ as c when l = smallest -> c
-      | x :: tl -> rotate (tl @ [ x ])
-      | [] -> []
-    in
-    rotate cycle
 
 let analyze ?rt events =
   let owners : (Topology.channel, string * int) Hashtbl.t = Hashtbl.create 16 in
@@ -165,15 +122,20 @@ let analyze ?rt events =
       waits []
     |> List.sort (fun a b -> compare a.we_label b.we_label)
   in
-  let next label =
+  (* the knot: the first wait-for cycle a walk from the sorted outstanding
+     waiters runs into, rotated to its smallest label *)
+  let holder label =
     match Hashtbl.find_opt waits label with
     | None -> None
-    | Some (channel, _, _) -> (
-      match Hashtbl.find_opt owners channel with
-      | Some (holder, _) -> Some (channel, holder)
-      | None -> None)
+    | Some (channel, _, _) -> Option.map fst (Hashtbl.find_opt owners channel)
   in
-  let knot = find_knot ~next (List.map (fun w -> w.we_label) wait_edges) in
+  let knot =
+    Waitfor.cycle ~next:holder (List.map (fun w -> w.we_label) wait_edges)
+    |> Waitfor.rotate
+    |> List.map (fun label ->
+           let channel, _, _ = Hashtbl.find waits label in
+           (label, channel))
+  in
   (* Expand each wanted channel into its holder's held suffix: the
      still-open occupancy entries of a label, in acquisition (= path)
      order, from the wanted channel onward. *)
@@ -224,11 +186,7 @@ let analyze ?rt events =
     pm_verdict = verdict;
     pm_class =
       (match !outcome with
-      | Some "deadlock" ->
-        Some
-          (if knot = [] then Obs_detect.Weak
-           else if !delivered > 0 then Obs_detect.Local
-           else Obs_detect.Global)
+      | Some "deadlock" -> Some (Waitfor.classify ~cycle:knot ~delivered:(!delivered > 0))
       | _ -> None);
   }
 
@@ -242,7 +200,7 @@ let pp ?topo () ppf t =
   Format.fprintf ppf "outcome: %s%s at cycle %d@\n"
     (Option.value ~default:"(no run-end event)" t.pm_outcome)
     (match t.pm_class with
-    | Some c -> Printf.sprintf " (%s)" (Obs_detect.deadlock_class_string c)
+    | Some c -> Printf.sprintf " (%s)" (Waitfor.deadlock_class_string c)
     | None -> "")
     t.pm_last_cycle;
   (match t.pm_knot with

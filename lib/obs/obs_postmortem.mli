@@ -30,8 +30,10 @@ type t = {
   pm_waits : wait_edge list;  (** outstanding at end, sorted by label *)
   pm_owners : (Topology.channel * string) list;  (** held at end, sorted *)
   pm_knot : (string * Topology.channel) list;
-      (** (waiter, wanted channel) around the wait-for cycle, rotated to
-          start at the smallest label; [[]] when no knot exists *)
+      (** (waiter, wanted channel) around the first wait-for cycle that a
+          {!Waitfor.cycle} walk from the outstanding waiters in label order
+          runs into, rotated to start at the smallest label; [[]] when no
+          knot exists *)
   pm_cycle : Topology.channel list;
       (** the knot expanded to the full channel dependency cycle: each
           wanted channel followed by the rest of its holder's held chain *)
@@ -45,18 +47,18 @@ type t = {
   pm_verdict : (Cycle_analysis.analysis * Cycle_analysis.verdict) option;
       (** present when [rt] was given, a knot exists, and every edge of
           [pm_cycle] is a genuine CDG edge *)
-  pm_class : Obs_detect.deadlock_class option;
-      (** Stramaglia-Keiren-Zantema classification of a ["deadlock"]
-          outcome, [None] otherwise: [Weak] when the terminal wait-for
-          graph has no knot (an acyclic wedge -- a drain order exists, so
-          only faults produce it), [Local] when some message was delivered
-          before the network wedged, [Global] when none was (the paper's
-          Deadlock).  Agrees with the kernel's [d_class] on the same run. *)
+  pm_class : Waitfor.deadlock_class option;
+      (** {!Waitfor.classify} of a ["deadlock"] outcome, [None] otherwise:
+          [Weak] when the terminal wait-for graph has no knot (an acyclic
+          wedge -- a drain order exists, so only faults produce it),
+          [Local] when some message was delivered before the network
+          wedged, [Global] when none was (the paper's Deadlock).  Agrees
+          with the kernel's [d_class] on the same run. *)
 }
 
 val analyze : ?rt:Routing.t -> Obs_event.t list -> t
 (** Deterministic: all result lists are sorted, the knot is found by
-    chasing from labels in sorted order. *)
+    walking from labels in sorted order. *)
 
 val knot_channels : t -> Topology.channel list
 (** [pm_cycle]: the knot's channel dependency cycle (a CDG cycle whenever

@@ -59,7 +59,9 @@ let check ?(max_states = 2_000_000) ?(allow_stalls = false) rt msgs =
       else None
     end
   in
-  (* circular wait among in-network blocked messages = deadlock *)
+  (* circular wait among in-network blocked messages = deadlock; [next]
+     has no edge out of a pending or delivered message *)
+  let all = List.init nmsg Fun.id in
   let wait_cycle s own =
     let next i =
       if head s i < 0 then None
@@ -69,26 +71,7 @@ let check ?(max_states = 2_000_000) ?(allow_stalls = false) rt msgs =
           match Hashtbl.find_opt own c with Some j when j <> i -> Some j | _ -> None)
         | None -> None
     in
-    let rec chase seen i =
-      match next i with
-      | None -> None
-      | Some j ->
-        if List.mem j seen then
-          Some
-            (let rec drop = function
-               | [] -> []
-               | x :: rest -> if x = j then x :: rest else drop rest
-             in
-             drop (List.rev (i :: seen)))
-        else chase (i :: seen) j
-    in
-    let rec scan i =
-      if i >= nmsg then None
-      else if head s i >= 0 && not (delivered s i) then
-        match chase [] i with Some c -> Some c | None -> scan (i + 1)
-      else scan (i + 1)
-    in
-    scan 0
+    Waitfor.cycle ~next all
   in
   (* deterministic step given an award assignment (message -> awarded?) *)
   let step s awards =
@@ -171,12 +154,12 @@ let check ?(max_states = 2_000_000) ?(allow_stalls = false) rt msgs =
     let s, depth = Queue.pop queue in
     let own = owners s in
     (match wait_cycle s own with
-    | Some cyc ->
+    | _ :: _ as cyc ->
       outcome :=
         Some
           (Deadlock
              { states = !states; depth; cycle = List.map (fun i -> marr.(i).mc_label) cyc })
-    | None ->
+    | [] ->
       List.iter
           (fun s' ->
             if s' <> s && not (Hashtbl.mem visited s') then begin

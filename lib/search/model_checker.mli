@@ -18,7 +18,9 @@
 
     A state is deadlocked when the wait-for graph of in-network blocked
     messages contains a cycle: with oblivious single-path routing and no
-    preemption, a circular wait can never clear.
+    preemption, a circular wait can never clear.  The cycle is the first
+    one {!Waitfor.cycle} finds walking from the messages in list order,
+    reported in walk order (not rotated).
 
     The exploration is exact for one-flit buffers (the paper's worst case,
     Section 4), where a worm's occupancy is determined by its head position

@@ -73,9 +73,9 @@ type blocked_info = {
   b_holder : string option;
 }
 
-type deadlock_class = Obs_detect.deadlock_class = Global | Local | Weak
+type deadlock_class = Waitfor.deadlock_class = Global | Local | Weak
 
-let deadlock_class_string = Obs_detect.deadlock_class_string
+let deadlock_class_string = Waitfor.deadlock_class_string
 
 type deadlock_info = {
   d_cycle : int;
@@ -125,8 +125,12 @@ let is_deadlock = function
    index loops over unboxed ints with zero allocation.  Sentinel
    encodings: [-1] for "none" in channel/cycle-valued fields
    ([head_] -1 = not injected, [injected_at_]/[delivered_at_] -1 = never,
-   [waiting_]/[awarded_]/[wait_edge_] -1 = no channel), [max_int] for the
-   adaptive "not waiting" wait_since, and fates as small ints below.
+   [awarded_]/[wait_edge_] -1 = no channel), [max_int] for the adaptive
+   "not waiting" wait_since, and fates as small ints below.  [wait_edge_]
+   is the one wait-for column of both kernels: the channel an oblivious
+   message requests and has not won, or the first option an adaptive
+   claimant advertises after winning nothing; next to [owner] it is the
+   live wait-for graph.
    Booleans sit in {!Bitset}s ([arrived_], [hold_fresh_]) or a byte row
    ([progressed_], written for every live message every cycle).  Jagged
    rows ([path_], [occ_], [holds_], [forced_]) are plain int arrays
@@ -215,7 +219,6 @@ type msgs = {
   fate_ : int array;
   last_progress_ : int array;
   progressed_ : Bytes.t;
-  waiting_ : int array;
   wait_since_ : int array;
   awarded_ : int array;
   wait_edge_ : int array;
@@ -289,7 +292,6 @@ let make_msgs ~oblivious ~nchan cap =
     fate_ = Array.make cap f_live;
     last_progress_ = Array.make cap 0;
     progressed_ = Bytes.make cap '\000';
-    waiting_ = Array.make cap (-1);
     wait_since_ = Array.make cap 0;
     awarded_ = Array.make cap (-1);
     wait_edge_ = Array.make cap (-1);
@@ -502,8 +504,8 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
   let nmsg = List.length sched in
   let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; arrived_; injected_;
          consumed_; hold_; hold_fresh_; injected_at_; delivered_at_; released_; attempt_;
-         retries_; fate_; last_progress_; progressed_; waiting_; wait_since_; awarded_;
-         wait_edge_; forced_; rank_of; rank_labels; live; inject_opts; carved_mark; opt_tag_;
+         retries_; fate_; last_progress_; progressed_; wait_since_; awarded_; wait_edge_;
+         forced_; rank_of; rank_labels; live; inject_opts; carved_mark; opt_tag_;
          first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
     arena k nmsg
   in
@@ -666,7 +668,6 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
     retries_.(j) <- 0;
     fate_.(j) <- f_live;
     last_progress_.(j) <- 0;
-    waiting_.(j) <- -1;
     wait_since_.(j) <- (if oblivious then 0 else max_int);
     awarded_.(j) <- -1;
     wait_edge_.(j) <- -1;
@@ -1032,16 +1033,16 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           viol "E103" j
             (Printf.sprintf "release watermark %d outside [0, %d]" released_.(j) release_bound);
         if oblivious then begin
-          if waiting_.(j) >= 0 then begin
+          if wait_edge_.(j) >= 0 then begin
             if wait_since_.(j) < 0 || wait_since_.(j) > t then
               viol "E104" j
                 (Printf.sprintf "waiting for %s with seniority cycle %d outside [0, %d]"
-                   (Topology.channel_name topo waiting_.(j))
+                   (Topology.channel_name topo wait_edge_.(j))
                    wait_since_.(j) t);
-            if wanted_chan j <> waiting_.(j) then
+            if wanted_chan j <> wait_edge_.(j) then
               viol "E104" j
                 (Printf.sprintf "wait entry on %s but the message no longer wants it"
-                   (Topology.channel_name topo waiting_.(j)))
+                   (Topology.channel_name topo wait_edge_.(j)))
           end
         end
         else begin
@@ -1088,7 +1089,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
          detector would chase into nowhere -- only a not-yet-injected
          source-side waiter may legitimately wait while holding nothing. *)
       for j = 0 to nmsg - 1 do
-        let edge = if oblivious then waiting_.(j) else wait_edge_.(j) in
+        let edge = wait_edge_.(j) in
         if edge >= 0 then begin
           if fate_.(j) <> f_live then
             viol "E106" j
@@ -1113,16 +1114,12 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           emit (Obs_event.Channel_release { cycle = t; label = label j; channel = c })
       end
     done;
-    if oblivious then begin
-      if obs_on && waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
-      waiting_.(j) <- -1
-    end
-    else begin
-      (* retract the advertised wait-for edge: without this, a message
-         aborted mid-wait leaves a dangling edge on the stream that the
-         online detector would keep chasing (sanitizer E106) *)
-      if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
-      wait_edge_.(j) <- -1;
+    (* retract the advertised wait-for edge: without this, a message
+       aborted mid-wait leaves a dangling edge on the stream that the
+       online detector would keep chasing (sanitizer E106) *)
+    if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
+    wait_edge_.(j) <- -1;
+    if not oblivious then begin
       wait_since_.(j) <- max_int;
       plen_.(j) <- 0;  (* the carved route is forgotten; a retry carves afresh *)
       opt_h_.(j) <- min_int;  (* the memoized row belongs to the old path *)
@@ -1238,7 +1235,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       for li = 0 to nact - 1 do
         let j = live.(li) in
         (* a source still before its attempt window neither requests nor
-           waits (its [waiting_] is -1 by construction: every abort drains
+           waits (its [wait_edge_] is -1 by construction: every abort drains
            the wait entry) -- skip it outright *)
         if injected_.(j) = 0 && t < attempt_.(j) then ()
         else begin
@@ -1248,12 +1245,12 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
           && (head_.(j) >= 0 || (injected_.(j) = 0 && t >= attempt_.(j)))
           && owner.(c) <> j
         then begin
-          if waiting_.(j) <> c then begin
+          if wait_edge_.(j) <> c then begin
             if obs_on then begin
-              if waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
+              if wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
               emit (wait_add_event t ar owner j c)
             end;
-            waiting_.(j) <- c;
+            wait_edge_.(j) <- c;
             wait_since_.(j) <- t
           end;
           (* a down channel cannot be acquired, but the waiter keeps its
@@ -1282,8 +1279,8 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
              owns the channel it wants and its hop is merely fault-deferred:
              an owner is not a waiter, so it must not keep a seniority stamp
              (the sanitizer's E104 check relies on this) *)
-          if obs_on && waiting_.(j) >= 0 then emit (wait_drop_event t ar j waiting_.(j));
-          waiting_.(j) <- -1
+          if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
+          wait_edge_.(j) <- -1
         end
         end
       done;
@@ -1301,7 +1298,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             emit
               (Obs_event.Channel_acquire
                  { cycle = t; label = label j; channel = c; waited = t - cand_since.(c) });
-          waiting_.(j) <- -1;
+          wait_edge_.(j) <- -1;
           Bytes.unsafe_set progressed_ j '\001';
           moved := true
         end
@@ -1669,7 +1666,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       let waited = st.Obs_stats.st_waited and hol = st.Obs_stats.st_hol in
       for li = 0 to nact - 1 do
         let j = live.(li) in
-        let e = if oblivious then waiting_.(j) else wait_edge_.(j) in
+        let e = wait_edge_.(j) in
         if e >= 0 then begin
           waited.(e) <- waited.(e) + 1;
           st.Obs_stats.st_blocked <- st.Obs_stats.st_blocked + 1;
@@ -1686,7 +1683,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             let o = owner.(!scan_found) in
             if o < 0 then scan_flag := false
             else begin
-              let e' = if oblivious then waiting_.(o) else wait_edge_.(o) in
+              let e' = wait_edge_.(o) in
               if e' < 0 || e' = !scan_found then scan_flag := false
               else begin
                 scan_found := e';
@@ -1766,53 +1763,26 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
             (List.init nmsg (fun j -> j))
         in
         (* follow the wait-for edges (through the first option when
-           adaptive) from any blocked message to find a cycle *)
+           adaptive) from the undelivered messages to find a cycle *)
         let wait_cycle =
           let next i =
             let c = first_want_chan i t in
             if c >= 0 && owner.(c) >= 0 && owner.(c) <> i then Some owner.(c) else None
           in
-          let start =
-            List.filter (fun j -> delivered_at_.(j) < 0) (List.init nmsg (fun j -> j))
-          in
-          let rec chase seen i =
-            match next i with
-            | None -> None
-            | Some j ->
-              if List.mem j seen then begin
-                (* cut the prefix before the first occurrence of j *)
-                let rec drop = function
-                  | [] -> []
-                  | x :: rest -> if x = j then x :: rest else drop rest
-                in
-                Some (drop (List.rev (i :: seen)))
-              end
-              else chase (i :: seen) j
-          in
-          let rec try_starts = function
-            | [] -> []
-            | s :: rest -> (
-              match chase [] s with Some c -> List.map label c | None -> try_starts rest)
-          in
-          try_starts start
+          Waitfor.cycle ~next
+            (List.filter (fun j -> delivered_at_.(j) < 0) (List.init nmsg (fun j -> j)))
+          |> List.map label
         in
         (* Stramaglia-Keiren-Zantema classification from the terminal
            state.  No wait cycle means the blocked set is acyclic -- a
            topological drain order of the held channels exists, so the
            wedge is [Weak] (only faults produce this: a cycle-free waiter
-           on a live free channel would have won it).  A genuine cycle is
-           [Local] when other messages made it out, [Global] when nothing
-           was ever delivered -- the paper's Deadlock. *)
-        let d_class =
-          if wait_cycle = [] then Weak
-          else begin
-            scan_flag := false;
-            for j = 0 to nmsg - 1 do
-              if delivered_at_.(j) >= 0 then scan_flag := true
-            done;
-            if !scan_flag then Local else Global
-          end
-        in
+           on a live free channel would have won it). *)
+        scan_flag := false;
+        for j = 0 to nmsg - 1 do
+          if delivered_at_.(j) >= 0 then scan_flag := true
+        done;
+        let d_class = Waitfor.classify ~cycle:wait_cycle ~delivered:!scan_flag in
         outcome :=
           Some (Deadlock { d_cycle = t; d_class; d_blocked = blocked;
                            d_wait_cycle = wait_cycle; d_occupancy = occupancy ar nmsg })

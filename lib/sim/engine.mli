@@ -166,9 +166,9 @@ type blocked_info = {
 }
 
 (** The Stramaglia-Keiren-Zantema taxonomy, re-exported from
-    {!Obs_detect.deadlock_class} (the dependency-order home shared with
-    the detector and the post-mortem). *)
-type deadlock_class = Obs_detect.deadlock_class = Global | Local | Weak
+    {!Waitfor.deadlock_class}, the module that also finds and classifies
+    the wait-for cycles of the detector and the post-mortem. *)
+type deadlock_class = Waitfor.deadlock_class = Global | Local | Weak
 
 val deadlock_class_string : deadlock_class -> string
 (** ["global"], ["local"], ["weak"]. *)
@@ -176,12 +176,15 @@ val deadlock_class_string : deadlock_class -> string
 type deadlock_info = {
   d_cycle : int;  (** cycle at which the state became permanently blocked *)
   d_class : deadlock_class;
-      (** classification of the terminal blocked state: [Weak] when
+      (** {!Waitfor.classify} of the terminal blocked state: [Weak] when
           [d_wait_cycle] is empty (acyclic wedge -- a drain order exists;
           only faults produce this), else [Local] when some message was
           delivered, else [Global] (the paper's Deadlock) *)
   d_blocked : blocked_info list;
-  d_wait_cycle : string list;  (** labels of one cycle in the wait-for graph *)
+  d_wait_cycle : string list;
+      (** labels of the first wait-for cycle a {!Waitfor.cycle} walk from
+          the undelivered messages in schedule order runs into (through
+          the first option when adaptive), in walk order *)
   d_occupancy : (Topology.channel * string * int) list;
       (** channel, owning message, buffered flit count *)
 }
