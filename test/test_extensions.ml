@@ -110,7 +110,12 @@ let test_pwfg_of_snapshot () =
   in
   check (Alcotest.list Alcotest.string) "cycle" [ "a"; "b" ] (snapshot_cycle snap);
   let snap2 = { snap with Engine.s_waiting = [ ("a", 0, Some "b"); ("c", 2, Some "b") ] } in
-  check (Alcotest.list Alcotest.string) "chain acyclic" [] (snapshot_cycle snap2)
+  check (Alcotest.list Alcotest.string) "chain acyclic" [] (snapshot_cycle snap2);
+  (* a walk that runs into a cycle from outside returns the cycle alone *)
+  let snap3 =
+    { snap with Engine.s_waiting = [ ("a", 0, Some "b"); ("b", 1, Some "c"); ("c", 2, Some "b") ] }
+  in
+  check (Alcotest.list Alcotest.string) "tail cut" [ "b"; "c" ] (snapshot_cycle snap3)
 
 (* ---- input independence (Corollary 1) ---- *)
 
