@@ -52,6 +52,9 @@ let paper_net_of = function
   | _ -> None
 
 let main net dot no_search model_check =
+  (* the graph is written after the analysis: refuse a missing directory
+     before the analysis starts *)
+  Option.iter (Out_file.check_dir ~cli:"cdg_tool") dot;
   let rt = routing_of net in
   let report = Verify.analyze ~use_search:(not no_search) rt in
   Format.printf "%a@?" Verify.pp_report report;

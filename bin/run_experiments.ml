@@ -113,37 +113,36 @@ let write_json path ~quick ~domains ~claims ~failed timings =
    dependent, so folding them would break the byte-determinism contract
    (DESIGN.md §11).  Everything written here is identical at any --domains. *)
 let write_metrics path ~quick ~rows timings =
-  let reg = Obs_metrics.create () in
-  let quick_g =
-    Obs_metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
+  let family kind name help samples =
+    { Obs_metrics.f_name = name; f_kind = kind; f_help = help; f_samples = samples }
   in
-  Obs_metrics.set quick_g (if quick then 1 else 0);
-  let claims status =
-    Obs_metrics.counter reg ~help:"Campaign claims by verdict"
-      ~labels:[ ("status", status) ]
-      "wormhole_campaign_claims_total"
+  let sample labels value = { Obs_metrics.s_suffix = ""; s_labels = labels; s_value = value } in
+  let canonical tm = tm.tm_runs - tm.tm_cancelled in
+  let runs_of name =
+    List.fold_left (fun acc tm -> if tm.tm_name = name then acc + canonical tm else acc) 0 timings
   in
-  let ok_c = claims "ok" and failed_c = claims "failed" in
-  List.iter
-    (fun r -> Obs_metrics.inc (if r.Experiments.x_ok then ok_c else failed_c))
-    rows;
-  List.iter
-    (fun tm ->
-      let c =
-        Obs_metrics.counter reg
-          ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
-          ~labels:[ ("experiment", tm.tm_name) ]
-          "wormhole_campaign_experiment_runs_total"
-      in
-      Obs_metrics.add c (tm.tm_runs - tm.tm_cancelled))
-    timings;
-  let total =
-    Obs_metrics.counter reg ~help:"Canonical engine runs across the campaign"
-      "wormhole_campaign_runs_total"
-  in
-  Obs_metrics.add total
-    (List.fold_left (fun acc tm -> acc + (tm.tm_runs - tm.tm_cancelled)) 0 timings);
-  Out_file.write ~cli:"run_experiments" path (Obs_metrics.to_prometheus reg)
+  let ok = List.length (List.filter (fun r -> r.Experiments.x_ok) rows) in
+  (* families in name order; one series per experiment name, summed over
+     repeats, in name order *)
+  Out_file.write ~cli:"run_experiments" path
+    (Obs_metrics.to_prometheus
+       [
+         family Obs_metrics.Counter "wormhole_campaign_claims_total" "Campaign claims by verdict"
+           [
+             sample [ ("status", "failed") ] (List.length rows - ok);
+             sample [ ("status", "ok") ] ok;
+           ];
+         family Obs_metrics.Counter "wormhole_campaign_experiment_runs_total"
+           "Canonical engine runs per experiment (speculative cancelled runs excluded)"
+           (List.map
+              (fun name -> sample [ ("experiment", name) ] (runs_of name))
+              (List.sort_uniq compare (List.map (fun tm -> tm.tm_name) timings)));
+         family Obs_metrics.Gauge "wormhole_campaign_quick" "1 when the campaign ran with --quick"
+           [ sample [] (if quick then 1 else 0) ];
+         family Obs_metrics.Counter "wormhole_campaign_runs_total"
+           "Canonical engine runs across the campaign"
+           [ sample [] (List.fold_left (fun acc tm -> acc + canonical tm) 0 timings) ];
+       ])
 
 let main names quick max_p sanitize detect discipline domains json metrics verdicts latency =
   (match domains with

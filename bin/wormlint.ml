@@ -83,37 +83,41 @@ let run_synth json =
       results;
   if num_errors = 0 then 0 else 1
 
-(* Prometheus text file with the full (algorithm x severity) count matrix;
-   every cell is pre-registered so CI thresholds can distinguish "linted
-   clean" (0) from "not linted" (series absent). *)
+(* Prometheus text file with the full (algorithm x severity) count matrix:
+   every cell is present, zero when clean, so CI thresholds can tell
+   "linted clean" (0) from "not linted" (series absent).  A name linted
+   twice keeps one series per severity, counting both lints. *)
 let write_metrics path results =
-  let reg = Obs_metrics.create () in
-  let severities = [ Diagnostic.Error; Diagnostic.Warning; Diagnostic.Info ] in
-  let total s =
-    Obs_metrics.counter reg ~help:"Lint diagnostics by severity"
-      ~labels:[ ("severity", Diagnostic.severity_string s) ]
-      "wormlint_diagnostics_total"
+  let family name help samples =
+    { Obs_metrics.f_name = name; f_kind = Obs_metrics.Counter; f_help = help; f_samples = samples }
   in
-  let per_algo name s =
-    Obs_metrics.counter reg ~help:"Lint diagnostics by algorithm and severity"
-      ~labels:[ ("algorithm", name); ("severity", Diagnostic.severity_string s) ]
-      "wormlint_algorithm_diagnostics_total"
+  let sample labels value = { Obs_metrics.s_suffix = ""; s_labels = labels; s_value = value } in
+  (* in label order *)
+  let severities = [ Diagnostic.Error; Diagnostic.Info; Diagnostic.Warning ] in
+  let severity s = ("severity", Diagnostic.severity_string s) in
+  let count keep s =
+    List.fold_left (fun n (e, _, ds) -> if keep e then n + Diagnostic.count s ds else n) 0 results
   in
-  let algos =
-    Obs_metrics.counter reg ~help:"Algorithms linted" "wormlint_algorithms_total"
-  in
-  List.iter (fun s -> ignore (total s)) severities;
-  List.iter
-    (fun (e, _, ds) ->
-      Obs_metrics.inc algos;
-      List.iter
-        (fun s ->
-          let n = Diagnostic.count s ds in
-          Obs_metrics.add (total s) n;
-          Obs_metrics.add (per_algo e.Registry.r_name s) n)
-        severities)
-    results;
-  Out_file.write ~cli:"wormlint" path (Obs_metrics.to_prometheus reg)
+  let names = List.sort_uniq compare (List.map (fun (e, _, _) -> e.Registry.r_name) results) in
+  (* families in name order, series in label order *)
+  Out_file.write ~cli:"wormlint" path
+    (Obs_metrics.to_prometheus
+       [
+         family "wormlint_algorithm_diagnostics_total" "Lint diagnostics by algorithm and severity"
+           (List.concat_map
+              (fun name ->
+                List.map
+                  (fun s ->
+                    sample
+                      [ ("algorithm", name); severity s ]
+                      (count (fun e -> e.Registry.r_name = name) s))
+                  severities)
+              names);
+         family "wormlint_algorithms_total" "Algorithms linted"
+           [ sample [] (List.length results) ];
+         family "wormlint_diagnostics_total" "Lint diagnostics by severity"
+           (List.map (fun s -> sample [ severity s ] (count (fun _ -> true) s)) severities);
+       ])
 
 let lint_entries json fault_spec reroute_name all_flag metrics selection =
   let all = Registry.entries () in
@@ -208,7 +212,15 @@ let lint_entries json fault_spec reroute_name all_flag metrics selection =
   if num_errors = 0 then 0 else 1
 
 let main list corpus synth json fault_spec reroute_name all_flag domains metrics selection =
-  (match domains with None -> () | Some d -> Wr_pool.set_default_domains d);
+  (match domains with
+  | Some d when d < 1 ->
+    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
+    exit 2
+  | Some d -> Wr_pool.set_default_domains d
+  | None -> ());
+  (* the metrics file is written after the lints: refuse a missing
+     directory before the first lint runs *)
+  Option.iter (Out_file.check_dir ~cli:"wormlint") metrics;
   if list then list_registry ()
   else if corpus then run_corpus json
   else if synth then run_synth json

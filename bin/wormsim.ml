@@ -280,6 +280,9 @@ let run_oblivious ?obs ?stats topo rt sched config =
 let main topology dims routing pattern rate length horizon permutation seed buffer
     discipline_spec faults_spec recovery_on retry_limit watchdog detect detect_bound
     victim_policy witness trace_out stats_out =
+  (* the output files are written after the run: refuse a missing
+     directory before the run starts *)
+  List.iter (Option.iter (Out_file.check_dir ~cli:"wormsim")) [ trace_out; stats_out ];
   try
     let rng = Rng.create seed in
     let discipline =

@@ -11,7 +11,7 @@ let route_error_diag (e : Routing.error) =
     e.Routing.e_message
     ~context:[ ("algorithm", e.Routing.e_algorithm) ]
 
-let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) ?(max_cycles = 64) rt =
+let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) rt =
   let topo = Routing.topology rt in
   let n = Topology.num_nodes topo in
   let nchan = Topology.num_channels topo in
@@ -98,7 +98,7 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) ?(max_c
                 (Diagnostic.info "I023" subject
                    ("deadlock-reachable cycle (expected for this network): " ^ why)
                    ~context:ctx))
-        (Cdg.elementary_cycles ~max_cycles cdg)
+        (Cdg.elementary_cycles ~max_cycles:64 cdg)
     end
   end);
   Diagnostic.by_severity (List.rev !diags)

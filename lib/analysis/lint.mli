@@ -53,14 +53,13 @@
 val algorithm :
   ?declared_minimal:bool ->
   ?expect_deadlock_free:bool ->
-  ?max_cycles:int ->
   Routing.t ->
   Diagnostic.t list
 (** Run the full static battery over an oblivious algorithm.
     [declared_minimal] (default false) arms the [E011] minimality lint;
     [expect_deadlock_free] (default true) decides whether a theorem-certified
     reachable cycle is an error ([E022]) or the documented expectation
-    ([I023]).  CDG cycle enumeration stops after [max_cycles] (default 64).
+    ([I023]).  CDG cycle enumeration stops after 64 cycles.
     Diagnostics are returned errors-first. *)
 
 val adaptive :

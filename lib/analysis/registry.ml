@@ -107,7 +107,7 @@ let diagnostic_codes : (string * Diagnostic.severity * string) list =
     ("W021", Diagnostic.Warning, "CDG cycle outside the Theorem 2-5 cases, needs dynamic search");
     ("E022", Diagnostic.Error, "reachable CDG cycle in an algorithm declared deadlock-free");
     ("I023", Diagnostic.Info, "reachable CDG cycle in a declared-deadlocking counterexample");
-    ("E030", Diagnostic.Error, "escape channel is never among the adaptive options");
+    ("E030", Diagnostic.Error, "Duato escape subfunction is not connected");
     ("E031", Diagnostic.Error, "extended CDG cycle breaks Duato coverage (declared deadlock-free)");
     ("I032", Diagnostic.Info, "extended CDG cycle in a declared-deadlocking adaptive algorithm");
     ("E040", Diagnostic.Error, "fault plan references a channel outside the topology");
@@ -132,7 +132,7 @@ let diagnostic_codes : (string * Diagnostic.severity * string) list =
     ("E091", Diagnostic.Error, "search layer: reported deadlock has no wait-for cycle");
     ("E101", Diagnostic.Error, "sanitizer: flit conservation violated");
     ("E102", Diagnostic.Error, "sanitizer: buffer occupancy out of bounds");
-    ("E103", Diagnostic.Error, "sanitizer: channel hold inconsistent with message state");
+    ("E103", Diagnostic.Error, "sanitizer: buffered flit outside the release-watermark-to-header window");
     ("E104", Diagnostic.Error, "sanitizer: wait-for bookkeeping inconsistent");
     ("E105", Diagnostic.Error, "sanitizer: recovery invariant broken (retries or watchdog bound)");
     ("E106", Diagnostic.Error, "sanitizer: wait-for edge inconsistent with message state");
@@ -141,10 +141,10 @@ let diagnostic_codes : (string * Diagnostic.severity * string) list =
 let find_code c =
   List.find_opt (fun (code, _, _) -> code = c) diagnostic_codes
 
-let lint ?max_cycles e =
+let lint e =
   match e.r_algo with
   | Oblivious rt ->
-    Lint.algorithm ?max_cycles ~declared_minimal:e.r_declared_minimal
+    Lint.algorithm ~declared_minimal:e.r_declared_minimal
       ~expect_deadlock_free:e.r_expect_deadlock_free rt
   | Adaptive (ad, escape) ->
     Lint.adaptive ~expect_deadlock_free:e.r_expect_deadlock_free ?escape ad

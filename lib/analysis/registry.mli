@@ -31,7 +31,7 @@ val find : string -> entry option
 
 val topology : entry -> Topology.t
 
-val lint : ?max_cycles:int -> entry -> Diagnostic.t list
+val lint : entry -> Diagnostic.t list
 (** Run {!Lint.algorithm} or {!Lint.adaptive} with the entry's
     declarations. *)
 

@@ -48,8 +48,6 @@ let build rt =
   Array.iteri (fun i l -> users.(i) <- List.rev l) users;
   { rt; nchan; succs = succ_sets; support; users; paths }
 
-let routing t = t.rt
-
 let topology t = Routing.topology t.rt
 
 let num_edges t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs

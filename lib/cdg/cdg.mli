@@ -17,7 +17,6 @@ val build : Routing.t -> t
 (** Walk all source/destination paths and record dependencies.  Pairs whose
     path is invalid are skipped ({!Routing.validate} reports those). *)
 
-val routing : t -> Routing.t
 val topology : t -> Topology.t
 
 val num_edges : t -> int

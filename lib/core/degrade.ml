@@ -12,7 +12,7 @@ type t = {
 let certified t =
   match t.certification with Acyclic _ | Cyclic_safe _ -> true | Uncertified _ -> false
 
-let reroute ?(quick = true) ?(use_search = true) ~failed base =
+let reroute ?(quick = true) ~failed base =
   match Routing.avoiding ~failed base with
   | exception Invalid_argument e -> Error e
   | routing -> (
@@ -24,7 +24,7 @@ let reroute ?(quick = true) ?(use_search = true) ~failed base =
         match Cdg.numbering cdg with
         | Some f -> Acyclic f
         | None -> (
-          let report = Verify.analyze ~quick ~use_search routing in
+          let report = Verify.analyze ~quick routing in
           match report.Verify.conclusion with
           | Verify.Deadlock_free why -> Cyclic_safe why
           | Verify.Deadlocks why -> Uncertified ("confirmed deadlock: " ^ why)

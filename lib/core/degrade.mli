@@ -27,7 +27,6 @@ type t = {
 
 val reroute :
   ?quick:bool ->
-  ?use_search:bool ->
   failed:Topology.channel list ->
   Routing.t ->
   (t, string) result
@@ -35,10 +34,10 @@ val reroute :
     delivers every source/destination pair of the degraded network
     ({!Routing.validate}), and certifies it.  [Error] means some pair is
     undeliverable (network disconnected by the failures) or the wrapper is
-    malformed; the message names the first failing pair.  [quick] and
-    [use_search] are passed to {!Verify.analyze} when the CDG is cyclic
-    (defaults [true] / [true]: trimmed search keeps reroute cheap enough
-    for recovery paths). *)
+    malformed; the message names the first failing pair.  When the CDG is
+    cyclic, {!Verify.analyze} certifies it with its schedule search on,
+    trimmed when [quick] (default [true]) so that reroute stays cheap
+    enough for recovery paths. *)
 
 val certified : t -> bool
 (** [true] for [Acyclic] and [Cyclic_safe]. *)

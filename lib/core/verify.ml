@@ -61,7 +61,7 @@ let search_cycle ~quick rt analysis =
     Some (Explorer.explore rt space)
   end
 
-let analyze ?(use_search = true) ?(quick = false) ?(max_cycles_enumerated = 100) rt =
+let analyze ?(use_search = true) ?(quick = false) rt =
   let properties = Properties.summary rt in
   let prop name =
     match List.assoc_opt name properties with
@@ -73,7 +73,7 @@ let analyze ?(use_search = true) ?(quick = false) ?(max_cycles_enumerated = 100)
   let numbering = Cdg.numbering cdg in
   let cycles =
     if acyclic then []
-    else Cdg.elementary_cycles ~max_cycles:max_cycles_enumerated cdg
+    else Cdg.elementary_cycles ~max_cycles:100 cdg
   in
   let cycle_reports =
     List.map

@@ -39,13 +39,12 @@ type report = {
   conclusion : conclusion;
 }
 
-val analyze :
-  ?use_search:bool -> ?quick:bool -> ?max_cycles_enumerated:int -> Routing.t -> report
+val analyze : ?use_search:bool -> ?quick:bool -> Routing.t -> report
 (** [use_search] (default true) controls whether undecided cycles are
     checked by simulation; with [false] those become [Unknown] /
     theorem-verdict-only.  [quick] (default false) trims the search space
     (single-flit buffers, order-following arbitration) for fast passes.
-    [max_cycles_enumerated] (default 100) bounds Johnson enumeration. *)
+    Johnson enumeration stops after 100 cycles. *)
 
 val diagnostics : report -> Diagnostic.t list
 (** The report as structured diagnostics, severity-sorted: the conclusion

@@ -109,5 +109,3 @@ val scan : config -> Obs_event.t list -> detection list
     boundary and for [bound] trailing cycles past the final event so
     candidates that were quiescent when the run ended still confirm.
     Plan-announcement [Fault] events do not advance the replay clock. *)
-
-val pp_detection : ?topo:Topology.t -> unit -> Format.formatter -> detection -> unit

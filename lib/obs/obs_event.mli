@@ -79,14 +79,10 @@ type t =
       (** detection-triggered recovery aborted this knot member; the
           matching {!Abort} event (reason ["deadlock"]) follows *)
 
-val flit_kind_string : flit_kind -> string
 val fault_kind_string : fault_kind -> string
 
 val cycle_of : t -> int option
 (** The simulation cycle the event belongs to, when it has one. *)
-
-val pp : ?topo:Topology.t -> unit -> Format.formatter -> t -> unit
-(** One line per event; channel ids resolve to names when [topo] is given. *)
 
 type sink = { emit : t -> unit }
 (** A per-run event consumer.  Emitting is observation only: a run takes

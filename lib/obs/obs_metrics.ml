@@ -1,51 +1,18 @@
-(* Domain-safe metrics registry.
+(* Prometheus text exposition: families and samples print in the order the
+   caller gives them, so the text is a pure function of the list. *)
 
-   Instruments are Atomic-backed so concurrent engine runs on helper domains
-   can bump them without locks; the registry table itself is mutex-protected
-   (registration is rare, updates are hot).  Rendering sorts families by
-   name and series by label text, so the output is a pure function of the
-   recorded values -- byte-deterministic whenever the values are. *)
+type kind = Counter | Gauge | Histogram
 
-type counter = int Atomic.t
-type gauge = int Atomic.t
+type sample = { s_suffix : string; s_labels : (string * string) list; s_value : int }
 
-type histogram = {
-  h_bounds : int array;  (* strictly increasing upper bounds *)
-  h_counts : int Atomic.t array;  (* one per bound, plus the +Inf overflow *)
-  h_sum : int Atomic.t;
-}
+type family = { f_name : string; f_kind : kind; f_help : string; f_samples : sample list }
 
-type instrument =
-  | Counter of counter
-  | Gauge of gauge
-  | Histogram of histogram
+let kind_string = function
+  | Counter -> "counter"
+  | Gauge -> "gauge"
+  | Histogram -> "histogram"
 
-type series = { s_labels : (string * string) list; s_instrument : instrument }
-
-type family = {
-  f_name : string;
-  f_kind : string;  (* "counter" | "gauge" | "histogram" *)
-  f_help : string;
-  mutable f_series : series list;  (* guarded by the registry lock *)
-}
-
-type t = {
-  lock : Mutex.t;
-  families : (string, family) Hashtbl.t;  (* guarded by [lock] *)
-}
-
-let create () = { lock = Mutex.create (); families = Hashtbl.create 32 }
-
-let valid_name name =
-  name <> ""
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-         || c = '_' || c = ':')
-       name
-
-let label_text labels =
-  match labels with
+let label_text = function
   | [] -> ""
   | labels ->
     "{"
@@ -53,184 +20,15 @@ let label_text labels =
         (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Diagnostic.json_escape v)) labels)
     ^ "}"
 
-let register reg ~kind ~help ~labels name make =
-  if not (valid_name name) then invalid_arg ("Obs_metrics: bad metric name " ^ name);
-  let labels = List.sort compare labels in
-  Mutex.lock reg.lock;
-  let fam =
-    match Hashtbl.find_opt reg.families name with
-    | Some f ->
-      if f.f_kind <> kind then begin
-        Mutex.unlock reg.lock;
-        invalid_arg
-          (Printf.sprintf "Obs_metrics: %s already registered as a %s" name f.f_kind)
-      end;
-      f
-    | None ->
-      let f = { f_name = name; f_kind = kind; f_help = help; f_series = [] } in
-      Hashtbl.add reg.families name f;
-      f
-  in
-  let inst =
-    match List.find_opt (fun s -> s.s_labels = labels) fam.f_series with
-    | Some s -> s.s_instrument
-    | None ->
-      let inst = make () in
-      fam.f_series <- { s_labels = labels; s_instrument = inst } :: fam.f_series;
-      inst
-  in
-  Mutex.unlock reg.lock;
-  inst
-
-let counter reg ?(help = "") ?(labels = []) name =
-  match register reg ~kind:"counter" ~help ~labels name (fun () -> Counter (Atomic.make 0)) with
-  | Counter c -> c
-  | Gauge _ | Histogram _ -> assert false
-
-let gauge reg ?(help = "") ?(labels = []) name =
-  match register reg ~kind:"gauge" ~help ~labels name (fun () -> Gauge (Atomic.make 0)) with
-  | Gauge g -> g
-  | Counter _ | Histogram _ -> assert false
-
-let histogram reg ?(help = "") ?(labels = []) ~buckets name =
-  if buckets = [] then invalid_arg "Obs_metrics.histogram: empty bucket list";
-  let sorted = List.sort_uniq compare buckets in
-  if sorted <> buckets then
-    invalid_arg "Obs_metrics.histogram: bucket bounds must be strictly increasing";
-  let make () =
-    Histogram
-      {
-        h_bounds = Array.of_list buckets;
-        h_counts = Array.init (List.length buckets + 1) (fun _ -> Atomic.make 0);
-        h_sum = Atomic.make 0;
-      }
-  in
-  match register reg ~kind:"histogram" ~help ~labels name make with
-  | Histogram h ->
-    if h.h_bounds <> Array.of_list buckets then
-      invalid_arg ("Obs_metrics.histogram: " ^ name ^ " re-registered with different buckets");
-    h
-  | Counter _ | Gauge _ -> assert false
-
-let inc c = Atomic.incr c
-let add c n = if n < 0 then invalid_arg "Obs_metrics.add: negative" else ignore (Atomic.fetch_and_add c n)
-let set g v = Atomic.set g v
-let gauge_add g n = ignore (Atomic.fetch_and_add g n)
-
-let observe h v =
-  let n = Array.length h.h_bounds in
-  let rec slot i = if i >= n || v <= h.h_bounds.(i) then i else slot (i + 1) in
-  Atomic.incr h.h_counts.(slot 0);
-  ignore (Atomic.fetch_and_add h.h_sum v)
-
-let value c = Atomic.get c
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-
-let sorted_families reg =
-  Mutex.lock reg.lock;
-  let fams = Hashtbl.fold (fun _ f acc -> f :: acc) reg.families [] in
-  let fams =
-    List.map
-      (fun f -> (f, List.sort (fun a b -> compare a.s_labels b.s_labels) f.f_series))
-      fams
-  in
-  Mutex.unlock reg.lock;
-  List.sort (fun (a, _) (b, _) -> compare a.f_name b.f_name) fams
-
-let to_prometheus reg =
+let to_prometheus families =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (f, series) ->
-      if f.f_help <> "" then
-        Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" f.f_name f.f_help);
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" f.f_name f.f_kind);
+    (fun f ->
+      Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" f.f_name f.f_help f.f_name
+        (kind_string f.f_kind);
       List.iter
         (fun s ->
-          match s.s_instrument with
-          | Counter a | Gauge a ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s%s %d\n" f.f_name (label_text s.s_labels) (Atomic.get a))
-          | Histogram h ->
-            let cum = ref 0 in
-            Array.iteri
-              (fun i cnt ->
-                cum := !cum + Atomic.get cnt;
-                if i < Array.length h.h_bounds then
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                       (label_text (s.s_labels @ [ ("le", string_of_int h.h_bounds.(i)) ]))
-                       !cum))
-              h.h_counts;
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                 (label_text (s.s_labels @ [ ("le", "+Inf") ]))
-                 !cum);
-            Buffer.add_string buf
-              (Printf.sprintf "%s_sum%s %d\n" f.f_name (label_text s.s_labels)
-                 (Atomic.get h.h_sum));
-            Buffer.add_string buf
-              (Printf.sprintf "%s_count%s %d\n" f.f_name (label_text s.s_labels) !cum))
-        series)
-    (sorted_families reg);
+          Printf.bprintf buf "%s%s%s %d\n" f.f_name s.s_suffix (label_text s.s_labels) s.s_value)
+        f.f_samples)
+    families;
   Buffer.contents buf
-
-let to_json reg =
-  let buf = Buffer.create 1024 in
-  let labels_json labels =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (Diagnostic.json_escape k)
-               (Diagnostic.json_escape v))
-           labels)
-    ^ "}"
-  in
-  Buffer.add_string buf "{\"schema\":\"wormhole-metrics/1\",\"metrics\":[";
-  let first = ref true in
-  List.iter
-    (fun (f, series) ->
-      List.iter
-        (fun s ->
-          if not !first then Buffer.add_string buf ",";
-          first := false;
-          (match s.s_instrument with
-          | Counter a | Gauge a ->
-            Buffer.add_string buf
-              (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"labels\":%s,\"value\":%d}"
-                 f.f_name f.f_kind (labels_json s.s_labels) (Atomic.get a))
-          | Histogram h ->
-            let buckets =
-              String.concat ","
-                (Array.to_list
-                   (Array.mapi
-                      (fun i b ->
-                        Printf.sprintf "{\"le\":%d,\"count\":%d}" b (Atomic.get h.h_counts.(i)))
-                      h.h_bounds))
-            in
-            let overflow = Atomic.get h.h_counts.(Array.length h.h_bounds) in
-            let count = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.h_counts in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"kind\":\"histogram\",\"labels\":%s,\"buckets\":[%s],\"overflow\":%d,\"sum\":%d,\"count\":%d}"
-                 f.f_name (labels_json s.s_labels) buckets overflow (Atomic.get h.h_sum) count)))
-        series)
-    (sorted_families reg);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-let snapshot reg =
-  List.concat_map
-    (fun (f, series) ->
-      List.concat_map
-        (fun s ->
-          let tag = f.f_name ^ label_text s.s_labels in
-          match s.s_instrument with
-          | Counter a | Gauge a -> [ (tag, Atomic.get a) ]
-          | Histogram h ->
-            let count = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.h_counts in
-            [ (tag ^ "_count", count); (tag ^ "_sum", Atomic.get h.h_sum) ])
-        series)
-    (sorted_families reg)

@@ -1,61 +1,31 @@
-(** Domain-safe metrics registry.
+(** Prometheus text exposition (format 0.0.4): the one writer behind every
+    [.prom] file the programs emit.
 
-    Counters, gauges, and fixed-bucket histograms backed by [Atomic] cells:
-    helper domains update instruments without locking, and the registry
-    table itself is mutex-protected.  Rendering is sorted by (family name,
-    label set), so the text and JSON expositions are pure functions of the
-    recorded values — byte-deterministic whenever the recorded values are
-    (see DESIGN.md §11 for the multicore determinism contract).
+    A caller builds its families after the work is done, in the order they
+    should appear, and hands them over once; the writer sorts nothing and
+    keeps no state, so its text is a pure function of the list and
+    byte-deterministic whenever the values are (DESIGN.md §11). *)
 
-    Registration is upserting: asking for an existing (name, labels) pair
-    returns the existing instrument, so call sites need no coordination.
-    Re-registering a name with a different kind, or a histogram with
-    different buckets, raises [Invalid_argument]. *)
+type kind = Counter | Gauge | Histogram
 
-type t
-(** A registry: a mutable collection of metric families. *)
+type sample = {
+  s_suffix : string;
+      (** appended to the family name: [""] for a counter or gauge,
+          ["_bucket"], ["_sum"] or ["_count"] for a histogram *)
+  s_labels : (string * string) list;  (** printed in the order given *)
+  s_value : int;
+}
 
-type counter
-(** Monotonically increasing integer. *)
+type family = {
+  f_name : string;
+  f_kind : kind;
+  f_help : string;
+  f_samples : sample list;
+}
 
-type gauge
-(** Arbitrary integer that can go up and down. *)
-
-type histogram
-(** Fixed integer bucket bounds; cumulative rendering per Prometheus. *)
-
-val create : unit -> t
-
-val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
-(** [counter reg name] registers (or finds) a counter series. [help] is
-    kept from the first registration of the family. *)
-
-val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
-
-val histogram :
-  t -> ?help:string -> ?labels:(string * string) list -> buckets:int list -> string -> histogram
-(** [buckets] are strictly increasing upper bounds; an implicit [+Inf]
-    overflow bucket is always appended. *)
-
-val inc : counter -> unit
-val add : counter -> int -> unit
-(** Raises [Invalid_argument] on a negative increment. *)
-
-val set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
-val observe : histogram -> int -> unit
-val value : counter -> int
-(** Current value of a counter or gauge (they share a representation). *)
-
-val to_prometheus : t -> string
-(** Prometheus text exposition format, version 0.0.4: [# HELP] / [# TYPE]
-    headers, histograms as cumulative [_bucket{le="..."}] plus [_sum] and
-    [_count]. Families sorted by name, series by label set. *)
-
-val to_json : t -> string
-(** Same content as a single-line JSON document,
-    schema ["wormhole-metrics/1"]. *)
-
-val snapshot : t -> (string * int) list
-(** Flat [("name{labels}", value)] view for tests and bench reporting;
-    histograms contribute ["..._count"] and ["..._sum"] entries. *)
+val to_prometheus : family list -> string
+(** [# HELP] and [# TYPE] lines per family, then one line per sample, all
+    in list order.  Label values are escaped with
+    {!Diagnostic.json_escape}.  A histogram's samples are the caller's
+    cumulative [_bucket] series (labels ending in [le]), then [_sum] and
+    [_count]. *)

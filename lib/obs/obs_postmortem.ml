@@ -47,8 +47,6 @@ type t = {
   pm_class : Waitfor.deadlock_class option;  (* Some only on a "deadlock" outcome *)
 }
 
-let knot_channels t = t.pm_cycle
-
 let analyze ?rt events =
   let owners : (Topology.channel, string * int) Hashtbl.t = Hashtbl.create 16 in
   let waits : (string, Topology.channel * int * string option) Hashtbl.t = Hashtbl.create 16 in

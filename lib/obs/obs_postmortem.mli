@@ -36,7 +36,9 @@ type t = {
           knot exists *)
   pm_cycle : Topology.channel list;
       (** the knot expanded to the full channel dependency cycle: each
-          wanted channel followed by the rest of its holder's held chain *)
+          wanted channel followed by the rest of its holder's held chain
+          (a CDG cycle whenever the held chains reflect genuine path
+          order) *)
   pm_occupancy : occupancy list;  (** chronological *)
   pm_aborts : (string * int) list;
   pm_detections : (int * string list) list;
@@ -59,10 +61,6 @@ type t = {
 val analyze : ?rt:Routing.t -> Obs_event.t list -> t
 (** Deterministic: all result lists are sorted, the knot is found by
     walking from labels in sorted order. *)
-
-val knot_channels : t -> Topology.channel list
-(** [pm_cycle]: the knot's channel dependency cycle (a CDG cycle whenever
-    the held chains reflect genuine path order). *)
 
 val pp : ?topo:Topology.t -> unit -> Format.formatter -> t -> unit
 val render : ?topo:Topology.t -> t -> string

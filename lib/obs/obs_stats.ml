@@ -58,27 +58,6 @@ let create ~nchan =
     st_classes = Array.make (Array.length classes) 0;
   }
 
-let reset t =
-  Array.fill t.st_owned 0 (Array.length t.st_owned) 0;
-  Array.fill t.st_busy 0 (Array.length t.st_busy) 0;
-  Array.fill t.st_acquired 0 (Array.length t.st_acquired) 0;
-  Array.fill t.st_waited 0 (Array.length t.st_waited) 0;
-  Array.fill t.st_hol 0 (Array.length t.st_hol) 0;
-  Array.fill t.st_lat_counts 0 (n_buckets + 1) 0;
-  t.st_lat_sum <- 0;
-  t.st_lat_max <- 0;
-  t.st_delivered <- 0;
-  t.st_blocked <- 0;
-  t.st_runs <- 0;
-  t.st_cycles <- 0;
-  t.st_ph_arb <- 0;
-  t.st_ph_claim <- 0;
-  t.st_ph_advance <- 0;
-  t.st_ph_fault <- 0;
-  t.st_ph_detect <- 0;
-  Array.fill t.st_disc_runs 0 (Array.length t.st_disc_runs) 0;
-  Array.fill t.st_classes 0 (Array.length t.st_classes) 0
-
 let merge ~into src =
   if into.st_nchan <> src.st_nchan then
     invalid_arg
@@ -207,96 +186,63 @@ let active t c =
   || t.st_hol.(c) > 0
 
 let to_prometheus ?topo t =
-  let buf = Buffer.create 4096 in
-  let family name kind help value_of =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
-    for c = 0 to t.st_nchan - 1 do
-      if active t c then
-        Buffer.add_string buf
-          (Printf.sprintf "%s{channel=\"%s\"} %d\n" name
-             (Diagnostic.json_escape (chan_name topo c))
-             (value_of c))
-    done
+  let sample suffix labels value =
+    { Obs_metrics.s_suffix = suffix; s_labels = labels; s_value = value }
   in
-  let scalar name kind help v =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
-    Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
+  let family kind name help samples =
+    { Obs_metrics.f_name = name; f_kind = kind; f_help = help; f_samples = samples }
   in
-  (* families in name order, matching Obs_metrics's sorted rendering *)
-  family "wormhole_stats_channel_acquisitions_total" "counter"
-    "successful channel acquisitions (awards/claims)" (fun c ->
-      t.st_acquired.(c));
-  family "wormhole_stats_channel_busy_cycles_total" "counter"
-    "cycles the channel held at least one buffered flit" (fun c ->
-      t.st_busy.(c));
-  family "wormhole_stats_channel_hol_blocked_cycles_total" "counter"
-    "waiter-cycles attributed to the channel as head of the wait chain"
-    (fun c -> t.st_hol.(c));
-  family "wormhole_stats_channel_owned_cycles_total" "counter"
-    "cycles the channel was owned by some message" (fun c -> t.st_owned.(c));
-  family "wormhole_stats_channel_wait_cycles_total" "counter"
-    "waiter-cycles spent blocked on the channel" (fun c -> t.st_waited.(c));
-  scalar "wormhole_stats_cycles_total" "counter" "kernel cycles accumulated"
-    t.st_cycles;
-  Buffer.add_string buf
-    "# HELP wormhole_stats_deadlocks_total deadlock outcomes by Stramaglia-Keiren-Zantema class\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_deadlocks_total counter\n";
-  Array.iteri
-    (fun i cls ->
-      Buffer.add_string buf
-        (Printf.sprintf "wormhole_stats_deadlocks_total{class=\"%s\"} %d\n" cls
-           t.st_classes.(i)))
-    classes;
-  scalar "wormhole_stats_delivered_total" "counter" "messages delivered"
-    t.st_delivered;
-  Buffer.add_string buf
-    "# HELP wormhole_stats_latency_cycles injection-to-delivery latency\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_latency_cycles histogram\n";
-  let cum = ref 0 in
-  for i = 0 to n_buckets - 1 do
-    cum := !cum + t.st_lat_counts.(i);
-    Buffer.add_string buf
-      (Printf.sprintf "wormhole_stats_latency_cycles_bucket{le=\"%d\"} %d\n"
-         lat_bounds.(i) !cum)
-  done;
-  cum := !cum + t.st_lat_counts.(n_buckets);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_bucket{le=\"+Inf\"} %d\n"
-       !cum);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_sum %d\n" t.st_lat_sum);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_count %d\n" t.st_delivered);
-  Buffer.add_string buf
-    "# HELP wormhole_stats_phase_work_total per-phase message visits\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_phase_work_total counter\n";
-  List.iter
-    (fun (phase, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "wormhole_stats_phase_work_total{phase=\"%s\"} %d\n"
-           phase v))
+  let counter = family Obs_metrics.Counter in
+  let scalar name help v = counter name help [ sample "" [] v ] in
+  let labelled label names values =
+    Array.to_list (Array.mapi (fun i n -> sample "" [ (label, n) ] values.(i)) names)
+  in
+  (* one series per active channel, in channel-id order *)
+  let per_channel name help value_of =
+    counter name help
+      (List.filter_map
+         (fun c ->
+           if active t c then Some (sample "" [ ("channel", chan_name topo c) ] (value_of c))
+           else None)
+         (List.init t.st_nchan Fun.id))
+  in
+  let buckets =
+    let cum = ref 0 in
+    List.init (n_buckets + 1) (fun i ->
+        cum := !cum + t.st_lat_counts.(i);
+        let le = if i < n_buckets then string_of_int lat_bounds.(i) else "+Inf" in
+        sample "_bucket" [ ("le", le) ] !cum)
+  in
+  (* families in name order *)
+  Obs_metrics.to_prometheus
     [
-      ("advance", t.st_ph_advance);
-      ("arbitration", t.st_ph_arb);
-      ("claims", t.st_ph_claim);
-      ("detect", t.st_ph_detect);
-      ("fault", t.st_ph_fault);
-    ];
-  Buffer.add_string buf
-    "# HELP wormhole_stats_runs_by_discipline_total runs per switching discipline\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_runs_by_discipline_total counter\n";
-  Array.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "wormhole_stats_runs_by_discipline_total{discipline=\"%s\"} %d\n" d
-           t.st_disc_runs.(i)))
-    disciplines;
-  scalar "wormhole_stats_runs_total" "counter" "simulator runs accumulated"
-    t.st_runs;
-  Buffer.contents buf
+      per_channel "wormhole_stats_channel_acquisitions_total"
+        "successful channel acquisitions (awards/claims)" (fun c -> t.st_acquired.(c));
+      per_channel "wormhole_stats_channel_busy_cycles_total"
+        "cycles the channel held at least one buffered flit" (fun c -> t.st_busy.(c));
+      per_channel "wormhole_stats_channel_hol_blocked_cycles_total"
+        "waiter-cycles attributed to the channel as head of the wait chain" (fun c ->
+          t.st_hol.(c));
+      per_channel "wormhole_stats_channel_owned_cycles_total"
+        "cycles the channel was owned by some message" (fun c -> t.st_owned.(c));
+      per_channel "wormhole_stats_channel_wait_cycles_total"
+        "waiter-cycles spent blocked on the channel" (fun c -> t.st_waited.(c));
+      scalar "wormhole_stats_cycles_total" "kernel cycles accumulated" t.st_cycles;
+      counter "wormhole_stats_deadlocks_total"
+        "deadlock outcomes by Stramaglia-Keiren-Zantema class"
+        (labelled "class" classes t.st_classes);
+      scalar "wormhole_stats_delivered_total" "messages delivered" t.st_delivered;
+      family Obs_metrics.Histogram "wormhole_stats_latency_cycles"
+        "injection-to-delivery latency"
+        (buckets @ [ sample "_sum" [] t.st_lat_sum; sample "_count" [] t.st_delivered ]);
+      counter "wormhole_stats_phase_work_total" "per-phase message visits"
+        (labelled "phase"
+           [| "advance"; "arbitration"; "claims"; "detect"; "fault" |]
+           [| t.st_ph_advance; t.st_ph_arb; t.st_ph_claim; t.st_ph_detect; t.st_ph_fault |]);
+      counter "wormhole_stats_runs_by_discipline_total" "runs per switching discipline"
+        (labelled "discipline" disciplines t.st_disc_runs);
+      scalar "wormhole_stats_runs_total" "simulator runs accumulated" t.st_runs;
+    ]
 
 let to_json ?topo t =
   let buf = Buffer.create 4096 in
@@ -354,7 +300,8 @@ let to_json ?topo t =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let heatmap ?(width = 40) ?topo t =
+let heatmap ?topo t =
+  let width = 40 in
   let actives = ref [] in
   for c = t.st_nchan - 1 downto 0 do
     if active t c then actives := c :: !actives
@@ -388,7 +335,7 @@ let heatmap ?(width = 40) ?topo t =
         channels;
       Buffer.contents buf
 
-let summary ?(top = 3) ?topo t =
+let summary ?topo t =
   let buf = Buffer.create 512 in
   let tbl = Table.create ~aligns:[ Table.Left; Table.Right ] [ "metric"; "value" ] in
   let pct q =
@@ -426,7 +373,7 @@ let summary ?(top = 3) ?topo t =
   Table.add_row tbl [ "blocked cycles"; string_of_int t.st_blocked ];
   Buffer.add_string buf (Table.render tbl);
   Buffer.add_char buf '\n';
-  (match top_blocking ~k:top t with
+  (match top_blocking t with
   | [] -> Buffer.add_string buf "no head-of-line blocking recorded\n"
   | tops ->
       let bt =

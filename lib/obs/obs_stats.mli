@@ -2,15 +2,17 @@
 
     An event sink ({!Obs_event.sink}, a run's [?obs]) receives one
     structured event per phenomenon, which is exactly what the
-    zero-allocation kernel was built to avoid paying for.  This module is the cheap alternative: a preallocated
-    accumulator of flat int arrays that {!Engine.run} writes into with
-    plain stores — per-channel busy/owned/acquisition/wait counters,
-    head-of-line blocking attribution, a fixed-bucket latency histogram, and
-    per-phase work counters.  The steady cycle stays allocation-free with
-    stats on; with stats off the kernel pays one [Atomic.get] per run plus a
-    never-taken branch per accumulation site.  It is the one source of
-    per-run counters: [wormsim --stats-out] renders it and
-    [bench --json] reports its {!armed_totals}.
+    zero-allocation kernel was built to avoid paying for.  This module is
+    the cheap alternative: a preallocated accumulator of flat int arrays
+    that {!Engine.run} writes into with plain stores -- per-channel
+    busy/owned/acquisition/wait counters, head-of-line blocking
+    attribution, a fixed-bucket latency histogram, and per-phase work
+    counters.  The steady cycle stays allocation-free with stats on; with
+    stats off the kernel pays one [Atomic.get] per run plus a never-taken
+    branch per accumulation site.  It is the one source of per-run
+    counters: [wormsim --stats-out] renders it (Prometheus text through
+    {!Obs_metrics}, the one writer of [.prom] files, or JSON, plus the
+    summary and heatmap) and [bench --json] reports its {!armed_totals}.
 
     Accumulators are single-domain values (plain ints, no atomics): give
     each run its own [t] and combine per-run accumulators with {!merge} in
@@ -67,8 +69,6 @@ val lat_bounds : int array
 val create : nchan:int -> t
 (** A zeroed accumulator for an [nchan]-channel topology.  The only
     allocation of a stats-armed run: everything after this is int stores. *)
-
-val reset : t -> unit
 
 val merge : into:t -> t -> unit
 (** Slot-wise addition of [src] into [into] ([st_lat_max] by max).  Merging
@@ -127,21 +127,22 @@ val top_blocking : ?k:int -> t -> (int * int) list
 (* -- renderers (byte-deterministic whenever the values are) ----------- *)
 
 val to_prometheus : ?topo:Topology.t -> t -> string
-(** Prometheus text format, [Obs_metrics] conventions (HELP/TYPE lines,
-    sorted families, cumulative histogram buckets + [_sum] + [_count]).
-    Per-channel families emit one series per channel with any nonzero
-    counter, labelled [channel="name"] (channel ids without [topo]). *)
+(** Prometheus text through {!Obs_metrics.to_prometheus}: families in name
+    order; the per-channel families give one series per channel with any
+    nonzero counter, in channel-id order, labelled [channel="name"]
+    (["channel#id"] without [topo]); the latency histogram gives its
+    cumulative [_bucket] series, then [_sum] and [_count]. *)
 
 val to_json : ?topo:Topology.t -> t -> string
 (** One-object JSON document, schema [wormhole-stats/1]. *)
 
-val heatmap : ?width:int -> ?topo:Topology.t -> t -> string
+val heatmap : ?topo:Topology.t -> t -> string
 (** ASCII per-channel utilization heatmap in [Trace.render] style: one row
-    per active channel (index order), a [width]-column (default 40) bar of
-    the channel's busy fraction, and the utilization/acquisition/wait/HoL
-    numbers.  Empty string when no channel saw traffic. *)
+    per active channel (index order), a 40-column bar of the channel's
+    busy fraction, and the utilization/acquisition/wait/HoL numbers.
+    Empty string when no channel saw traffic. *)
 
-val summary : ?top:int -> ?topo:Topology.t -> t -> string
+val summary : ?topo:Topology.t -> t -> string
 (** Percentile summary table: p50/p90/p99/max latency, deliveries, runs,
-    cycles, max channel utilization, blocked cycles, and the [top]
-    (default 3) head-of-line blocking channels. *)
+    cycles, max channel utilization, blocked cycles, and the three
+    head-of-line blocking channels of {!top_blocking}. *)

@@ -30,16 +30,15 @@ let default_space messages =
 
 let wide_space messages = { (default_space messages) with gaps = [ 0; 1; 2; 3 ] }
 
-let minimal_length_template rt ?(extra = [ 0; 1 ]) ?(holds = [ [] ]) ?(offsets = [ 0 ]) label
-    src dst =
+let minimal_length_template rt label src dst =
   let hops = List.length (Routing.path_exn rt src dst) in
   {
     t_label = label;
     t_src = src;
     t_dst = dst;
-    t_lengths = List.map (fun e -> max 1 (hops + e)) extra;
-    t_holds = holds;
-    t_offsets = offsets;
+    t_lengths = List.map (fun e -> max 1 (hops + e)) [ 0; 1 ];
+    t_holds = [ [] ];
+    t_offsets = [ 0 ];
   }
 
 let intent_template ?(extra = [ -2; -1; 0; 1 ]) ?(holds = [ [] ]) ?offsets net

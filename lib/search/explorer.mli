@@ -56,10 +56,9 @@ val wide_space : msg_template list -> space
 (** A larger confirmation sweep: gaps [0;1;2;3], buffers [1;2]. *)
 
 val minimal_length_template :
-  Routing.t -> ?extra:int list -> ?holds:(Topology.channel * int) list list ->
-  ?offsets:int list -> string -> Topology.node -> Topology.node -> msg_template
-(** Template whose base length is the message's hop count; [extra]
-    (default [[0; 1]]) lists additions to sweep. *)
+  Routing.t -> string -> Topology.node -> Topology.node -> msg_template
+(** Template whose lengths are the message's hop count and one more, with
+    no holds, injected at offset 0. *)
 
 val intent_template :
   ?extra:int list -> ?holds:(Topology.channel * int) list list -> ?offsets:int list ->

@@ -97,7 +97,7 @@ let ring ?(vcs = 1) ?(unidirectional = false) n =
   end
   else torus ~vcs [ n ]
 
-let hypercube ?(vcs = 1) d =
+let hypercube d =
   if d < 1 then invalid_arg "Builders.hypercube: dimension < 1";
   let n = 1 lsl d in
   let topo = Topology.create () in
@@ -112,10 +112,7 @@ let hypercube ?(vcs = 1) d =
   done;
   for id = 0 to n - 1 do
     for b = 0 to d - 1 do
-      let other = id lxor (1 lsl b) in
-      for v = 0 to vcs - 1 do
-        ignore (Topology.add_channel ~vc:v topo id other)
-      done
+      ignore (Topology.add_channel topo id (id lxor (1 lsl b)))
     done
   done;
   { topo; dims = Array.make d 2; coord = coord_of_id; node_at = id_of_coord }

@@ -25,8 +25,9 @@ val mesh : ?vcs:int -> int list -> coords
 val torus : ?vcs:int -> int list -> coords
 (** Same, with wraparound links in every dimension. *)
 
-val hypercube : ?vcs:int -> int -> coords
-(** [hypercube d] is the d-cube on [2^d] nodes. *)
+val hypercube : int -> coords
+(** [hypercube d] is the d-cube on [2^d] nodes, one channel per direction
+    of each link. *)
 
 val complete : ?vcs:int -> int -> coords
 (** Fully connected network on [n] nodes. *)

@@ -74,9 +74,9 @@ let add_channel ?(vc = 0) ?name t a b =
   Hashtbl.replace t.intern (intern_key a b vc) id;
   id
 
-let add_bidirectional ?(vc = 0) t a b =
-  let f = add_channel ~vc t a b in
-  let r = add_channel ~vc t b a in
+let add_bidirectional t a b =
+  let f = add_channel t a b in
+  let r = add_channel t b a in
   (f, r)
 
 let node_name t v =

@@ -23,8 +23,8 @@ val add_channel : ?vc:int -> ?name:string -> t -> node -> node -> channel
     between the same pair must carry distinct [vc] indices (default [0]).
     Self-loops are rejected. *)
 
-val add_bidirectional : ?vc:int -> t -> node -> node -> channel * channel
-(** Both directions, sharing the [vc] index. *)
+val add_bidirectional : t -> node -> node -> channel * channel
+(** Both directions, on virtual channel 0. *)
 
 (** {1 Inspection} *)
 

@@ -4,7 +4,7 @@
      the central contract of the event stream, as a QCheck property over
      random schedules on an acyclic mesh and a deadlock-prone ring, with
      and without recovery, plus an adaptive run.
-   - Metrics registry laws and exact Prometheus/JSON rendering.
+   - The Prometheus writer's exact text: order kept, label values escaped.
    - Golden-file exporter: the figure-1 false-resource-cycle run, the
      figure-2 explorer-witness deadlock replay, an adaptive mesh run that
      wedges on a multi-option header and the 5x5 torus tornado under
@@ -105,70 +105,46 @@ let test_adaptive_sink_purity () =
   check cb "adaptive outcome unchanged under observation" true (plain = observed);
   check cb "adaptive run emitted events" true (events () <> [])
 
-(* ---- metrics registry ---- *)
-
-let test_metrics_basics () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg ~help:"h" "c_total" in
-  Obs_metrics.inc c;
-  Obs_metrics.add c 4;
-  check ci "counter value" 5 (Obs_metrics.value c);
-  (* re-registration returns the same instrument *)
-  Obs_metrics.inc (Obs_metrics.counter reg "c_total");
-  check ci "counter upsert" 6 (Obs_metrics.value c);
-  let g = Obs_metrics.gauge reg "g" in
-  Obs_metrics.set g 7;
-  Obs_metrics.gauge_add g (-2);
-  check ci "gauge value" 5 (List.assoc "g" (Obs_metrics.snapshot reg));
-  let h = Obs_metrics.histogram reg ~buckets:[ 1; 10 ] "h" in
-  List.iter (Obs_metrics.observe h) [ 0; 1; 5; 100 ];
-  let snap = Obs_metrics.snapshot reg in
-  check ci "histogram count" 4 (List.assoc "h_count" snap);
-  check ci "histogram sum" 106 (List.assoc "h_sum" snap);
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check cb "kind clash rejected" true (raises (fun () -> Obs_metrics.gauge reg "c_total"));
-  check cb "negative counter add rejected" true (raises (fun () -> Obs_metrics.add c (-1)));
-  check cb "bad metric name rejected" true
-    (raises (fun () -> Obs_metrics.counter reg "bad name"));
-  check cb "unsorted buckets rejected" true
-    (raises (fun () -> Obs_metrics.histogram reg ~buckets:[ 10; 1 ] "h2"));
-  check cb "bucket redefinition rejected" true
-    (raises (fun () -> Obs_metrics.histogram reg ~buckets:[ 1; 2 ] "h"))
-
-let small_registry () =
-  let reg = Obs_metrics.create () in
-  let a = Obs_metrics.counter reg ~help:"Requests" ~labels:[ ("kind", "a") ] "req_total" in
-  Obs_metrics.inc a;
-  ignore (Obs_metrics.counter reg ~labels:[ ("kind", "b") ] "req_total");
-  let h = Obs_metrics.histogram reg ~help:"Latency" ~buckets:[ 1; 2 ] "lat" in
-  Obs_metrics.observe h 1;
-  Obs_metrics.observe h 3;
-  reg
+(* ---- Prometheus writer ---- *)
 
 let test_prometheus_rendering () =
+  let sample suffix labels value =
+    { Obs_metrics.s_suffix = suffix; s_labels = labels; s_value = value }
+  in
+  let family kind name help samples =
+    { Obs_metrics.f_name = name; f_kind = kind; f_help = help; f_samples = samples }
+  in
+  (* families and samples print in the order given, and label values are
+     escaped *)
   check cs "prometheus text"
-    "# HELP lat Latency\n\
+    "# HELP req_total Requests\n\
+     # TYPE req_total counter\n\
+     req_total{kind=\"b\"} 0\n\
+     req_total{kind=\"a\\\"q\"} 1\n\
+     # HELP lat Latency\n\
      # TYPE lat histogram\n\
      lat_bucket{le=\"1\"} 1\n\
      lat_bucket{le=\"2\"} 1\n\
      lat_bucket{le=\"+Inf\"} 2\n\
      lat_sum 4\n\
      lat_count 2\n\
-     # HELP req_total Requests\n\
-     # TYPE req_total counter\n\
-     req_total{kind=\"a\"} 1\n\
-     req_total{kind=\"b\"} 0\n"
-    (Obs_metrics.to_prometheus (small_registry ()))
-
-let test_json_rendering () =
-  check cs "metrics json"
-    "{\"schema\":\"wormhole-metrics/1\",\"metrics\":[\
-     {\"name\":\"lat\",\"kind\":\"histogram\",\"labels\":{},\
-     \"buckets\":[{\"le\":1,\"count\":1},{\"le\":2,\"count\":0}],\
-     \"overflow\":1,\"sum\":4,\"count\":2},\
-     {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"a\"},\"value\":1},\
-     {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"b\"},\"value\":0}]}"
-    (Obs_metrics.to_json (small_registry ()))
+     # HELP up Up\n\
+     # TYPE up gauge\n\
+     up 1\n"
+    (Obs_metrics.to_prometheus
+       [
+         family Obs_metrics.Counter "req_total" "Requests"
+           [ sample "" [ ("kind", "b") ] 0; sample "" [ ("kind", "a\"q") ] 1 ];
+         family Obs_metrics.Histogram "lat" "Latency"
+           [
+             sample "_bucket" [ ("le", "1") ] 1;
+             sample "_bucket" [ ("le", "2") ] 1;
+             sample "_bucket" [ ("le", "+Inf") ] 2;
+             sample "_sum" [] 4;
+             sample "_count" [] 2;
+           ];
+         family Obs_metrics.Gauge "up" "Up" [ sample "" [] 1 ];
+       ])
 
 (* ---- golden exporters: figure 1 (false resource cycle, delivers) ---- *)
 
@@ -207,7 +183,7 @@ let test_figure1_postmortem_no_knot () =
   let _, rt, _, events = Lazy.force fig1 in
   let pm = Obs_postmortem.analyze ~rt events in
   check cb "no knot" true (pm.Obs_postmortem.pm_knot = []);
-  check cb "no cycle" true (Obs_postmortem.knot_channels pm = []);
+  check cb "no cycle" true (pm.Obs_postmortem.pm_cycle = []);
   check cb "no outstanding waits" true (pm.Obs_postmortem.pm_waits = []);
   (match pm.Obs_postmortem.pm_outcome with
   | Some "all-delivered" -> ()
@@ -247,7 +223,7 @@ let test_figure2_postmortem () =
   let net, rt, _, events = Lazy.force fig2 in
   let pm = Obs_postmortem.analyze ~rt events in
   check cb "knot found" true (pm.Obs_postmortem.pm_knot <> []);
-  let cycle = Obs_postmortem.knot_channels pm in
+  let cycle = pm.Obs_postmortem.pm_cycle in
   check cb "cycle expands the knot" true (List.length cycle >= List.length pm.Obs_postmortem.pm_knot);
   (* the expanded cycle must be a genuine CDG cycle -- that is what makes
      the Theorem 2-5 classification sound *)
@@ -420,9 +396,7 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "registry laws" `Quick test_metrics_basics;
           Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
-          Alcotest.test_case "json rendering" `Quick test_json_rendering;
         ] );
       ( "golden-figure1",
         [

@@ -9,17 +9,6 @@ let count n = n (* default iteration count per property *)
 
 (* ---- data structures ---- *)
 
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:(count 200)
-    QCheck.(list small_int)
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.add h k ()) keys;
-      let rec drain acc =
-        match Heap.pop h with Some (k, ()) -> drain (k :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare keys)
-
 let prop_bitset_model =
   QCheck.Test.make ~name:"bitset agrees with a set model" ~count:(count 200)
     QCheck.(list (pair bool (int_bound 63)))
@@ -665,7 +654,7 @@ let () =
   Alcotest.run "qcheck"
     [
       suite "data-structures"
-        [ prop_heap_sorts; prop_bitset_model; prop_vec_roundtrip;
+        [ prop_bitset_model; prop_vec_roundtrip;
           prop_permutations_are_permutations; prop_stats_mean ];
       suite "routing-cdg"
         [ prop_mesh_xy_delivers_minimally; prop_mesh_cdg_acyclic; prop_cdg_soundness;

@@ -96,45 +96,6 @@ let test_vec_make () =
   check ci "make length" 5 (Vec.length v);
   check cb "all x" true (List.for_all (fun c -> c = 'x') (Vec.to_list v))
 
-(* ---- Heap ---- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.add h k (string_of_int k)) [ 5; 1; 9; 3; 7; 2; 8 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (k, _) ->
-      order := k :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list ci) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !order)
-
-let test_heap_peek () =
-  let h = Heap.create () in
-  check cb "empty" true (Heap.is_empty h);
-  Heap.add h 10 "a";
-  Heap.add h 2 "b";
-  (match Heap.peek h with
-  | Some (2, "b") -> ()
-  | _ -> Alcotest.fail "peek should be min");
-  check ci "length" 2 (Heap.length h);
-  Heap.clear h;
-  check cb "cleared" true (Heap.is_empty h)
-
-let test_heap_random_sorts () =
-  let r = Rng.create 99 in
-  let h = Heap.create () in
-  let keys = List.init 500 (fun _ -> Rng.int r 10_000) in
-  List.iter (fun k -> Heap.add h k ()) keys;
-  let rec drain acc =
-    match Heap.pop h with Some (k, ()) -> drain (k :: acc) | None -> List.rev acc
-  in
-  let drained = drain [] in
-  check (Alcotest.list ci) "heap sort" (List.sort compare keys) drained
-
 (* ---- Bitset ---- *)
 
 let test_bitset_basic () =
@@ -263,17 +224,6 @@ let test_table_errors () =
   Alcotest.check_raises "row length" (Invalid_argument "Table.add_row: row length") (fun () ->
       Table.add_row t [ "only-one" ])
 
-(* ---- Union_find ---- *)
-
-let test_union_find () =
-  let u = Union_find.create 10 in
-  check ci "initial sets" 10 (Union_find.count_sets u);
-  Union_find.union u 0 1;
-  Union_find.union u 1 2;
-  check cb "same" true (Union_find.same u 0 2);
-  check cb "diff" false (Union_find.same u 0 3);
-  check ci "sets after" 8 (Union_find.count_sets u)
-
 let () =
   Alcotest.run "util"
     [
@@ -293,12 +243,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           Alcotest.test_case "make" `Quick test_vec_make;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek/clear" `Quick test_heap_peek;
-          Alcotest.test_case "random sorts" `Quick test_heap_random_sorts;
         ] );
       ( "bitset",
         [
@@ -325,5 +269,4 @@ let () =
           Alcotest.test_case "render/alignment" `Quick test_table_render;
           Alcotest.test_case "errors" `Quick test_table_errors;
         ] );
-      ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
     ]
