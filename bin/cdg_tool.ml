@@ -7,49 +7,35 @@
 
 open Cmdliner
 
-let nets =
-  [
-    "figure1"; "figure2"; "figure3a"; "figure3b"; "figure3c"; "figure3d"; "figure3e";
-    "figure3f"; "family2"; "family3"; "ring-4"; "ring-dateline-6"; "mesh-4x4"; "torus-4x4";
-    "torus-5x5"; "torus-dateline-4x4"; "hypercube-3"; "west-first-4x4";
-  ]
-
-let routing_of = function
-  | "figure1" -> Cd_algorithm.of_net (Paper_nets.figure1 ())
-  | "figure2" -> Cd_algorithm.of_net (Paper_nets.figure2 ())
-  | "figure3a" -> Cd_algorithm.of_net (Paper_nets.figure3 `A)
-  | "figure3b" -> Cd_algorithm.of_net (Paper_nets.figure3 `B)
-  | "figure3c" -> Cd_algorithm.of_net (Paper_nets.figure3 `C)
-  | "figure3d" -> Cd_algorithm.of_net (Paper_nets.figure3 `D)
-  | "figure3e" -> Cd_algorithm.of_net (Paper_nets.figure3 `E)
-  | "figure3f" -> Cd_algorithm.of_net (Paper_nets.figure3 `F)
-  | "family2" -> Cd_algorithm.of_net (Paper_nets.family 2)
-  | "family3" -> Cd_algorithm.of_net (Paper_nets.family 3)
-  | "ring-4" -> Ring_routing.clockwise (Builders.ring ~unidirectional:true 4)
-  | "ring-dateline-6" -> Ring_routing.dateline (Builders.ring ~unidirectional:true ~vcs:2 6)
-  | "mesh-4x4" -> Dimension_order.mesh (Builders.mesh [ 4; 4 ])
-  | "torus-4x4" -> Dimension_order.torus (Builders.torus [ 4; 4 ])
-  | "torus-5x5" -> Dimension_order.torus (Builders.torus [ 5; 5 ])
-  | "torus-dateline-4x4" ->
-    Dimension_order.torus ~datelines:true (Builders.torus ~vcs:2 [ 4; 4 ])
-  | "hypercube-3" -> Dimension_order.hypercube (Builders.hypercube 3)
-  | "west-first-4x4" -> Turn_model.west_first (Builders.mesh [ 4; 4 ])
-  | n ->
-    Printf.eprintf "unknown net %s (known: %s)\n" n (String.concat ", " nets);
-    exit 2
-
+(* the paper networks: the figure table, then the Section-6 family *)
 let paper_net_of = function
-  | "figure1" -> Some (Paper_nets.figure1 ())
-  | "figure2" -> Some (Paper_nets.figure2 ())
-  | "figure3a" -> Some (Paper_nets.figure3 `A)
-  | "figure3b" -> Some (Paper_nets.figure3 `B)
-  | "figure3c" -> Some (Paper_nets.figure3 `C)
-  | "figure3d" -> Some (Paper_nets.figure3 `D)
-  | "figure3e" -> Some (Paper_nets.figure3 `E)
-  | "figure3f" -> Some (Paper_nets.figure3 `F)
   | "family2" -> Some (Paper_nets.family 2)
   | "family3" -> Some (Paper_nets.family 3)
-  | _ -> None
+  | n -> Option.map (fun f -> f.Paper_nets.f_net) (Paper_nets.find_figure n)
+
+let classic =
+  [
+    ("ring-4", fun () -> Ring_routing.clockwise (Builders.ring ~unidirectional:true 4));
+    ( "ring-dateline-6",
+      fun () -> Ring_routing.dateline (Builders.ring ~unidirectional:true ~vcs:2 6) );
+    ("mesh-4x4", fun () -> Dimension_order.mesh (Builders.mesh [ 4; 4 ]));
+    ("torus-4x4", fun () -> Dimension_order.torus (Builders.torus [ 4; 4 ]));
+    ("torus-5x5", fun () -> Dimension_order.torus (Builders.torus [ 5; 5 ]));
+    ( "torus-dateline-4x4",
+      fun () -> Dimension_order.torus ~datelines:true (Builders.torus ~vcs:2 [ 4; 4 ]) );
+    ("hypercube-3", fun () -> Dimension_order.hypercube (Builders.hypercube 3));
+    ("west-first-4x4", fun () -> Turn_model.west_first (Builders.mesh [ 4; 4 ]));
+  ]
+
+let routing_of n =
+  match (paper_net_of n, List.assoc_opt n classic) with
+  | Some net, _ -> Cd_algorithm.of_net net
+  | None, Some rt -> rt ()
+  | None, None ->
+    let figures = List.map (fun f -> f.Paper_nets.f_net.n_spec.s_name) (Paper_nets.figures ()) in
+    Printf.eprintf "unknown net %s (known: %s)\n" n
+      (String.concat ", " (figures @ [ "family2"; "family3" ] @ List.map fst classic));
+    exit 2
 
 let main net dot no_search model_check =
   (* the graph is written after the analysis: refuse a missing directory

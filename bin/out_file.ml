@@ -1,6 +1,7 @@
-(* Output files named on the command line.  A path that cannot be opened
-   is a usage error: the CLI prints "<cli>: cannot write PATH: <reason>"
-   and exits 2 instead of dying on an uncaught [Sys_error]. *)
+(* Command-line values the CLIs check the same way, each a usage error
+   (exit 2) instead of an uncaught exception: output files named on the
+   command line, where a path that cannot be opened prints "<cli>: cannot
+   write PATH: <reason>", and the --domains count. *)
 
 let fail ~cli path_and_reason =
   Printf.eprintf "%s: cannot write %s\n" cli path_and_reason;
@@ -20,3 +21,12 @@ let check_dir ~cli path =
   let dir = Filename.dirname path in
   if not (Sys.file_exists dir) then fail ~cli (path ^ ": No such file or directory")
   else if not (Sys.is_directory dir) then fail ~cli (path ^ ": Not a directory")
+
+(* --domains N for the CLIs that fan work over the pool; absent keeps the
+   pool's default *)
+let set_domains = function
+  | Some d when d < 1 ->
+    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
+    exit 2
+  | Some d -> Wr_pool.set_default_domains d
+  | None -> ()

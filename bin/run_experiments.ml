@@ -145,12 +145,7 @@ let write_metrics path ~quick ~rows timings =
        ])
 
 let main names quick max_p sanitize detect discipline domains json metrics verdicts latency =
-  (match domains with
-  | Some d when d < 1 ->
-    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
-    exit 2
-  | Some d -> Wr_pool.set_default_domains d
-  | None -> ());
+  Out_file.set_domains domains;
   (match max_p with
   | Some p when p < 2 ->
     Printf.eprintf
@@ -243,10 +238,9 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   (match sanitizer with
   | None -> ()
   | Some s ->
+    let runs = Engine.run_count () and cancelled = Engine.cancelled_count () in
     Format.fprintf ppf "@\nsanitizer: %d runs (%d canonical, %d cancelled), %d cycles checked@."
-      (Sanitizer.runs_checked s)
-      (Sanitizer.runs_checked s - Sanitizer.runs_cancelled s)
-      (Sanitizer.runs_cancelled s) (Sanitizer.cycles_checked s);
+      runs (runs - cancelled) cancelled (Sanitizer.cycles_checked s);
     if not (Sanitizer.ok s) then begin
       Format.fprintf ppf "%d invariant violation(s):@." (Sanitizer.violation_count s);
       List.iter

@@ -212,12 +212,7 @@ let lint_entries json fault_spec reroute_name all_flag metrics selection =
   if num_errors = 0 then 0 else 1
 
 let main list corpus synth json fault_spec reroute_name all_flag domains metrics selection =
-  (match domains with
-  | Some d when d < 1 ->
-    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
-    exit 2
-  | Some d -> Wr_pool.set_default_domains d
-  | None -> ());
+  Out_file.set_domains domains;
   (* the metrics file is written after the lints: refuse a missing
      directory before the first lint runs *)
   Option.iter (Out_file.check_dir ~cli:"wormlint") metrics;

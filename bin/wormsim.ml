@@ -14,31 +14,26 @@ type built = {
   routing : [ `Oblivious of Routing.t | `Adaptive of Adaptive.t ];
 }
 
-let paper_net = function
-  | "figure1" -> Some (Paper_nets.figure1 ())
-  | "figure2" -> Some (Paper_nets.figure2 ())
-  | "figure3a" -> Some (Paper_nets.figure3 `A)
-  | "figure3b" -> Some (Paper_nets.figure3 `B)
-  | "figure3c" -> Some (Paper_nets.figure3 `C)
-  | "figure3d" -> Some (Paper_nets.figure3 `D)
-  | "figure3e" -> Some (Paper_nets.figure3 `E)
-  | "figure3f" -> Some (Paper_nets.figure3 `F)
-  | _ -> None
+let paper_net name = Option.map (fun f -> f.Paper_nets.f_net) (Paper_nets.find_figure name)
+
+(* --routing synth: a synthesized certified routing on the topology, or
+   the E060 refusal when none exists *)
+let synthesized name topo =
+  match Synth.synthesize ~name:(name ^ "-synth") topo with
+  | Ok (rt, plan) ->
+    Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
+      plan.Synth.p_strategy plan.Synth.p_dependencies;
+    rt
+  | Error w ->
+    failwith
+      (Format.asprintf "network admits no deadlock-free routing (E060): %a"
+         (Synth.pp_witness topo) w)
 
 (* The paper networks replay their designated messages under the CD
    algorithm by default; --routing synth swaps in a synthesized certified
    routing on the same network (same message set, deadlock-free paths). *)
 let paper_rt topology routing net =
-  if routing = "synth" then (
-    match Synth.synthesize ~name:(topology ^ "-synth") net.Paper_nets.topo with
-    | Ok (rt, plan) ->
-      Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
-        plan.Synth.p_strategy plan.Synth.p_dependencies;
-      rt
-    | Error w ->
-      failwith
-        (Format.asprintf "network admits no deadlock-free routing (E060): %a"
-           (Synth.pp_witness net.Paper_nets.topo) w))
+  if routing = "synth" then synthesized topology net.Paper_nets.topo
   else Cd_algorithm.of_net net
 
 let build topology dims routing =
@@ -95,16 +90,7 @@ let build topology dims routing =
       | "ring" -> Builders.ring ~unidirectional:true ~vcs:2 (List.hd dims_list)
       | _ -> failwith (Printf.sprintf "unsupported topology/routing combination %s/synth" t)
     in
-    let topo = coords.Builders.topo in
-    (match Synth.synthesize ~name:(t ^ "-synth") topo with
-    | Ok (rt, plan) ->
-      Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
-        plan.Synth.p_strategy plan.Synth.p_dependencies;
-      { coords; routing = `Oblivious rt }
-    | Error w ->
-      failwith
-        (Format.asprintf "network admits no deadlock-free routing (E060): %a"
-           (Synth.pp_witness topo) w))
+    { coords; routing = `Oblivious (synthesized t coords.Builders.topo) }
   | t, r -> failwith (Printf.sprintf "unsupported topology/routing combination %s/%s" t r)
 
 let pattern_of coords rng = function
@@ -127,57 +113,48 @@ let fault_plan topo rng horizon = function
     | Ok plan -> plan
     | Error e -> failwith ("bad --faults spec: " ^ e))
 
-(* Recovery policy from the CLI flags; when permanent failures are planned
-   and the routing is oblivious, recompute paths around them and re-certify
-   the degraded algorithm before handing it to the engine. *)
+(* The re-certified routing around the [failed] channels, reported on
+   stdout; [None] (retry [fallback]) when it is unavailable or uncertified. *)
+let degraded_reroute ~failed ~fallback rt =
+  match Degrade.reroute ~quick:true ~failed rt with
+  | Error e ->
+    Format.printf "degraded routing unavailable: %s@." e;
+    None
+  | Ok d ->
+    Format.printf "%a@." Degrade.pp d;
+    if Degrade.certified d then Some d.Degrade.routing
+    else begin
+      Format.printf "uncertified degraded routing: retrying %s@." fallback;
+      None
+    end
+
+(* Recovery policy from the CLI flags; when permanent failures are planned,
+   recompute paths around them and re-certify the degraded algorithm before
+   handing it to the engine. *)
 let recovery_of faults recovery_on retry_limit watchdog detect detect_bound victim_policy
     algo =
   if not (recovery_on || detect) then None
   else
     let reroute =
-      match algo with
-      | `Adaptive ad -> (
+      match (Fault.failed_channels faults, algo) with
+      | [], _ -> None
+      | failed, `Adaptive ad ->
         (* adaptive headers already steer around down channels; a reroute
            additionally pins each retried message to a re-certified static
            route carved from the adaptive function's first choices *)
-        match Fault.failed_channels faults with
-        | [] -> None
-        | failed -> (
-          match
-            Degrade.reroute ~quick:true ~failed (Adaptive.restrict_to_first ad)
-          with
-          | Error e ->
-            Format.printf "degraded routing unavailable: %s@." e;
-            None
-          | Ok d ->
-            Format.printf "%a@." Degrade.pp d;
-            if Degrade.certified d then begin
-              let topo = Adaptive.topology ad in
-              List.iter
-                (fun diag -> Format.printf "%a@." (Diagnostic.pp ~topo ()) diag)
-                (Lint.reroute ~adaptive:true ~algorithm:(Adaptive.name ad) topo
-                   d.Degrade.routing);
-              Some d.Degrade.routing
-            end
-            else begin
-              Format.printf "uncertified degraded routing: retrying with adaptive freedom@.";
-              None
-            end))
-      | `Oblivious rt -> (
-        match Fault.failed_channels faults with
-        | [] -> None
-        | failed -> (
-          match Degrade.reroute ~quick:true ~failed rt with
-          | Error e ->
-            Format.printf "degraded routing unavailable: %s@." e;
-            None
-          | Ok d ->
-            Format.printf "%a@." Degrade.pp d;
-            if Degrade.certified d then Some d.Degrade.routing
-            else begin
-              Format.printf "uncertified degraded routing: retrying on original paths@.";
-              None
-            end))
+        let reroute =
+          degraded_reroute ~failed ~fallback:"with adaptive freedom"
+            (Adaptive.restrict_to_first ad)
+        in
+        Option.iter
+          (fun rt' ->
+            let topo = Adaptive.topology ad in
+            List.iter
+              (fun diag -> Format.printf "%a@." (Diagnostic.pp ~topo ()) diag)
+              (Lint.reroute ~adaptive:true ~algorithm:(Adaptive.name ad) topo rt'))
+          reroute;
+        reroute
+      | failed, `Oblivious rt -> degraded_reroute ~failed ~fallback:"on original paths" rt
     in
     let trigger =
       if not detect then Engine.Watchdog watchdog
@@ -209,15 +186,10 @@ let recovery_of faults recovery_on retry_limit watchdog detect detect_bound vict
    the engine does, cut-through under-provisioning gets the whole-packet
    provisioning note.  Adaptive runs skip this: they always switch wormhole. *)
 let lint_discipline ~algorithm discipline sched buffer =
-  let max_length =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
   let diags =
     Lint.discipline_config ~algorithm
       ~discipline:(Engine.discipline_string discipline)
-      ~buffer_capacity:buffer ~max_length
+      ~buffer_capacity:buffer ~max_length:(Schedule.max_length sched)
   in
   List.iter (fun d -> Format.printf "%a@." (Diagnostic.pp ()) d) diags;
   if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
@@ -299,12 +271,9 @@ let main topology dims routing pattern rate length horizon permutation seed buff
          replay only the witness under observation (sweeping under the
          sink would record thousands of unrelated runs) *)
       let rt = paper_rt topology routing net in
-      let templates =
-        List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents
-      in
       Printf.printf "network=%s messages=%d (witness sweep)\n" topology
         (List.length net.Paper_nets.intents);
-      (match Explorer.explore rt (Explorer.default_space templates) with
+      (match Explorer.explore rt (Explorer.net_space ~quick:false net) with
       | Explorer.No_deadlock { runs } ->
         Format.printf "no deadlock witness in %d runs@." runs;
         finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:false
@@ -318,19 +287,10 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         (* replay under --discipline: the sweep searches wormhole, but the
            witness can be re-switched to see whether the verdict flips.
            SAF gets whole-packet provisioning, like the campaign override *)
-        let cap =
-          let base = w.Explorer.w_config.Engine.buffer_capacity in
-          match discipline with
-          | Engine.Store_and_forward ->
-            List.fold_left
-              (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-              base w.Explorer.w_schedule
-          | Engine.Wormhole | Engine.Virtual_cut_through -> base
-        in
         let deadlocked, pm =
           run_oblivious ?obs:(obs_sink obs) ?stats:(stats_acc sctx) net.Paper_nets.topo rt
             w.Explorer.w_schedule
-            { w.Explorer.w_config with Engine.discipline; buffer_capacity = cap }
+            (Engine.with_discipline discipline w.Explorer.w_config w.Explorer.w_schedule)
         in
         finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:pm obs;
         finalize_stats ~topo:net.Paper_nets.topo sctx;
@@ -339,12 +299,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
       (* the paper's CD networks replay their designated messages *)
       let obs = setup_obs trace_out in
       let rt = paper_rt topology routing net in
-      let sched =
-        List.map
-          (fun (it : Paper_nets.intent) ->
-            Schedule.message ~length it.i_label it.i_src it.i_dst)
-          net.Paper_nets.intents
-      in
+      let sched = Schedule.of_intents ~length net in
       let faults = fault_plan net.Paper_nets.topo rng horizon faults_spec in
       let recovery =
         recovery_of faults recovery_on retry_limit watchdog detect detect_bound

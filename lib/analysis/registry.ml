@@ -18,9 +18,6 @@ let adaptive ?(ddf = true) name ad escape note =
   { r_name = name; r_algo = Adaptive (ad, escape); r_declared_minimal = false;
     r_expect_deadlock_free = ddf; r_note = note }
 
-let paper_net ?(ddf = true) name net note =
-  oblivious ~ddf name (Cd_algorithm.of_net net) note
-
 let entries () =
   let mesh = Builders.mesh [ 4; 4 ] in
   let mesh2 = Builders.mesh ~vcs:2 [ 4; 4 ] in
@@ -29,25 +26,15 @@ let entries () =
   let torus2 = Builders.torus ~vcs:2 [ 4; 4 ] in
   let ring1 = Builders.ring ~unidirectional:true 4 in
   let ring2 = Builders.ring ~unidirectional:true ~vcs:2 6 in
-  [
-    (* -- the paper's access-ring networks -- *)
-    paper_net "cd-figure1" (Paper_nets.figure1 ())
-      "Figure 1: cyclic CDG, deadlock-free by Theorem 2";
-    paper_net ~ddf:false "cd-figure2" (Paper_nets.figure2 ())
-      "Figure 2: the blocking chain closes, deadlock reachable";
-    paper_net "cd-figure3a" (Paper_nets.figure3 `A)
-      "Figure 3(a): unreachable cycle (shared access channel)";
-    paper_net "cd-figure3b" (Paper_nets.figure3 `B)
-      "Figure 3(b): unreachable cycle (suffix overlap)";
-    paper_net ~ddf:false "cd-figure3c" (Paper_nets.figure3 `C)
-      "Figure 3(c): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3d" (Paper_nets.figure3 `D)
-      "Figure 3(d): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3e" (Paper_nets.figure3 `E)
-      "Figure 3(e): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3f" (Paper_nets.figure3 `F)
-      "Figure 3(f): reachable deadlock variant";
-    paper_net "cd-family-2" (Paper_nets.family 2)
+  let paper_net ~ddf (net : Paper_nets.net) note =
+    oblivious ~ddf ("cd-" ^ net.n_spec.s_name) (Cd_algorithm.of_net net) note
+  in
+  (* -- the paper's access-ring networks -- *)
+  List.map
+    (fun (f : Paper_nets.figure) -> paper_net ~ddf:(not f.f_deadlocks) f.f_net f.f_caption)
+    (Paper_nets.figures ())
+  @ [
+    paper_net ~ddf:true (Paper_nets.family 2)
       "Section 6 family, k=2: deadlock-free with cyclic CDG";
     (* -- classic oblivious algorithms -- *)
     oblivious ~minimal:true "xy-mesh-4x4" (Dimension_order.mesh mesh)

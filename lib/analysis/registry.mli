@@ -6,7 +6,9 @@
     deadlocking counterexamples (Figure 2, Figures 3c-f, the no-VC torus,
     the clockwise ring, fully-adaptive routing) declare
     [r_expect_deadlock_free = false] and so classify as [I023]/[I032]
-    instead of [E022]/[E031]. *)
+    instead of [E022]/[E031].  The eight figure entries ([cd-figure1] ..
+    [cd-figure3f]) take their declaration and note from
+    {!Paper_nets.figures}, the paper's verdicts. *)
 
 type algo =
   | Oblivious of Routing.t

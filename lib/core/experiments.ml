@@ -9,16 +9,17 @@ let row id claim measured ok = { x_id = id; x_claim = claim; x_measured = measur
 
 let header ppf title = Format.fprintf ppf "@\n=== %s ===@\n" title
 
-(* Search space for a paper network's designated messages. *)
-let net_space ?(quick = false) net =
-  let extra = if quick then [ -2; -1; 0 ] else [ -2; -1; 0; 1 ] in
-  let templates =
-    List.map (fun i -> Explorer.intent_template ~extra net i) net.Paper_nets.intents
-  in
-  let base = Explorer.default_space templates in
-  if quick then { base with buffers = [ 1 ] } else base
+let search_net ~quick net rt = Explorer.explore rt (Explorer.net_space ~quick net)
 
-let search_net ?quick net rt = Explorer.explore rt (net_space ?quick net)
+(* a figure network by name, from the paper's figure table *)
+let figure name =
+  match Paper_nets.find_figure name with
+  | Some f -> f.Paper_nets.f_net
+  | None -> invalid_arg ("Experiments.figure: " ^ name)
+
+let no_deadlock_in = function
+  | Explorer.No_deadlock { runs } -> Printf.sprintf "no deadlock in %d runs" runs
+  | Explorer.Deadlock_found { runs; _ } -> Printf.sprintf "DEADLOCK after %d runs" runs
 
 let describe_search topo ppf v =
   Format.fprintf ppf "search: %a@\n" (Explorer.pp_verdict topo) v
@@ -58,10 +59,7 @@ let exp_f1 ?(quick = false) ppf =
       one_cycle_of_8;
     row "F1/suffix" "CD algorithm is not suffix-closed (escapes Corollary 2)"
       (if not_suffix then "not suffix-closed" else "suffix-closed") not_suffix;
-    row "F1/deadlock-free" "no reachable deadlock (Theorem 1)"
-      (match v with
-      | Explorer.No_deadlock { runs } -> Printf.sprintf "no deadlock in %d runs" runs
-      | Explorer.Deadlock_found { runs; _ } -> Printf.sprintf "DEADLOCK after %d runs" runs)
+    row "F1/deadlock-free" "no reachable deadlock (Theorem 1)" (no_deadlock_in v)
       (not (Explorer.is_deadlock_found v));
   ]
 
@@ -104,20 +102,19 @@ let exp_t2 ?(quick = false) ppf =
 
 (* ---- Corollaries 1-3 over the algorithm suite ---- *)
 
+(* the oblivious algorithms of the suite, looked up in the registry (which
+   lists them in this order) *)
 let suite () =
-  let mesh = Builders.mesh [ 4; 4 ] in
-  let hc = Builders.hypercube 3 in
-  let torus1 = Builders.torus [ 4; 4 ] in
-  let torus2 = Builders.torus ~vcs:2 [ 4; 4 ] in
-  let ring2 = Builders.ring ~unidirectional:true ~vcs:2 6 in
-  [
-    ("xy-mesh-4x4", Dimension_order.mesh mesh);
-    ("west-first-4x4", Turn_model.west_first mesh);
-    ("ecube-hypercube-3", Dimension_order.hypercube hc);
-    ("ecube-torus-4x4-novc", Dimension_order.torus torus1);
-    ("ecube-torus-4x4-dateline", Dimension_order.torus ~datelines:true torus2);
-    ("ring-dateline-6", Ring_routing.dateline ring2);
-  ]
+  let names =
+    [ "xy-mesh-4x4"; "west-first-4x4"; "ecube-hypercube-3"; "ecube-torus-4x4-novc";
+      "ecube-torus-4x4-dateline"; "ring-dateline-6" ]
+  in
+  List.filter_map
+    (fun (e : Registry.entry) ->
+      match e.r_algo with
+      | Registry.Oblivious rt when List.mem e.r_name names -> Some (e.r_name, rt)
+      | Registry.Oblivious _ | Registry.Adaptive _ -> None)
+    (Registry.entries ())
 
 let exp_corollaries ?(quick = false) ppf =
   header ppf "EXP-C123: Corollaries 1-3 (property checkers and verdicts)";
@@ -175,9 +172,9 @@ let exp_corollaries ?(quick = false) ppf =
       rows
   in
   let cd_free =
-    match List.assoc_opt "cd-figure1" (List.map (fun (n, r) -> (n, r.Verify.conclusion)) rows) with
-    | Some (Verify.Deadlock_free _) -> true
-    | _ -> false
+    List.exists
+      (fun (n, r) -> n = "cd-figure1" && Verify.is_deadlock_free r.Verify.conclusion)
+      rows
   in
   [
     row "C2/suffix-closed" "no suffix-closed algorithm has an unreachable cycle (Corollary 2)"
@@ -262,17 +259,22 @@ let exp_t4 ?(quick = false) ppf =
 
 let exp_t5 ?(quick = false) ppf =
   header ppf "EXP-T5: Figure 3 / Theorem 5 (three sharers: the eight conditions)";
+  (* the Figure-3 rows of the figure table, named by their sub-figure *)
   let cases =
-    [ (`A, "a", false); (`B, "b", false); (`C, "c", true); (`D, "d", true); (`E, "e", true);
-      (`F, "f", true) ]
+    List.filter_map
+      (fun (f : Paper_nets.figure) ->
+        let name = f.f_net.n_spec.s_name in
+        if String.starts_with ~prefix:"figure3" name then
+          Some (String.sub name 7 (String.length name - 7), f.f_net, f.f_deadlocks)
+        else None)
+      (Paper_nets.figures ())
   in
   let table =
     Table.create [ "case"; "paper"; "checker"; "search"; "agrees" ]
   in
   let rows =
     List.map
-      (fun (case, name, paper_deadlock) ->
-        let net = Paper_nets.figure3 case in
+      (fun (name, net, paper_deadlock) ->
         let rt = Cd_algorithm.of_net net in
         let cdg = Cdg.build rt in
         let checker =
@@ -504,16 +506,11 @@ let exp_mfm ?(quick = false) ppf =
 let exp_mc ?(quick = false) ppf =
   header ppf "EXP-MC: exhaustive state-space verification (all timings, all arbitrations)";
   let table = Table.create [ "network"; "paper"; "model checker"; "states"; "agrees" ] in
-  let extra = if quick then [ -2; -1; 0 ] else [ -2; -1; 0; 1 ] in
-  let cases =
-    [ ("figure1", Paper_nets.figure1 (), false); ("figure2", Paper_nets.figure2 (), true);
-      ("figure3a", Paper_nets.figure3 `A, false); ("figure3b", Paper_nets.figure3 `B, false);
-      ("figure3c", Paper_nets.figure3 `C, true); ("figure3d", Paper_nets.figure3 `D, true);
-      ("figure3e", Paper_nets.figure3 `E, true); ("figure3f", Paper_nets.figure3 `F, true) ]
-  in
+  let extra = Explorer.length_window ~quick in
   let rows =
     List.map
-      (fun (name, net, paper_deadlock) ->
+      (fun { Paper_nets.f_net = net; f_deadlocks = paper_deadlock; _ } ->
+        let name = net.n_spec.s_name in
         let v = Model_checker.check_net ~extra net in
         let found, states =
           match v with
@@ -532,7 +529,7 @@ let exp_mc ?(quick = false) ppf =
           (if paper_deadlock then "deadlock reachable" else "unreachable for all timings")
           (Format.asprintf "%a" Model_checker.pp v)
           ok)
-      cases
+      (Paper_nets.figures ())
   in
   Format.fprintf ppf "%s" (Table.render table);
   (* Section-6 consistency: with the unbounded-delay adversary Figure 1
@@ -594,10 +591,8 @@ let exp_sw ?(quick = false) ppf =
   (* the Figure-1 false resource cycle survives the switch to cut-through *)
   let net = Paper_nets.figure1 () in
   let rt = Cd_algorithm.of_net net in
-  let extra = if quick then [ -2; -1; 0 ] else [ -2; -1; 0; 1 ] in
-  let templates = List.map (fun i -> Explorer.intent_template ~extra net i) net.intents in
   let sp =
-    { (Explorer.default_space templates) with
+    { (Explorer.net_space ~quick net) with
       buffers = [ 8 ];
       priorities = (if quick then Explorer.Follow_order else Explorer.All_permutations) }
   in
@@ -612,9 +607,7 @@ let exp_sw ?(quick = false) ppf =
     row "SW/fig1-vct"
       "the Figure-1 cycle remains unreachable under virtual cut-through (the \
        unreachable-configuration theory generalizes beyond wormhole)"
-      (match v with
-      | Explorer.No_deadlock { runs } -> Printf.sprintf "no deadlock in %d runs" runs
-      | Explorer.Deadlock_found { runs; _ } -> Printf.sprintf "DEADLOCK after %d runs" runs)
+      (no_deadlock_in v)
       (not (Explorer.is_deadlock_found v));
   ]
 
@@ -630,22 +623,6 @@ let exp_sw1 ?(quick = false) ppf =
   Fun.protect ~finally:(fun () -> Engine.set_discipline_override saved) @@ fun () ->
   let disciplines =
     [ Engine.Wormhole; Engine.Virtual_cut_through; Engine.Store_and_forward ]
-  in
-  let max_len sched =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
-  (* SAF refuses capacity below the longest message; provision it the way
-     the process-wide override does, leaving the other disciplines at the
-     workload's own capacity *)
-  let config_for d base sched =
-    let cap =
-      match d with
-      | Engine.Store_and_forward -> max base (max_len sched)
-      | Engine.Wormhole | Engine.Virtual_cut_through -> base
-    in
-    { Engine.default_config with buffer_capacity = cap; discipline = d }
   in
   let show = function
     | Engine.All_delivered { finished_at; _ } ->
@@ -663,17 +640,13 @@ let exp_sw1 ?(quick = false) ppf =
     | _ -> false
   in
   (* one matrix row: run the workload under all three disciplines (the runs
-     are independent, so fan out on the pool), print one line each *)
-  let sweep name ?faults ?(base = 1) rt sched =
+     are independent, so fan out on the pool), print one line each.  SAF
+     refuses capacity below the longest message, so each run gets the
+     override's whole-packet provisioning on top of the base config. *)
+  let sweep name base rt sched =
     let outs =
       Wr_pool.map
-        (fun d ->
-          let config =
-            match faults with
-            | None -> config_for d base sched
-            | Some f -> { (config_for d base sched) with Engine.faults = f }
-          in
-          Engine.run ~config rt sched)
+        (fun d -> Engine.run ~config:(Engine.with_discipline d base sched) rt sched)
         disciplines
     in
     List.iter2
@@ -693,27 +666,7 @@ let exp_sw1 ?(quick = false) ppf =
     | Explorer.No_deadlock _ -> failwith "EXP-SW1: figure-2 witness sweep found no deadlock"
   in
   let fig2_wh, fig2_vct, fig2_saf =
-    let outs =
-      Wr_pool.map
-        (fun d ->
-          let base = w2.Explorer.w_config.Engine.buffer_capacity in
-          let cap =
-            match d with
-            | Engine.Store_and_forward -> max base (max_len w2.Explorer.w_schedule)
-            | Engine.Wormhole | Engine.Virtual_cut_through -> base
-          in
-          Engine.run
-            ~config:
-              { w2.Explorer.w_config with Engine.discipline = d; buffer_capacity = cap }
-            rt2 w2.Explorer.w_schedule)
-        disciplines
-    in
-    List.iter2
-      (fun d o ->
-        Format.fprintf ppf "%-14s %-19s %s@\n" "fig2-witness" (Engine.discipline_string d)
-          (show o))
-      disciplines outs;
-    match outs with [ a; b; c ] -> (a, b, c) | _ -> assert false
+    sweep "fig2-witness" w2.Explorer.w_config rt2 w2.Explorer.w_schedule
   in
   (* -- a true channel cycle: the unidirectional ring under tornado -- *)
   let ring = Builders.ring ~unidirectional:true 4 in
@@ -721,7 +674,9 @@ let exp_sw1 ?(quick = false) ppf =
   let tornado_sched =
     List.init 4 (fun i -> Schedule.message ~length:3 (Printf.sprintf "t%d" i) i ((i + 2) mod 4))
   in
-  let ring_wh, ring_vct, ring_saf = sweep "ring-tornado" ring_rt tornado_sched in
+  let ring_wh, ring_vct, ring_saf =
+    sweep "ring-tornado" Engine.default_config ring_rt tornado_sched
+  in
   (* -- local deadlock: an early 1-hop message drains before the tornado
      messages (injected at cycle 4) close the knot -- *)
   let local_sched =
@@ -729,7 +684,9 @@ let exp_sw1 ?(quick = false) ppf =
     :: List.init 4 (fun i ->
            Schedule.message ~length:3 ~at:4 (Printf.sprintf "t%d" i) i ((i + 2) mod 4))
   in
-  let local_wh, local_vct, local_saf = sweep "ring-local" ring_rt local_sched in
+  let local_wh, local_vct, local_saf =
+    sweep "ring-local" Engine.default_config ring_rt local_sched
+  in
   (* -- weak deadlock: a permanently failed channel parks a lone worm with
      no wait cycle at all (recovery off, so it is reported as Deadlock) -- *)
   let lt = Topology.create () in
@@ -747,7 +704,7 @@ let exp_sw1 ?(quick = false) ppf =
   let weak_faults = Fault.make [ Fault.Link_failure { channel = lbc; at = 0 } ] in
   let weak_sched = [ Schedule.message ~length:2 "w" la lc ] in
   let weak_wh, weak_vct, weak_saf =
-    sweep "line-fault" ~faults:weak_faults line_rt weak_sched
+    sweep "line-fault" { Engine.default_config with faults = weak_faults } line_rt weak_sched
   in
   (* -- classic substrates: acyclic CDGs deliver everywhere, the torus
      wrap-around cycle deadlocks everywhere -- *)
@@ -756,33 +713,30 @@ let exp_sw1 ?(quick = false) ppf =
     Traffic.permutation_schedule (Traffic.transpose mesh) ~coords:mesh ~length:4
   in
   let mesh_wh, mesh_vct, mesh_saf =
-    sweep "mesh-transpose" (Dimension_order.mesh mesh) mesh_sched
+    sweep "mesh-transpose" Engine.default_config (Dimension_order.mesh mesh) mesh_sched
   in
   let torus = Builders.torus [ 5; 5 ] in
   let torus_sched =
     Traffic.permutation_schedule (Traffic.tornado torus) ~coords:torus ~length:8
   in
   let torus_wh, torus_vct, torus_saf =
-    sweep "torus-tornado" (Dimension_order.torus torus) torus_sched
+    sweep "torus-tornado" Engine.default_config (Dimension_order.torus torus) torus_sched
   in
   let cube = Builders.hypercube 3 in
   let cube_sched =
     Traffic.permutation_schedule (Traffic.bit_complement cube) ~coords:cube ~length:4
   in
   let cube_wh, cube_vct, cube_saf =
-    sweep "hypercube-bc" (Dimension_order.hypercube cube) cube_sched
+    sweep "hypercube-bc" Engine.default_config (Dimension_order.hypercube cube) cube_sched
   in
   (* -- the Figure-1 false resource cycle: its designated messages deliver
      under every discipline (quick check; exp-sw sweeps the adversarial
      space under cut-through provisioning) -- *)
   let net1 = Paper_nets.figure1 () in
-  let rt1 = Cd_algorithm.of_net net1 in
-  let fig1_sched =
-    List.map
-      (fun (it : Paper_nets.intent) -> Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-      net1.Paper_nets.intents
+  let fig1_wh, fig1_vct, fig1_saf =
+    sweep "fig1-intents" Engine.default_config (Cd_algorithm.of_net net1)
+      (Schedule.of_intents ~length:4 net1)
   in
-  let fig1_wh, fig1_vct, fig1_saf = sweep "fig1-intents" rt1 fig1_sched in
   ignore quick;
   [
     row "SW1/fig2-wormhole" "the Figure-2 witness deadlocks under wormhole (Theorem 4)"
@@ -899,11 +853,7 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
     Format.fprintf ppf "(online detection armed: bound %d, backstop 32, minimal victim)@\n"
       Obs_detect.default_config.Obs_detect.bound;
   let recovery = { Engine.default_recovery with trigger; retry_limit = 4; backoff = 8 } in
-  let intents_schedule net =
-    List.map
-      (fun (it : Paper_nets.intent) -> Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-      net.Paper_nets.intents
-  in
+  let intents_schedule = Schedule.of_intents ~length:4 in
   (* one-line outcome summaries for the claims table *)
   let brief = function
     | Engine.All_delivered { finished_at; messages } ->
@@ -919,10 +869,9 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
   (* 1. seeded random fault campaigns on the figure networks: recovery with
      a retry cap must terminate every run, deterministically *)
   let nets =
-    if quick then [ ("figure1", Paper_nets.figure1 ()) ]
-    else
-      [ ("figure1", Paper_nets.figure1 ()); ("figure2", Paper_nets.figure2 ());
-        ("figure3c", Paper_nets.figure3 `C); ("figure3f", Paper_nets.figure3 `F) ]
+    List.map
+      (fun name -> (name, figure name))
+      (if quick then [ "figure1" ] else [ "figure1"; "figure2"; "figure3c"; "figure3f" ])
   in
   (* each net's seeded campaign is independent: simulate on the pool, then
      print and build the claim rows in order *)
@@ -1063,10 +1012,7 @@ let exp_detect ?(quick = false) ppf =
   let fig2_workload =
     let net = Paper_nets.figure2 () in
     let rt = Cd_algorithm.of_net net in
-    let templates =
-      List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents
-    in
-    match Explorer.explore rt (Explorer.default_space templates) with
+    match search_net ~quick:false net rt with
     | Explorer.No_deadlock _ -> None
     | Explorer.Deadlock_found { witness = w; _ } ->
       Some ("figure2-witness", net.Paper_nets.topo, rt, w.Explorer.w_schedule,
@@ -1287,10 +1233,7 @@ let exp_synth ?(quick = false) ppf =
           (Synth.pp_witness topo) w;
         None
       | Ok (rt, plan) ->
-        let report = Verify.analyze ~quick:true rt in
-        let certified =
-          match report.Verify.conclusion with Verify.Deadlock_free _ -> true | _ -> false
-        in
+        let certified = Verify.is_deadlock_free (Verify.analyze ~quick:true rt).conclusion in
         let templates =
           List.map
             (fun (i : Paper_nets.intent) ->
@@ -1403,10 +1346,7 @@ let exp_synth ?(quick = false) ppf =
     let verdict_ok, verdict =
       match Synth.synthesize ~name:label topo with
       | Ok (rt, plan) ->
-        let report = Verify.analyze ~quick:true rt in
-        let certified =
-          match report.Verify.conclusion with Verify.Deadlock_free _ -> true | _ -> false
-        in
+        let certified = Verify.is_deadlock_free (Verify.analyze ~quick:true rt).conclusion in
         let clean =
           List.for_all
             (fun d -> not (Diagnostic.is_error d))
@@ -1431,15 +1371,11 @@ let exp_synth ?(quick = false) ppf =
     Format.pp_print_flush bpf ();
     (Buffer.contents buf, [ (label, verdict_ok, verdict) ])
   in
+  let figures names = List.map (fun name -> (name, figure name)) names in
   let figure_nets =
-    [
-      ("figure1", Paper_nets.figure1 ());
-      ("figure2", Paper_nets.figure2 ());
-      ("figure3a", Paper_nets.figure3 `A);
-      ("figure3f", Paper_nets.figure3 `F);
-      ("family-2", Paper_nets.family 2);
-    ]
-    @ (if quick then [] else [ ("figure3b", Paper_nets.figure3 `B); ("figure3c", Paper_nets.figure3 `C); ("figure3d", Paper_nets.figure3 `D); ("figure3e", Paper_nets.figure3 `E) ])
+    figures [ "figure1"; "figure2"; "figure3a"; "figure3f" ]
+    @ [ ("family-2", Paper_nets.family 2) ]
+    @ if quick then [] else figures [ "figure3b"; "figure3c"; "figure3d"; "figure3e" ]
   in
   let ring_sizes = if quick then [ 3; 4 ] else [ 3; 4; 5 ] in
   let fig_and_ring_items =
@@ -1501,16 +1437,19 @@ let latency_report ?(quick = false) ppf =
   (* every workload is a list of independent runs, each filling a private
      accumulator; the pool merges them in task-index order, so the whole
      report is byte-identical at any --domains count *)
-  let merged nchan runs =
-    Wr_pool.map_reduce
-      ~map:(fun run ->
-        let st = Obs_stats.create ~nchan in
-        run st;
-        st)
-      ~reduce:(fun acc st ->
-        Obs_stats.merge ~into:acc st;
-        acc)
-      ~init:(Obs_stats.create ~nchan) runs
+  let workload name topo runs =
+    let nchan = Topology.num_channels topo in
+    ( name,
+      topo,
+      Wr_pool.map_reduce
+        ~map:(fun run ->
+          let st = Obs_stats.create ~nchan in
+          run st;
+          st)
+        ~reduce:(fun acc st ->
+          Obs_stats.merge ~into:acc st;
+          acc)
+        ~init:(Obs_stats.create ~nchan) runs )
   in
   let bernoulli coords rt pattern_of seed st =
     let rng = Rng.create seed in
@@ -1522,44 +1461,22 @@ let latency_report ?(quick = false) ppf =
   in
   let workloads =
     [
-      ( "figure2-cd",
-        fig2.Paper_nets.topo,
-        merged
-          (Topology.num_channels fig2.Paper_nets.topo)
-          [
-            (fun st ->
-              let sched =
-                List.map
-                  (fun (it : Paper_nets.intent) ->
-                    Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-                  fig2.Paper_nets.intents
-              in
-              ignore (Engine.run ~stats:st fig2_rt sched));
-          ] );
-      ( "mesh8x8-xy-uniform",
-        mesh.Builders.topo,
-        merged
-          (Topology.num_channels mesh.Builders.topo)
-          (List.map
-             (fun seed -> bernoulli mesh mesh_rt (fun rng -> Traffic.uniform rng mesh) seed)
-             seeds) );
-      ( "mesh8x8-xy-transpose",
-        mesh.Builders.topo,
-        merged
-          (Topology.num_channels mesh.Builders.topo)
-          [ bernoulli mesh mesh_rt (fun _ -> Traffic.transpose mesh) 42 ] );
-      ( "torus5x5-ecube-tornado",
-        torus.Builders.topo,
-        merged
-          (Topology.num_channels torus.Builders.topo)
-          [
-            (fun st ->
-              let sched =
-                Traffic.permutation_schedule (Traffic.tornado torus) ~coords:torus
-                  ~length:8
-              in
-              ignore (Engine.run ~stats:st torus_rt sched));
-          ] );
+      workload "figure2-cd" fig2.Paper_nets.topo
+        [ (fun st -> ignore (Engine.run ~stats:st fig2_rt (Schedule.of_intents ~length:4 fig2))) ];
+      workload "mesh8x8-xy-uniform" mesh.Builders.topo
+        (List.map
+           (fun seed -> bernoulli mesh mesh_rt (fun rng -> Traffic.uniform rng mesh) seed)
+           seeds);
+      workload "mesh8x8-xy-transpose" mesh.Builders.topo
+        [ bernoulli mesh mesh_rt (fun _ -> Traffic.transpose mesh) 42 ];
+      workload "torus5x5-ecube-tornado" torus.Builders.topo
+        [
+          (fun st ->
+            let sched =
+              Traffic.permutation_schedule (Traffic.tornado torus) ~coords:torus ~length:8
+            in
+            ignore (Engine.run ~stats:st torus_rt sched));
+        ];
     ]
   in
   let pct st q =

@@ -28,22 +28,13 @@ let run ?(quick = true) ?budget ?(name = "synth") topo =
       sc_diagnostics = Diagnostic.by_severity (synth_diags @ Verify.diagnostics report);
     }
 
-let certified t =
-  match (t.sc_result, t.sc_conclusion) with
-  | Ok _, Some (Verify.Deadlock_free _) -> true
-  | _ -> false
+let certified t = Option.fold ~none:false ~some:Verify.is_deadlock_free t.sc_conclusion
 
 let networks () =
-  [
-    ("figure1", (Paper_nets.figure1 ()).Paper_nets.topo);
-    ("figure2", (Paper_nets.figure2 ()).Paper_nets.topo);
-    ("figure3a", (Paper_nets.figure3 `A).Paper_nets.topo);
-    ("figure3b", (Paper_nets.figure3 `B).Paper_nets.topo);
-    ("figure3c", (Paper_nets.figure3 `C).Paper_nets.topo);
-    ("figure3d", (Paper_nets.figure3 `D).Paper_nets.topo);
-    ("figure3e", (Paper_nets.figure3 `E).Paper_nets.topo);
-    ("figure3f", (Paper_nets.figure3 `F).Paper_nets.topo);
-    ("family-2", (Paper_nets.family 2).Paper_nets.topo);
+  let paper (net : Paper_nets.net) = (net.n_spec.s_name, net.topo) in
+  List.map (fun (f : Paper_nets.figure) -> paper f.f_net) (Paper_nets.figures ())
+  @ [
+    paper (Paper_nets.family 2);
     ("mesh-4x4", (Builders.mesh [ 4; 4 ]).Builders.topo);
     ("mesh-4x4-vc2", (Builders.mesh ~vcs:2 [ 4; 4 ]).Builders.topo);
     ("hypercube-3", (Builders.hypercube 3).Builders.topo);

@@ -3,6 +3,8 @@ type conclusion =
   | Deadlocks of string
   | Unknown of string
 
+let is_deadlock_free = function Deadlock_free _ -> true | Deadlocks _ | Unknown _ -> false
+
 type cycle_report = {
   cr_cycle : Topology.channel list;
   cr_verdict : Cycle_analysis.verdict;
@@ -36,7 +38,8 @@ let templates_for (analysis : Cycle_analysis.analysis) =
       let s, d = cm.cm_msg in
       let span = max 1 cm.cm_span in
       let lengths =
-        List.sort_uniq compare (List.map (fun e -> max 1 (span + e)) [ -2; -1; 0; 1 ])
+        List.sort_uniq compare
+          (List.map (fun e -> max 1 (span + e)) (Explorer.length_window ~quick:false))
       in
       let offsets = if List.mem cm.cm_msg shared_users then [ 0 ] else [ 0; 2; 4; 6; 8; 10 ] in
       {

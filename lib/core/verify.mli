@@ -20,6 +20,9 @@ type conclusion =
   | Deadlocks of string  (** a confirmed witness exists *)
   | Unknown of string  (** some cycle could not be decided within budget *)
 
+val is_deadlock_free : conclusion -> bool
+(** The conclusion certifies deadlock freedom ([Deadlock_free]). *)
+
 type cycle_report = {
   cr_cycle : Topology.channel list;
   cr_verdict : Cycle_analysis.verdict;

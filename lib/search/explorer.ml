@@ -41,7 +41,9 @@ let minimal_length_template rt label src dst =
     t_offsets = [ 0 ];
   }
 
-let intent_template ?(extra = [ -2; -1; 0; 1 ]) ?(holds = [ [] ]) ?offsets net
+let length_window ~quick = if quick then [ -2; -1; 0 ] else [ -2; -1; 0; 1 ]
+
+let intent_template ?(extra = length_window ~quick:false) ?(holds = [ [] ]) ?offsets net
     (intent : Paper_nets.intent) =
   let span = List.length (Paper_nets.in_cycle_channels net intent) in
   let base = max 1 span in
@@ -62,6 +64,13 @@ let intent_template ?(extra = [ -2; -1; 0; 1 ]) ?(holds = [ [] ]) ?offsets net
     t_holds = holds;
     t_offsets = offsets;
   }
+
+let net_space ~quick net =
+  let extra = length_window ~quick in
+  let base =
+    default_space (List.map (intent_template ~extra net) net.Paper_nets.intents)
+  in
+  if quick then { base with buffers = [ 1 ] } else base
 
 type witness = {
   w_schedule : Schedule.t;
@@ -291,13 +300,9 @@ let explore ?(stop_at_first = true) ?domains rt sp =
        results
    with Exit -> ());
   (* Everything started beyond the canonical prefix was speculative work
-     whose results the reduce above discarded; report it so run totals
-     elsewhere (Engine.run_count, sanitizer summaries) stay exact. *)
-  let cancelled = Atomic.get started - !canonical_started in
-  Engine.note_runs_cancelled cancelled;
-  (match Sanitizer.current () with
-  | Some s -> Sanitizer.note_runs_cancelled s cancelled
-  | None -> ());
+     whose results the reduce above discarded; report it so the engine's
+     run tally stays exact. *)
+  Engine.note_runs_cancelled (Atomic.get started - !canonical_started);
   match !last_witness with
   | Some w -> Deadlock_found { runs = !total; witness = w }
   | None -> No_deadlock { runs = !total }

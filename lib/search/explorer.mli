@@ -60,15 +60,27 @@ val minimal_length_template :
 (** Template whose lengths are the message's hop count and one more, with
     no holds, injected at offset 0. *)
 
+val length_window : quick:bool -> int list
+(** The paper-net length window: the offsets a search adds to each
+    message's {e in-cycle span} -- the paper's "just long enough to hold
+    the channels in the cycle", the worst case for deadlock formation.
+    [[-2; -1; 0; 1]], or [[-2; -1; 0]] when [quick].  Spans below the
+    nominal value matter because a message blocks its successor at the
+    successor's ring entry, so the minimum blocking length is the
+    inter-entry gap, up to two below the span.  {!intent_template},
+    {!net_space}, [Model_checker.check_net] and [Verify]'s cycle searches
+    all read it. *)
+
 val intent_template :
   ?extra:int list -> ?holds:(Topology.channel * int) list list -> ?offsets:int list ->
   Paper_nets.net -> Paper_nets.intent -> msg_template
-(** Template for a paper-network message whose base length is its {e
-    in-cycle span} -- the paper's "just long enough to hold the channels in
-    the cycle", the worst case for deadlock formation.  [extra] defaults to
-    [[-2; -1; 0; 1]]: spans below the nominal value matter because a message
-    blocks its successor at the successor's ring entry, so the minimum
-    blocking length is the inter-entry gap, up to two below the span. *)
+(** Template for a paper-network message whose lengths are its in-cycle
+    span plus each of [extra] (default [length_window ~quick:false]). *)
+
+val net_space : quick:bool -> Paper_nets.net -> space
+(** The search space of a paper network's designated messages: one
+    {!intent_template} per intent over [length_window ~quick], in the
+    {!default_space}; [quick] also trims the buffers to [[1]]. *)
 
 type witness = {
   w_schedule : Schedule.t;
@@ -103,8 +115,7 @@ val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdi
 
     Speculative runs beyond the canonical prefix (work a parallel sweep
     started but whose results the reduce discarded) are reported to
-    {!Engine.note_runs_cancelled} and, when a sanitizer is installed, to
-    {!Sanitizer.note_runs_cancelled}, so global run totals stay exact at
+    {!Engine.note_runs_cancelled}, so the engine's run tally stays exact at
     any domain count.  A sweep takes no event sink: neither it nor the
     engine runs inside it emit events.
     @raise Engine_bug on [E090]/[E091] internal-consistency failures. *)

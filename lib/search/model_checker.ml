@@ -176,8 +176,8 @@ let check ?(max_states = 2_000_000) ?(allow_stalls = false) rt msgs =
   | Some v -> v
   | None -> Safe { states = !states }
 
-let check_net ?max_states ?allow_stalls ?(extra = [ -2; -1; 0; 1 ]) ?domains
-    (net : Paper_nets.net) =
+let check_net ?max_states ?allow_stalls ?(extra = Explorer.length_window ~quick:false)
+    ?domains (net : Paper_nets.net) =
   let rt = Cd_algorithm.of_net net in
   let candidates =
     List.map

@@ -49,9 +49,9 @@ val check : ?max_states:int -> ?allow_stalls:bool -> Routing.t -> msg list -> ve
 val check_net :
   ?max_states:int -> ?allow_stalls:bool -> ?extra:int list -> ?domains:int ->
   Paper_nets.net -> verdict
-(** Sweep a paper network's designated messages over the usual length window
-    ([extra] defaults to [[-2; -1; 0; 1]] around each in-cycle span, as in
-    {!Explorer.intent_template}), model-checking each combination on a
+(** Sweep a paper network's designated messages over the paper-net length
+    window ([extra] around each in-cycle span, defaulting to
+    [Explorer.length_window ~quick:false]), model-checking each combination on a
     {!Wr_pool}; the first deadlock (least combo index, not wall clock) wins,
     otherwise the sum of explored states is reported.  The verdict is
     byte-identical for any domain count. *)

@@ -61,6 +61,14 @@ let default_config =
     recovery = None;
   }
 
+let with_discipline d config sched =
+  let buffer_capacity =
+    match d with
+    | Store_and_forward -> max config.buffer_capacity (Schedule.max_length sched)
+    | Wormhole | Virtual_cut_through -> config.buffer_capacity
+  in
+  { config with discipline = d; buffer_capacity }
+
 type message_result = {
   r_label : string;
   r_injected_at : int option;
@@ -464,26 +472,17 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
   if config.max_cycles < 1 then inv "max_cycles < 1";
   (* effective discipline: adaptive runs always switch wormhole (carved
      routes have no fixed packet staging point); oblivious runs honor the
-     process-wide override, then the config *)
-  let override = if oblivious then Atomic.get discipline_override_cell else None in
-  let discipline =
-    if not oblivious then Wormhole
-    else match override with Some d -> d | None -> config.discipline
+     process-wide override, provisioned by [with_discipline] (the
+     override's point is re-running wormhole-provisioned campaigns), then
+     the config.  An explicit SAF config must provision whole-packet
+     buffers itself (validated below, lint E047). *)
+  let config =
+    match Atomic.get discipline_override_cell with
+    | Some d when oblivious -> with_discipline d config sched
+    | Some _ | None -> config
   in
-  let max_len =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
-  (* effective scalar capacity: an overridden store-and-forward sweep gets
-     whole-packet buffers for free (the override's point is re-running
-     wormhole-provisioned campaigns); an explicit SAF config must provision
-     them itself (validated below, lint E047) *)
-  let cap =
-    match discipline with
-    | Store_and_forward when override <> None -> max config.buffer_capacity max_len
-    | Store_and_forward | Wormhole | Virtual_cut_through -> config.buffer_capacity
-  in
+  let discipline = if oblivious then config.discipline else Wormhole in
+  let cap = config.buffer_capacity in
   (match config.recovery with
   | None -> ()
   | Some r ->
@@ -543,7 +542,7 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
      channel-queue model; see DESIGN.md section 17). *)
   let chan_cap =
     match discipline with
-    | Virtual_cut_through -> max cap max_len
+    | Virtual_cut_through -> max cap (Schedule.max_length sched)
     | Wormhole | Store_and_forward -> cap
   in
   let cap_ = k.k_cap in
@@ -987,7 +986,6 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         at the end of every cycle (see Sanitizer's doc for the code table).
         Pure observation; a sanitized run takes the same decisions. -- *)
   let sanitizer = match sanitizer with Some s -> Some s | None -> Sanitizer.current () in
-  (match sanitizer with Some s -> Sanitizer.note_run s | None -> ());
   (* oblivious messages have a fixed route ("path position"); adaptive ones
      a carved route ("hop") -- the sanitizer wording tracks the mode *)
   let posw = if oblivious then "path position" else "hop" in

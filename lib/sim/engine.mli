@@ -85,14 +85,14 @@ val discipline_of_string : string -> discipline option
     ["saf"]. *)
 
 val set_discipline_override : discipline option -> unit
-(** Process-wide discipline override for matrix sweeps (CI, EXP-SW1):
-    while set, every oblivious run switches under the given discipline
-    regardless of its [config.discipline].  Under a [Store_and_forward]
-    override the effective buffer capacity is raised to the longest
-    scheduled message so wormhole-provisioned campaigns stay runnable;
-    an explicit SAF config still validates strictly.  [None] restores
-    per-config behavior.  Same process-wide-knob precedent as
-    {!Obs_stats.arm} and [Sanitizer.install]. *)
+(** Process-wide discipline override for whole-campaign sweeps (CI,
+    [run_experiments --discipline]): while set, every oblivious run [r]
+    with config [c] runs under [with_discipline d c r]'s config, so a
+    [Store_and_forward] override gets whole-packet buffers and
+    wormhole-provisioned campaigns stay runnable; an explicit SAF config
+    still validates strictly.  [None] restores per-config behavior.  Same
+    process-wide-knob precedent as {!Obs_stats.arm} and
+    [Sanitizer.install]. *)
 
 val discipline_override : unit -> discipline option
 
@@ -148,6 +148,14 @@ type config = {
 
 val default_config : config
 (** capacity 1, FIFO, wormhole, 100_000 cycles, no faults, no recovery. *)
+
+val with_discipline : discipline -> config -> Schedule.t -> config
+(** [config] switched under the discipline with whole-packet provisioning:
+    [Store_and_forward] raises the buffer capacity to the schedule's
+    longest message ({!Schedule.max_length}), the other disciplines keep
+    [config]'s capacity.  The one store-and-forward provisioning rule:
+    the process-wide override, EXP-SW1's matrix and [wormsim --witness]
+    all apply it. *)
 
 type message_result = {
   r_label : string;

@@ -7,9 +7,7 @@ type t = {
   lock : Mutex.t;
   mutable diags : Diagnostic.t list; (* newest first; guarded by [lock] *)
   count : int Atomic.t;
-  runs : int Atomic.t;
   cycles : int Atomic.t;
-  cancelled : int Atomic.t;
 }
 
 exception Violation of Diagnostic.t
@@ -22,9 +20,7 @@ let create ?(fail_fast = false) ?(limit = 100) () =
     lock = Mutex.create ();
     diags = [];
     count = Atomic.make 0;
-    runs = Atomic.make 0;
     cycles = Atomic.make 0;
-    cancelled = Atomic.make 0;
   }
 
 (* Trips are kept here and never emitted as events: a fail-fast trip
@@ -38,11 +34,7 @@ let record s d =
     Mutex.unlock s.lock
   end
 
-let note_run s = Atomic.incr s.runs
 let note_cycle s = Atomic.incr s.cycles
-
-let note_runs_cancelled s n =
-  if n > 0 then ignore (Atomic.fetch_and_add s.cancelled n)
 
 let diagnostics s =
   Mutex.lock s.lock;
@@ -51,9 +43,7 @@ let diagnostics s =
   List.rev ds
 
 let violation_count s = Atomic.get s.count
-let runs_checked s = Atomic.get s.runs
 let cycles_checked s = Atomic.get s.cycles
-let runs_cancelled s = Atomic.get s.cancelled
 let ok s = Atomic.get s.count = 0
 
 let reset s =
@@ -61,9 +51,7 @@ let reset s =
   s.diags <- [];
   Mutex.unlock s.lock;
   Atomic.set s.count 0;
-  Atomic.set s.runs 0;
-  Atomic.set s.cycles 0;
-  Atomic.set s.cancelled 0
+  Atomic.set s.cycles 0
 
 let installed : t option ref = ref None
 

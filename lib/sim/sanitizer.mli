@@ -48,15 +48,10 @@ val record : t -> Diagnostic.t -> unit
 (** Report a violation (engines call this; tests may too).
     @raise Violation when the sanitizer is fail-fast. *)
 
-val note_run : t -> unit
 val note_cycle : t -> unit
-(** Engines call these so reports can show how much work was checked. *)
-
-val note_runs_cancelled : t -> int -> unit
-(** Report [n] checked runs as cancelled speculative pool work (results
-    discarded by early cancellation), so {!runs_checked} minus
-    {!runs_cancelled} is the exact canonical total.  The search layer calls
-    this after each sweep's reduce. *)
+(** Engines call this once per checked cycle, so reports can show how much
+    work was checked.  Runs are tallied by the engine itself
+    ([Engine.run_count]). *)
 
 val diagnostics : t -> Diagnostic.t list
 (** Collected diagnostics, in report order (capped at [limit]). *)
@@ -64,11 +59,7 @@ val diagnostics : t -> Diagnostic.t list
 val violation_count : t -> int
 (** Total violations, including any dropped beyond [limit]. *)
 
-val runs_checked : t -> int
 val cycles_checked : t -> int
-
-val runs_cancelled : t -> int
-(** Checked runs later discarded as cancelled speculative pool work. *)
 
 val ok : t -> bool
 (** No violation recorded. *)

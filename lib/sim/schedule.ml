@@ -13,6 +13,14 @@ let message ?(length = 1) ?(at = 0) ?(holds = []) label src dst =
   { ms_label = label; ms_src = src; ms_dst = dst; ms_length = length; ms_inject_at = at;
     ms_holds = holds }
 
+let of_intents ~length (net : Paper_nets.net) =
+  List.map
+    (fun (it : Paper_nets.intent) -> message ~length it.i_label it.i_src it.i_dst)
+    net.intents
+
+let max_length sched =
+  List.fold_left (fun acc m -> if m.ms_length > acc then m.ms_length else acc) 1 sched
+
 (* label uniqueness: short schedules (every Explorer run) compare labels
    pairwise without allocating; longer ones take a hash pass (not a sort:
    comparing every label against every other through polymorphic compare

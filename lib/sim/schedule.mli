@@ -22,6 +22,14 @@ val message : ?length:int -> ?at:int -> ?holds:(Topology.channel * int) list ->
   string -> Topology.node -> Topology.node -> message_spec
 (** Convenience constructor; [length] defaults to 1, [at] to 0. *)
 
+val of_intents : length:int -> Paper_nets.net -> t
+(** A paper network's designated messages, in intent order: each [length]
+    flits long, injected at cycle 0, without holds. *)
+
+val max_length : t -> int
+(** The longest message's length in flits (1 for the empty schedule): the
+    whole-packet buffer size. *)
+
 val validate : Routing.t -> t -> (unit, string) result
 (** Labels unique; lengths, times and holds sane (every hold names a
     channel of the routing's topology); every message routable. *)

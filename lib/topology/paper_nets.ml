@@ -285,3 +285,24 @@ let figure3 case =
         shared "M2" 3 8 5;
       ]
       12
+
+type figure = {
+  f_net : net;
+  f_deadlocks : bool;
+  f_caption : string;
+}
+
+let figures () =
+  let fig f_net f_deadlocks f_caption = { f_net; f_deadlocks; f_caption } in
+  [
+    fig (figure1 ()) false "Figure 1: cyclic CDG, deadlock-free by Theorem 2";
+    fig (figure2 ()) true "Figure 2: the blocking chain closes, deadlock reachable";
+    fig (figure3 `A) false "Figure 3(a): unreachable cycle (shared access channel)";
+    fig (figure3 `B) false "Figure 3(b): unreachable cycle (suffix overlap)";
+    fig (figure3 `C) true "Figure 3(c): reachable deadlock variant";
+    fig (figure3 `D) true "Figure 3(d): reachable deadlock variant";
+    fig (figure3 `E) true "Figure 3(e): reachable deadlock variant";
+    fig (figure3 `F) true "Figure 3(f): reachable deadlock variant";
+  ]
+
+let find_figure name = List.find_opt (fun f -> f.f_net.n_spec.s_name = name) (figures ())

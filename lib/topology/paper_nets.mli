@@ -92,3 +92,23 @@ val figure3 : [ `A | `B | `C | `D | `E | `F ] -> net
 (** The six three-sharer networks of Figure 3.  Cases [`A] and [`B] are
     false resource cycles; [`C]-[`F] admit deadlock.  [`F] adds a fourth
     message from a dedicated source that does not use the shared channel. *)
+
+(** {1 The figure table}
+
+    The one place that lists the paper's figures and says which of them
+    deadlock; the algorithm registry, certified synthesis, the campaign
+    and the CLIs read it. *)
+
+type figure = {
+  f_net : net;  (** named by [n_spec.s_name], e.g. ["figure3c"] *)
+  f_deadlocks : bool;
+      (** the paper's verdict: some timing of the designated messages
+          reaches a deadlock configuration *)
+  f_caption : string;  (** one line, shown by [wormlint --list] *)
+}
+
+val figures : unit -> figure list
+(** Figures 1, 2 and 3(a)-(f), in paper order, built afresh. *)
+
+val find_figure : string -> figure option
+(** The figure whose network has this name. *)

@@ -241,8 +241,8 @@ let test_sanitized_runs_clean () =
   | Engine.All_delivered _ -> ()
   | o -> Alcotest.failf "unexpected outcome %s" (Format.asprintf "%a" (Engine.pp_outcome topo) o));
   check cb "oblivious run is clean" true (Sanitizer.ok s);
-  check ci "one run checked" 1 (Sanitizer.runs_checked s);
   check cb "cycles were checked" true (Sanitizer.cycles_checked s > 0);
+  let first_cycles = Sanitizer.cycles_checked s in
   let ad = Adaptive.fully_adaptive_minimal (Builders.mesh [ 3; 3 ]) in
   (match Engine.run_adaptive ~sanitizer:s ad sched with
   | Engine.All_delivered _ -> ()
@@ -250,7 +250,7 @@ let test_sanitized_runs_clean () =
     Alcotest.failf "unexpected adaptive outcome %s"
       (Format.asprintf "%a" (Engine.pp_outcome topo) o));
   check cb "adaptive run is clean" true (Sanitizer.ok s);
-  check ci "second run checked" 2 (Sanitizer.runs_checked s)
+  check cb "second run checked" true (Sanitizer.cycles_checked s > first_cycles)
 
 let test_sanitized_faulted_run_clean () =
   let s = Sanitizer.create () in
