@@ -90,7 +90,7 @@ let diagnostic_codes : (string * Diagnostic.severity * string) list =
     ("W012", Diagnostic.Warning, "path set is not suffix-closed (Definition 8)");
     ("W013", Diagnostic.Warning, "path set is not prefix-closed (Definition 7)");
     ("W014", Diagnostic.Warning, "a routed path repeats a node");
-    ("I020", Diagnostic.Info, "CDG cycle is a false resource cycle (Theorem 2/3)");
+    ("I020", Diagnostic.Info, "CDG cycle is a false resource cycle (Theorem 5)");
     ("W021", Diagnostic.Warning, "CDG cycle outside the Theorem 2-5 cases, needs dynamic search");
     ("E022", Diagnostic.Error, "reachable CDG cycle in an algorithm declared deadlock-free");
     ("I023", Diagnostic.Info, "reachable CDG cycle in a declared-deadlocking counterexample");

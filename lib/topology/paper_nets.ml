@@ -295,7 +295,7 @@ type figure = {
 let figures () =
   let fig f_net f_deadlocks f_caption = { f_net; f_deadlocks; f_caption } in
   [
-    fig (figure1 ()) false "Figure 1: cyclic CDG, deadlock-free by Theorem 2";
+    fig (figure1 ()) false "Figure 1: cyclic CDG, deadlock-free by Theorem 1";
     fig (figure2 ()) true "Figure 2: the blocking chain closes, deadlock reachable";
     fig (figure3 `A) false "Figure 3(a): unreachable cycle (shared access channel)";
     fig (figure3 `B) false "Figure 3(b): unreachable cycle (suffix overlap)";
