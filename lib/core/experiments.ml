@@ -11,11 +11,15 @@ let header ppf title = Format.fprintf ppf "@\n=== %s ===@\n" title
 
 let search_net ~quick net rt = Explorer.explore rt (Explorer.net_space ~quick net)
 
-(* a figure network by name, from the paper's figure table *)
-let figure name =
-  match Paper_nets.find_figure name with
-  | Some f -> f.Paper_nets.f_net
-  | None -> invalid_arg ("Experiments.figure: " ^ name)
+(* figure networks looked up by name in the paper's figure table, paired
+   with their names, in the order given *)
+let figures names =
+  List.map
+    (fun name ->
+      match Paper_nets.find_figure name with
+      | Some f -> (name, f.Paper_nets.f_net)
+      | None -> invalid_arg ("Experiments.figures: " ^ name))
+    names
 
 let no_deadlock_in = function
   | Explorer.No_deadlock { runs } -> Printf.sprintf "no deadlock in %d runs" runs
@@ -869,9 +873,7 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
   (* 1. seeded random fault campaigns on the figure networks: recovery with
      a retry cap must terminate every run, deterministically *)
   let nets =
-    List.map
-      (fun name -> (name, figure name))
-      (if quick then [ "figure1" ] else [ "figure1"; "figure2"; "figure3c"; "figure3f" ])
+    figures (if quick then [ "figure1" ] else [ "figure1"; "figure2"; "figure3c"; "figure3f" ])
   in
   (* each net's seeded campaign is independent: simulate on the pool, then
      print and build the claim rows in order *)
@@ -1371,7 +1373,6 @@ let exp_synth ?(quick = false) ppf =
     Format.pp_print_flush bpf ();
     (Buffer.contents buf, [ (label, verdict_ok, verdict) ])
   in
-  let figures names = List.map (fun name -> (name, figure name)) names in
   let figure_nets =
     figures [ "figure1"; "figure2"; "figure3a"; "figure3f" ]
     @ [ ("family-2", Paper_nets.family 2) ]
