@@ -105,7 +105,12 @@ val tick : t -> now:int -> detection list
     member label. *)
 
 val scan : config -> Obs_event.t list -> detection list
-(** Offline replay: feed a recorded stream, ticking at each cycle
-    boundary and for [bound] trailing cycles past the final event so
-    candidates that were quiescent when the run ended still confirm.
-    Plan-announcement [Fault] events do not advance the replay clock. *)
+(** Offline replay: feed a recorded stream in order.  The replay ticks
+    only at cycles that carry no event (the gaps between event cycles:
+    an event at cycle [c] ticks up to [c - 1], and [c] itself is never
+    ticked), then for [bound] trailing cycles past the final event and
+    any stall horizon, so candidates that were quiescent when the run
+    ended still confirm.  The engine's online detector ticks at the end
+    of every cycle, so an offline confirmation can come later than the
+    online one.  Plan-announcement [Fault] events do not advance the
+    replay clock. *)
