@@ -106,19 +106,16 @@ let exp_t2 ?(quick = false) ppf =
 
 (* ---- Corollaries 1-3 over the algorithm suite ---- *)
 
-(* the oblivious algorithms of the suite, looked up in the registry (which
-   lists them in this order) *)
+(* the oblivious algorithms of the suite, looked up in the registry *)
 let suite () =
-  let names =
+  let entries = Registry.entries () in
+  List.map
+    (fun name ->
+      match List.find_opt (fun (e : Registry.entry) -> e.r_name = name) entries with
+      | Some { r_algo = Registry.Oblivious rt; _ } -> (name, rt)
+      | Some _ | None -> invalid_arg ("Experiments.suite: " ^ name))
     [ "xy-mesh-4x4"; "west-first-4x4"; "ecube-hypercube-3"; "ecube-torus-4x4-novc";
       "ecube-torus-4x4-dateline"; "ring-dateline-6" ]
-  in
-  List.filter_map
-    (fun (e : Registry.entry) ->
-      match e.r_algo with
-      | Registry.Oblivious rt when List.mem e.r_name names -> Some (e.r_name, rt)
-      | Registry.Oblivious _ | Registry.Adaptive _ -> None)
-    (Registry.entries ())
 
 let exp_corollaries ?(quick = false) ppf =
   header ppf "EXP-C123: Corollaries 1-3 (property checkers and verdicts)";
