@@ -189,6 +189,48 @@ let test_verify_diagnostics_searched_clean () =
   check cb "figure-1 is deadlock-free (I053)" true (List.mem "I053" codes);
   check cb "its searched-clean cycle maps to I054" true (List.mem "I054" codes)
 
+let test_verify_search_witness () =
+  (* four messages share the outside channel, which no theorem decides, so
+     analyze searches the one cycle itself and reports the witness it finds *)
+  let msg label source access entry =
+    { Paper_nets.m_label = label; m_source = source; m_access = access; m_entry = entry; m_dist = 3 }
+  in
+  let net =
+    Paper_nets.build
+      {
+        Paper_nets.s_name = "four-sharers";
+        s_ring_len = 8;
+        s_msgs =
+          [
+            msg "M1" Paper_nets.Shared 2 0;
+            msg "M2" Paper_nets.Shared 2 2;
+            msg "M3" Paper_nets.Shared 2 4;
+            msg "M4" Paper_nets.Shared 2 6;
+            msg "M5" (Paper_nets.Own "X") 1 1;
+            msg "M6" (Paper_nets.Own "Y") 1 5;
+          ];
+      }
+  in
+  let report = Verify.analyze ~quick:true (Cd_algorithm.of_net net) in
+  (match report.Verify.cycles with
+  | [ cr ] -> (
+    (match cr.Verify.cr_verdict with
+    | Cycle_analysis.Needs_search _ -> ()
+    | v -> Alcotest.failf "expected needs-search, got %a" Cycle_analysis.pp_verdict v);
+    check cb "searched" true cr.Verify.cr_searched;
+    check ci "search runs" 49441 cr.Verify.cr_search_runs;
+    match cr.Verify.cr_witness with
+    | None -> Alcotest.fail "expected a deadlock witness"
+    | Some w ->
+      check cs "witness class" "local"
+        (Engine.deadlock_class_string w.Explorer.w_info.Engine.d_class))
+  | crs -> Alcotest.failf "expected one cycle, got %d" (List.length crs));
+  (match report.Verify.conclusion with
+  | Verify.Deadlocks _ -> ()
+  | c -> Alcotest.failf "expected deadlocks, got %a" Verify.pp_conclusion c);
+  let codes = List.map (fun d -> d.Diagnostic.code) (Verify.diagnostics report) in
+  check (Alcotest.list cs) "witness diagnostics" [ "E050"; "E051" ] codes
+
 (* ---- sanitizer ---- *)
 
 let dummy code = Diagnostic.error code (Diagnostic.Message "m") "synthetic"
@@ -303,6 +345,7 @@ let () =
           Alcotest.test_case "deadlocking report" `Quick test_verify_diagnostics_deadlock;
           Alcotest.test_case "witnessed cycle" `Quick test_verify_diagnostics_witness;
           Alcotest.test_case "searched-clean cycle" `Quick test_verify_diagnostics_searched_clean;
+          Alcotest.test_case "searched cycle with witness" `Quick test_verify_search_witness;
         ] );
       ( "sanitizer",
         [
