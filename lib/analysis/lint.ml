@@ -58,48 +58,41 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) rt =
   (* Closure lints and CDG classification need every path to exist; when the
      routing is not total the totality errors above already tell the story. *)
   (if !total then begin
-    let closure code verdict what =
-      match verdict with
+    let static = Cycle_analysis.of_routing rt in
+    let closure code property what =
+      match List.assoc property static.Cycle_analysis.ra_summary with
       | Properties.Holds -> ()
       | Properties.Fails why ->
         add
           (Diagnostic.warning code (Diagnostic.Algorithm name) (what ^ ": " ^ why))
     in
-    (* the W012 verdict also feeds the cycle classification below *)
-    let suffix = Properties.suffix_closed rt in
-    closure "W012" suffix "not suffix-closed (Definition 8)";
-    closure "W013" (Properties.prefix_closed rt) "not prefix-closed (Definition 7)";
-    closure "W014" (Properties.no_repeated_nodes rt) "a path repeats a node";
-    let cdg = Cdg.build rt in
-    if not (Cdg.is_acyclic cdg) then begin
-      let minimal = Properties.is_holds (Properties.minimal rt) in
-      let suffix_closed = Properties.is_holds suffix in
-      List.iter
-        (fun cycle ->
-          let _, verdict = Cycle_analysis.classify ~minimal ~suffix_closed cdg cycle in
-          let subject = Diagnostic.Cycle cycle in
-          let ctx = [ ("algorithm", name) ] in
-          match verdict with
-          | Cycle_analysis.Unreachable why ->
-            add (Diagnostic.info "I020" subject ("false resource cycle: " ^ why) ~context:ctx)
-          | Cycle_analysis.Needs_search why ->
+    closure "W012" "suffix-closed" "not suffix-closed (Definition 8)";
+    closure "W013" "prefix-closed" "not prefix-closed (Definition 7)";
+    closure "W014" "no-repeated-nodes" "a path repeats a node";
+    List.iter
+      (fun ((analysis : Cycle_analysis.analysis), verdict) ->
+        let subject = Diagnostic.Cycle analysis.a_cycle in
+        let ctx = [ ("algorithm", name) ] in
+        match verdict with
+        | Cycle_analysis.Unreachable why ->
+          add (Diagnostic.info "I020" subject ("false resource cycle: " ^ why) ~context:ctx)
+        | Cycle_analysis.Needs_search why ->
+          add
+            (Diagnostic.warning "W021" subject
+               ("cycle outside the characterized cases, needs dynamic search: " ^ why)
+               ~context:ctx)
+        | Cycle_analysis.Deadlock_reachable why ->
+          if expect_deadlock_free then
             add
-              (Diagnostic.warning "W021" subject
-                 ("cycle outside the characterized cases, needs dynamic search: " ^ why)
+              (Diagnostic.error "E022" subject
+                 ("reachable deadlock on an algorithm declared deadlock-free: " ^ why)
                  ~context:ctx)
-          | Cycle_analysis.Deadlock_reachable why ->
-            if expect_deadlock_free then
-              add
-                (Diagnostic.error "E022" subject
-                   ("reachable deadlock on an algorithm declared deadlock-free: " ^ why)
-                   ~context:ctx)
-            else
-              add
-                (Diagnostic.info "I023" subject
-                   ("deadlock-reachable cycle (expected for this network): " ^ why)
-                   ~context:ctx))
-        (Cdg.elementary_cycles ~max_cycles:64 cdg)
-    end
+          else
+            add
+              (Diagnostic.info "I023" subject
+                 ("deadlock-reachable cycle (expected for this network): " ^ why)
+                 ~context:ctx))
+      static.ra_cycles
   end);
   Diagnostic.by_severity (List.rev !diags)
 

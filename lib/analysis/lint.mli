@@ -59,8 +59,9 @@ val algorithm :
     [declared_minimal] (default false) arms the [E011] minimality lint;
     [expect_deadlock_free] (default true) decides whether a theorem-certified
     reachable cycle is an error ([E022]) or the documented expectation
-    ([I023]).  CDG cycle enumeration stops after 64 cycles.
-    Diagnostics are returned errors-first. *)
+    ([I023]).  The closure lints and the cycle codes read
+    {!Cycle_analysis.of_routing}, so they examine the same first 100
+    cycles as [Verify.analyze].  Diagnostics are returned errors-first. *)
 
 val adaptive :
   ?expect_deadlock_free:bool ->

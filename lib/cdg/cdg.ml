@@ -23,7 +23,7 @@ let build rt =
     | None ->
       Hashtbl.add support key [ msg ];
       succ_sets.(c1) <- c2 :: succ_sets.(c1)
-    | Some msgs -> if not (List.mem msg msgs) then Hashtbl.replace support key (msg :: msgs)
+    | Some msgs -> Hashtbl.replace support key (msg :: msgs)
   in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do

@@ -228,3 +228,17 @@ let classify ?(minimal = false) ?(suffix_closed = false) cdg cycle =
       | _ -> Needs_search "multiple shared channels outside the cycle"
   in
   (analysis, verdict)
+
+type routing_analysis = {
+  ra_summary : (string * Properties.verdict) list;
+  ra_cdg : Cdg.t;
+  ra_cycles : (analysis * verdict) list;
+}
+
+let of_routing rt =
+  let summary = Properties.summary rt in
+  let holds name = List.exists (fun (n, v) -> n = name && Properties.is_holds v) summary in
+  let cdg = Cdg.build rt in
+  let cycles = if Cdg.is_acyclic cdg then [] else Cdg.elementary_cycles ~max_cycles:100 cdg in
+  let classify = classify ~minimal:(holds "minimal") ~suffix_closed:(holds "suffix-closed") cdg in
+  { ra_summary = summary; ra_cdg = cdg; ra_cycles = List.map classify cycles }

@@ -44,3 +44,18 @@ val classify : ?minimal:bool -> ?suffix_closed:bool -> Cdg.t -> Topology.channel
     results; they default to [false] = make no assumption). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+(** {1 A routing's static analysis} *)
+
+type routing_analysis = {
+  ra_summary : (string * Properties.verdict) list;  (** {!Properties.summary} *)
+  ra_cdg : Cdg.t;
+  ra_cycles : (analysis * verdict) list;
+      (** the first 100 elementary cycles, each classified with the
+          routing's own minimal and suffix-closed verdicts; [[]] if acyclic *)
+}
+
+val of_routing : Routing.t -> routing_analysis
+(** The paper's static chain, run once per routing: [Verify.analyze] and
+    [Lint.algorithm] read it instead of rebuilding it.  A routing with more
+    than 100 cycles has only its first 100 examined. *)

@@ -19,16 +19,13 @@ let reroute ?(quick = true) ~failed base =
     match Routing.validate routing with
     | Error e -> Error e
     | Ok () ->
-      let cdg = Cdg.build routing in
+      let report = Verify.analyze ~quick routing in
       let certification =
-        match Cdg.numbering cdg with
-        | Some f -> Acyclic f
-        | None -> (
-          let report = Verify.analyze ~quick routing in
-          match report.Verify.conclusion with
-          | Verify.Deadlock_free why -> Cyclic_safe why
-          | Verify.Deadlocks why -> Uncertified ("confirmed deadlock: " ^ why)
-          | Verify.Unknown why -> Uncertified ("undecided: " ^ why))
+        match (report.Verify.numbering, report.Verify.conclusion) with
+        | Some f, _ -> Acyclic f
+        | None, Verify.Deadlock_free why -> Cyclic_safe why
+        | None, Verify.Deadlocks why -> Uncertified ("confirmed deadlock: " ^ why)
+        | None, Verify.Unknown why -> Uncertified ("undecided: " ^ why)
       in
       Ok { routing; failed; certification })
 

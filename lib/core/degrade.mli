@@ -34,10 +34,10 @@ val reroute :
     delivers every source/destination pair of the degraded network
     ({!Routing.validate}), and certifies it.  [Error] means some pair is
     undeliverable (network disconnected by the failures) or the wrapper is
-    malformed; the message names the first failing pair.  When the CDG is
-    cyclic, {!Verify.analyze} certifies it with its schedule search on,
-    trimmed when [quick] (default [true]) so that reroute stays cheap
-    enough for recovery paths. *)
+    malformed; the message names the first failing pair.  One
+    {!Verify.analyze} certifies it: its numbering when the CDG is acyclic,
+    else its conclusion, with the schedule search trimmed when [quick]
+    (default [true]) so that reroute stays cheap enough for recovery paths. *)
 
 val certified : t -> bool
 (** [true] for [Acyclic] and [Cyclic_safe]. *)

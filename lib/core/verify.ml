@@ -65,67 +65,32 @@ let search_cycle ~quick rt analysis =
   end
 
 let analyze ?(use_search = true) ?(quick = false) rt =
-  let properties = Properties.summary rt in
-  let prop name =
-    match List.assoc_opt name properties with
-    | Some v -> Properties.is_holds v
-    | None -> false
-  in
-  let cdg = Cdg.build rt in
-  let acyclic = Cdg.is_acyclic cdg in
+  let static = Cycle_analysis.of_routing rt in
+  let cdg = static.Cycle_analysis.ra_cdg in
   let numbering = Cdg.numbering cdg in
-  let cycles =
-    if acyclic then []
-    else Cdg.elementary_cycles ~max_cycles:100 cdg
-  in
+  let acyclic = Option.is_some numbering in
   let cycle_reports =
     List.map
-      (fun cycle ->
-        let analysis, verdict =
-          Cycle_analysis.classify ~minimal:(prop "minimal")
-            ~suffix_closed:(prop "suffix-closed") cdg cycle
-        in
-        let needs_sim =
+      (fun ((analysis : Cycle_analysis.analysis), verdict) ->
+        let search =
           match verdict with
-          | Cycle_analysis.Needs_search _ -> true
-          | Cycle_analysis.Unreachable _ | Cycle_analysis.Deadlock_reachable _ -> false
+          | Cycle_analysis.Needs_search _ when use_search -> search_cycle ~quick rt analysis
+          | _ -> None
         in
-        if use_search && needs_sim then begin
-          match search_cycle ~quick rt analysis with
-          | Some (Explorer.Deadlock_found { runs; witness }) ->
-            {
-              cr_cycle = cycle;
-              cr_verdict = verdict;
-              cr_searched = true;
-              cr_witness = Some witness;
-              cr_search_runs = runs;
-            }
-          | Some (Explorer.No_deadlock { runs }) ->
-            {
-              cr_cycle = cycle;
-              cr_verdict = verdict;
-              cr_searched = true;
-              cr_witness = None;
-              cr_search_runs = runs;
-            }
-          | None ->
-            {
-              cr_cycle = cycle;
-              cr_verdict = verdict;
-              cr_searched = false;
-              cr_witness = None;
-              cr_search_runs = 0;
-            }
-        end
-        else
-          {
-            cr_cycle = cycle;
-            cr_verdict = verdict;
-            cr_searched = false;
-            cr_witness = None;
-            cr_search_runs = 0;
-          })
-      cycles
+        let cr_witness, cr_search_runs =
+          match search with
+          | Some (Explorer.Deadlock_found { runs; witness }) -> (Some witness, runs)
+          | Some (Explorer.No_deadlock { runs }) -> (None, runs)
+          | None -> (None, 0)
+        in
+        {
+          cr_cycle = analysis.a_cycle;
+          cr_verdict = verdict;
+          cr_searched = Option.is_some search;
+          cr_witness;
+          cr_search_runs;
+        })
+      static.ra_cycles
   in
   let conclusion =
     if acyclic then
@@ -167,7 +132,7 @@ let analyze ?(use_search = true) ?(quick = false) rt =
   in
   {
     algorithm = Routing.name rt;
-    properties;
+    properties = static.ra_summary;
     num_channels = Topology.num_channels (Routing.topology rt);
     num_dependencies = Cdg.num_edges cdg;
     acyclic;

@@ -1,15 +1,16 @@
 (** End-to-end deadlock-freedom analysis of an oblivious routing algorithm.
 
-    The pipeline follows the paper's theory:
+    The pipeline follows the paper's theory; its first three steps are
+    {!Cycle_analysis.of_routing}, which {!Lint.algorithm} reads too:
 
     + build the channel dependency graph;
     + if it is acyclic, the algorithm is deadlock-free (Dally-Seitz) and a
       numbering certificate is produced;
     + otherwise every elementary cycle is classified with Theorems 2-5 and
-      Corollaries 1-3 (via {!Cycle_analysis.classify}), using the
-      algorithm's checked properties (minimality, suffix-closure);
-    + cycles the theorems call reachable, or leave undecided, are handed to
-      the bounded-exhaustive schedule search, which either produces a
+      Corollaries 1-3, using the algorithm's checked properties
+      (minimality, suffix-closure);
+    + cycles the theorems leave undecided are handed to the
+      bounded-exhaustive schedule search, which either produces a
       replayable deadlock witness or exhausts the adversarial family.
 
     The headline of the paper is visible right here: the Cyclic Dependency
@@ -47,7 +48,7 @@ val analyze : ?use_search:bool -> ?quick:bool -> Routing.t -> report
     checked by simulation; with [false] those become [Unknown] /
     theorem-verdict-only.  [quick] (default false) trims the search space
     (single-flit buffers, order-following arbitration) for fast passes.
-    Johnson enumeration stops after 100 cycles. *)
+    Only the first 100 cycles are examined ({!Cycle_analysis.of_routing}). *)
 
 val diagnostics : report -> Diagnostic.t list
 (** The report as structured diagnostics, severity-sorted: the conclusion

@@ -56,73 +56,43 @@ let no_repeated_nodes rt =
           (Printf.sprintf "path %s->%s visits %s twice" (node_name rt s) (node_name rt d)
              (node_name rt v)))
 
-(* Prefix of [p] (channel list) up to the first arrival at node [x]. *)
-let prefix_to topo s x p =
-  if s = x then Some []
-  else begin
-    let rec scan acc = function
-      | [] -> None
-      | c :: rest ->
-        if Topology.dst topo c = x then Some (List.rev (c :: acc)) else scan (c :: acc) rest
-    in
-    scan [] p
-  end
+(* [p] split just after its first arrival at node [x]. *)
+let split_at topo x p =
+  let rec go before = function
+    | c :: after when Topology.dst topo c = x -> (List.rev (c :: before), after)
+    | c :: after -> go (c :: before) after
+    | [] -> (List.rev before, [])
+  in
+  go [] p
 
-let suffix_from topo s x p =
-  if s = x then Some p
-  else begin
-    let rec scan = function
-      | [] -> None
-      | c :: rest -> if Topology.dst topo c = x then Some rest else scan rest
-    in
-    scan p
-  end
-
-let prefix_closed rt =
+(* Definitions 7 and 8 share one walk: wherever the [s]->[d] path passes an
+   inner node [x], its part before [x] must be the [s]->[x] path (prefix)
+   and its part after [x] the [x]->[d] path (suffix). *)
+let closed rt part =
   let topo = Routing.topology rt in
+  let what = match part with `Prefix -> "prefix" | `Suffix -> "suffix" in
   over_pairs rt (fun s d p ->
-      let inner = List.filter (fun x -> x <> s && x <> d) (visited topo s p) in
       let rec each = function
         | [] -> None
         | x :: rest -> (
-          match prefix_to topo s x p with
-          | None -> each rest
-          | Some expected -> (
-            match Routing.path rt s x with
-            | Error e -> Some (Routing.error_message e)
-            | Ok q ->
-              if q = expected then each rest
-              else
-                Some
-                  (Printf.sprintf
-                     "path %s->%s passes %s but the %s->%s path is not its prefix"
-                     (node_name rt s) (node_name rt d) (node_name rt x) (node_name rt s)
-                     (node_name rt x))))
+          let before, after = split_at topo x p in
+          let (a, b), expected =
+            match part with `Prefix -> ((s, x), before) | `Suffix -> ((x, d), after)
+          in
+          match Routing.path rt a b with
+          | Error e -> Some (Routing.error_message e)
+          | Ok q when q = expected -> each rest
+          | Ok _ ->
+            Some
+              (Printf.sprintf "path %s->%s passes %s but the %s->%s path is not its %s"
+                 (node_name rt s) (node_name rt d) (node_name rt x) (node_name rt a)
+                 (node_name rt b) what))
       in
-      each inner)
+      each (List.filter (fun x -> x <> s && x <> d) (visited topo s p)))
 
-let suffix_closed rt =
-  let topo = Routing.topology rt in
-  over_pairs rt (fun s d p ->
-      let inner = List.filter (fun x -> x <> s && x <> d) (visited topo s p) in
-      let rec each = function
-        | [] -> None
-        | x :: rest -> (
-          match suffix_from topo s x p with
-          | None -> each rest
-          | Some expected -> (
-            match Routing.path rt x d with
-            | Error e -> Some (Routing.error_message e)
-            | Ok q ->
-              if q = expected then each rest
-              else
-                Some
-                  (Printf.sprintf
-                     "path %s->%s passes %s but the %s->%s path is not its suffix"
-                     (node_name rt s) (node_name rt d) (node_name rt x) (node_name rt x)
-                     (node_name rt d))))
-      in
-      each inner)
+let prefix_closed rt = closed rt `Prefix
+
+let suffix_closed rt = closed rt `Suffix
 
 (* Definition 9 from the verdicts it conjoins: the first failure among no
    repeated nodes, prefix-closed and suffix-closed, in that order *)

@@ -231,6 +231,19 @@ let test_verify_search_witness () =
   let codes = List.map (fun d -> d.Diagnostic.code) (Verify.diagnostics report) in
   check (Alcotest.list cs) "witness diagnostics" [ "E050"; "E051" ] codes
 
+let test_lint_verify_share_cycle_cap () =
+  (* the 5x5x5 e-cube torus without virtual channels has 150 CDG cycles;
+     Lint and Verify both examine the first 100 *)
+  let rt = Dimension_order.torus (Builders.torus [ 5; 5; 5 ]) in
+  let lint_cycles =
+    List.filter
+      (fun d -> match d.Diagnostic.subject with Diagnostic.Cycle _ -> true | _ -> false)
+      (Lint.algorithm ~expect_deadlock_free:false rt)
+  in
+  let report = Verify.analyze ~use_search:false rt in
+  check ci "verify cycle reports" 100 (List.length report.Verify.cycles);
+  check ci "one lint diagnostic per cycle" 100 (List.length lint_cycles)
+
 (* ---- sanitizer ---- *)
 
 let dummy code = Diagnostic.error code (Diagnostic.Message "m") "synthetic"
@@ -346,6 +359,8 @@ let () =
           Alcotest.test_case "witnessed cycle" `Quick test_verify_diagnostics_witness;
           Alcotest.test_case "searched-clean cycle" `Quick test_verify_diagnostics_searched_clean;
           Alcotest.test_case "searched cycle with witness" `Quick test_verify_search_witness;
+          Alcotest.test_case "lint and verify share the cycle cap" `Quick
+            test_lint_verify_share_cycle_cap;
         ] );
       ( "sanitizer",
         [

@@ -537,6 +537,41 @@ let prop_random_net_acyclic_implies_safe =
       | Engine.Cutoff _ | Engine.Recovered _ -> false
       | Engine.Deadlock _ -> not (Cdg.is_acyclic cdg))
 
+(* A random deterministic routing function on the random digraphs: at each
+   (input, destination) a seeded hash either takes the BFS next hop or picks
+   any out channel, so many walks come back to a channel they already used.
+   Determinism makes such a walk repeat itself until the step cutoff, which
+   is why the CDG builder never sees one message twice on an edge. *)
+let prop_delivered_paths_repeat_no_channel =
+  QCheck.Test.make ~name:"no delivered path repeats a channel (random routing functions)"
+    ~count:(count 40) random_net_gen
+    (fun ((n, _, seed) as params) ->
+      let topo, _ = build_random_net params in
+      let dist = Topology.distance_matrix topo in
+      let rt =
+        Routing.create ~name:"random-walk" topo (fun input dest ->
+            let here = Routing.current_node topo input in
+            if here = dest then None
+            else
+              let outs = Topology.out_channels topo here in
+              let h = Hashtbl.hash (seed, input, dest) in
+              if h mod 3 = 0 then Some (List.nth outs (h / 3 mod List.length outs))
+              else
+                List.find_opt
+                  (fun c -> dist.(Topology.dst topo c).(dest) = dist.(here).(dest) - 1)
+                  outs)
+      in
+      let ok = ref true in
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          if s <> d then
+            match Routing.path rt s d with
+            | Ok p -> if List.length (List.sort_uniq compare p) <> List.length p then ok := false
+            | Error _ -> ()
+        done
+      done;
+      !ok)
+
 (* ---- synthesis existence checker on the random digraphs ---- *)
 
 let prop_synth_differential =
@@ -670,7 +705,7 @@ let () =
       suite "differential" [ prop_differential_mesh; prop_differential_ring ];
       suite "random-nets"
         [ prop_random_net_routing_valid; prop_random_net_cdg_sound;
-          prop_random_net_acyclic_implies_safe ];
+          prop_random_net_acyclic_implies_safe; prop_delivered_paths_repeat_no_channel ];
       suite "theorem5" [ prop_theorem5_matches_search ];
       suite "synthesis" [ prop_synth_differential ];
     ]
