@@ -76,7 +76,7 @@ let numbering t =
 (* Johnson's elementary-circuit algorithm, bounded. *)
 exception Done
 
-let elementary_cycles ?(max_cycles = 10_000) ?(max_len = max_int) t =
+let elementary_cycles ?(max_cycles = 10_000) t =
   let n = t.nchan in
   let results = ref [] in
   let count = ref 0 in
@@ -84,7 +84,6 @@ let elementary_cycles ?(max_cycles = 10_000) ?(max_len = max_int) t =
   let blocked = Array.make n false in
   let b_sets = Array.make n [] in
   let stack = ref [] in
-  let stack_len = ref 0 in
   let emit () =
     results := List.rev !stack :: !results;
     incr count;
@@ -100,17 +99,15 @@ let elementary_cycles ?(max_cycles = 10_000) ?(max_len = max_int) t =
     (* explore only vertices >= start inside start's SCC *)
     let found = ref false in
     stack := v :: !stack;
-    incr stack_len;
     blocked.(v) <- true;
     List.iter
       (fun w ->
         if w >= start && comp.(w) = comp.(start) then begin
           if w = start then begin
-            if !stack_len <= max_len then emit ();
+            emit ();
             found := true
           end
-          else if (not blocked.(w)) && !stack_len < max_len then
-            if circuit start w then found := true
+          else if not blocked.(w) then if circuit start w then found := true
         end)
       t.succs.(v);
     if !found then unblock v
@@ -121,7 +118,6 @@ let elementary_cycles ?(max_cycles = 10_000) ?(max_len = max_int) t =
             if not (List.mem v b_sets.(w)) then b_sets.(w) <- v :: b_sets.(w))
         t.succs.(v);
     stack := List.tl !stack;
-    decr stack_len;
     !found
   in
   (try

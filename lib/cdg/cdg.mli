@@ -37,10 +37,9 @@ val numbering : t -> int array option
     number such that [f.(c1) < f.(c2)] for every dependency [c1 -> c2]
     (channels are used in strictly increasing order). *)
 
-val elementary_cycles : ?max_cycles:int -> ?max_len:int -> t -> Topology.channel list list
+val elementary_cycles : ?max_cycles:int -> t -> Topology.channel list list
 (** Johnson's algorithm.  Each cycle is a channel list in dependency order
     (the edge from the last element back to the first closes it).
-    Enumeration stops after [max_cycles] (default 10_000); cycles longer
-    than [max_len] (default unlimited) are pruned. *)
+    Enumeration stops after [max_cycles] (default 10_000). *)
 
 val pp_cycle : t -> Format.formatter -> Topology.channel list -> unit

@@ -12,7 +12,3 @@
 
 val of_net : Paper_nets.net -> Routing.t
 (** Compile the network's routing algorithm. *)
-
-val hub_default : Paper_nets.net -> Routing.input -> Topology.node -> Topology.channel option
-(** Just the default rule (everything via the hub), exposed for building
-    variants of the algorithm in tests and experiments. *)

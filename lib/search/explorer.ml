@@ -28,8 +28,6 @@ let default_space messages =
     max_cycles = 10_000;
   }
 
-let wide_space messages = { (default_space messages) with gaps = [ 0; 1; 2; 3 ] }
-
 let minimal_length_template rt label src dst =
   let hops = List.length (Routing.path_exn rt src dst) in
   {

@@ -52,9 +52,6 @@ val default_space : msg_template list -> space
 (** gaps [0;1], buffers [1;2], all orders, all priority permutations,
     10_000-cycle cutoff. *)
 
-val wide_space : msg_template list -> space
-(** A larger confirmation sweep: gaps [0;1;2;3], buffers [1;2]. *)
-
 val minimal_length_template :
   Routing.t -> string -> Topology.node -> Topology.node -> msg_template
 (** Template whose lengths are the message's hop count and one more, with

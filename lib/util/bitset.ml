@@ -9,51 +9,11 @@ let create n =
   let words = ((max n 1) + bits_per_word - 1) / bits_per_word in
   { n; words = Array.make words 0 }
 
-let capacity t = t.n
-
-let check t i =
-  if i < 0 || i >= t.n then invalid_arg "Bitset: out of range"
-
 let mem t i =
-  check t i;
+  if i < 0 || i >= t.n then invalid_arg "Bitset: out of range";
   t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
-let add t i =
-  check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
-
-let remove t i =
-  check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
-
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
-let popcount x =
-  let rec loop x acc = if x = 0 then acc else loop (x land (x - 1)) (acc + 1) in
-  loop x 0
-
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
-
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (if mem t i then i :: acc else acc) in
-  loop (t.n - 1) []
-
-let copy t = { n = t.n; words = Array.copy t.words }
-
-let equal a b = a.n = b.n && a.words = b.words
-
-let union_into dst src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: capacity mismatch";
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
-
-let hash t = Hashtbl.hash t.words
 
 (* Unchecked variants for hot loops that maintain their own bounds (the
    simulator's struct-of-arrays kernel indexes by a validated message id

@@ -1,34 +1,20 @@
-(** Fixed-capacity bitsets over integers [0..n-1].
-
-    Used for visited sets in graph algorithms and channel-occupancy masks in
-    the search layer. *)
+(** Fixed-capacity bitsets over integers [0..n-1]: the switching kernel's
+    per-message flag columns. *)
 
 type t
 
 val create : int -> t
 (** [create n] is the empty set over universe [0..n-1]. *)
 
-val capacity : t -> int
 val mem : t -> int -> bool
-val add : t -> int -> unit
-val remove : t -> int -> unit
 val clear : t -> unit
-val cardinal : t -> int
-val iter : (int -> unit) -> t -> unit
-val to_list : t -> int list
-val copy : t -> t
-val equal : t -> t -> bool
-val union_into : t -> t -> unit
-(** [union_into dst src] adds all of [src] into [dst]; capacities must match. *)
-
-val hash : t -> int
 
 (** {2 Unchecked access}
 
-    Bounds-unchecked variants of {!mem}/{!add}/{!remove} for hot loops that
-    already guarantee [0 <= i < capacity t] (e.g. the simulator's
-    struct-of-arrays switching kernel, which indexes by validated message
-    ids every cycle).  Out-of-range indices are undefined behaviour. *)
+    Bounds-unchecked membership and updates for hot loops that already
+    guarantee [0 <= i < n] (e.g. the simulator's struct-of-arrays
+    switching kernel, which indexes by validated message ids every
+    cycle).  Out-of-range indices are undefined behaviour. *)
 
 val unsafe_mem : t -> int -> bool
 val unsafe_add : t -> int -> unit

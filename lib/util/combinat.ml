@@ -1,11 +1,3 @@
-let rec insert_everywhere x = function
-  | [] -> [ [ x ] ]
-  | y :: ys -> (x :: y :: ys) :: List.map (fun zs -> y :: zs) (insert_everywhere x ys)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | x :: xs -> List.concat_map (insert_everywhere x) (permutations xs)
-
 (* Heap's algorithm: generates each permutation with a single swap. *)
 let iter_permutations f a =
   let n = Array.length a in
@@ -24,28 +16,6 @@ let iter_permutations f a =
     end
   in
   if n = 0 then f a else go n
-
-let rec tuples k xs =
-  if k = 0 then [ [] ]
-  else
-    let rest = tuples (k - 1) xs in
-    List.concat_map (fun x -> List.map (fun t -> x :: t) rest) xs
-
-let iter_tuples f k bound =
-  let a = Array.make k 0 in
-  if bound <= 0 && k > 0 then ()
-  else begin
-    let rec go i = if i = k then f a else for v = 0 to bound - 1 do a.(i) <- v; go (i + 1) done in
-    go 0
-  end
-
-let rec choose k xs =
-  if k = 0 then [ [] ]
-  else
-    match xs with
-    | [] -> []
-    | x :: rest ->
-      List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
 
 let rec cartesian = function
   | [] -> [ [] ]

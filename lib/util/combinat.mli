@@ -1,21 +1,8 @@
 (** Exhaustive enumeration helpers used by the schedule-space search. *)
 
-val permutations : 'a list -> 'a list list
-(** All permutations of the input (n! results; callers bound n). *)
-
 val iter_permutations : ('a array -> unit) -> 'a array -> unit
 (** [iter_permutations f a] calls [f] on every permutation of [a] in place
     (Heap's algorithm); [f] must not retain the array. *)
-
-val tuples : int -> 'a list -> 'a list list
-(** [tuples k xs] is all length-[k] sequences over [xs] (|xs|^k results). *)
-
-val iter_tuples : (int array -> unit) -> int -> int -> unit
-(** [iter_tuples f k bound] calls [f] on every array of length [k] with
-    entries in \[0, bound); the array is reused between calls. *)
-
-val choose : int -> 'a list -> 'a list list
-(** [choose k xs] is all k-element subsets of [xs] in order. *)
 
 val cartesian : 'a list list -> 'a list list
 (** Cartesian product of a list of choice lists. *)

@@ -4,8 +4,6 @@ let gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step: advance by the golden-ratio increment and scramble. *)
 let int64 t =
   t.state <- Int64.add t.state gamma;

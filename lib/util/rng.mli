@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a statistically independent child
     generator; useful to give sub-components their own streams. *)

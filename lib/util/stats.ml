@@ -1,33 +1,21 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
-  mutable minv : float;
   mutable maxv : float;
   samples : float Vec.t; (* retained for percentile queries *)
 }
 
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; minv = infinity; maxv = neg_infinity; samples = Vec.create () }
+let create () = { n = 0; mean = 0.0; maxv = neg_infinity; samples = Vec.create () }
 
 let add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.minv then t.minv <- x;
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
   if x > t.maxv then t.maxv <- x;
   Vec.push t.samples x
 
 let count t = t.n
 
 let mean t = if t.n = 0 then 0.0 else t.mean
-
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-let stddev t = sqrt (variance t)
-
-let min_value t = t.minv
 
 let max_value t = t.maxv
 
@@ -40,14 +28,3 @@ let percentile t p =
     let idx = max 0 (min (t.n - 1) (rank - 1)) in
     a.(idx)
   end
-
-let merge a b =
-  let r = create () in
-  Vec.iter (add r) a.samples;
-  Vec.iter (add r) b.samples;
-  r
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t) (stddev t)
-    (if t.n = 0 then 0.0 else t.minv)
-    (if t.n = 0 then 0.0 else t.maxv)

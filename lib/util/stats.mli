@@ -6,14 +6,7 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-(** 0 when empty. *)
-
-val variance : t -> float
-(** Sample variance (Welford); 0 for fewer than two samples. *)
-
-val stddev : t -> float
-val min_value : t -> float
-(** [infinity] when empty. *)
+(** Running (Welford) mean; 0 when empty. *)
 
 val max_value : t -> float
 (** [neg_infinity] when empty. *)
@@ -21,6 +14,3 @@ val max_value : t -> float
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in \[0,100\]; nearest-rank over retained
     samples.  0 when empty. *)
-
-val merge : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -5,22 +5,11 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
-
 let length t = t.len
 
-let is_empty t = t.len = 0
-
-let check t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds"
-
 let get t i =
-  check t i;
+  if i < 0 || i >= t.len then invalid_arg "Vec: index out of bounds";
   t.data.(i)
-
-let set t i x =
-  check t i;
-  t.data.(i) <- x
 
 let grow t x =
   let cap = Array.length t.data in
@@ -34,55 +23,13 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    Some t.data.(t.len)
-  end
-
-let last t = if t.len = 0 then None else Some t.data.(t.len - 1)
-
-let clear t = t.len <- 0
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
 
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
   loop (t.len - 1) []
 
 let to_array t = Array.sub t.data 0 t.len
-
-let of_list l =
-  let t = create () in
-  List.iter (push t) l;
-  t
-
-let map f t =
-  let r = create () in
-  iter (fun x -> push r (f x)) t;
-  r
-
-let filter p t =
-  let r = create () in
-  iter (fun x -> if p x then push r x) t;
-  r

@@ -3,25 +3,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of [n] copies of [x]. *)
-
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a option
-(** Remove and return the last element. *)
-
-val last : 'a t -> 'a option
-val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
-val of_list : 'a list -> 'a t
-val map : ('a -> 'b) -> 'a t -> 'b t
-val filter : ('a -> bool) -> 'a t -> 'a t

@@ -53,13 +53,13 @@ let tornado coords =
     (fun c -> Array.mapi (fun d x -> (x + (((coords.dims.(d) + 1) / 2) - 1)) mod coords.dims.(d)) c)
     coords
 
-let hotspot ?(fraction = 0.2) rng coords spot =
+let hotspot rng coords spot =
   let base = uniform rng coords in
   {
     name = "hotspot";
     dest =
       (fun src ->
-        if src <> spot && Rng.bernoulli rng fraction then Some spot else base.dest src);
+        if src <> spot && Rng.bernoulli rng 0.2 then Some spot else base.dest src);
   }
 
 let neighbor coords =

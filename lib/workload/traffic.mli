@@ -25,9 +25,9 @@ val bit_reverse : Builders.coords -> t
 val tornado : Builders.coords -> t
 (** Each dimension shifted by (almost) half the radix. *)
 
-val hotspot : ?fraction:float -> Rng.t -> Builders.coords -> Topology.node -> t
-(** Uniform traffic, except a [fraction] (default 0.2) of messages target
-    the given hotspot node. *)
+val hotspot : Rng.t -> Builders.coords -> Topology.node -> t
+(** Uniform traffic, except that a fifth of the messages target the given
+    hotspot node. *)
 
 val neighbor : Builders.coords -> t
 (** +1 in dimension 0 (wrapping). *)

@@ -10,9 +10,8 @@ let test_cycle_enumeration_bounds () =
   let rt = Dimension_order.torus (Builders.torus [ 5; 5 ]) in
   let cdg = Cdg.build rt in
   check ci "cap respected" 3 (List.length (Cdg.elementary_cycles ~max_cycles:3 cdg));
-  (* ring cycles have length 5; a tighter length bound prunes them all *)
-  check ci "length bound" 0 (List.length (Cdg.elementary_cycles ~max_len:4 cdg));
-  check ci "length bound admits" 20 (List.length (Cdg.elementary_cycles ~max_len:5 cdg))
+  check ci "default cap admits all 20 ring cycles" 20
+    (List.length (Cdg.elementary_cycles cdg))
 
 let test_pp_cycle () =
   let rt = Ring_routing.clockwise (Builders.ring ~unidirectional:true 4) in
@@ -78,15 +77,6 @@ let test_min_delay_witness_replays () =
          (fun (m : Schedule.message_spec) -> m.ms_holds <> [])
          w.Explorer.w_schedule)
   | None -> Alcotest.fail "expected a witness"
-
-(* ---- explorer wide space ---- *)
-
-let test_wide_space () =
-  let net = Paper_nets.figure2 () in
-  let templates = List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents in
-  let narrow = Explorer.default_space templates in
-  let wide = Explorer.wide_space templates in
-  check cb "wide is larger" true (Explorer.space_size wide > Explorer.space_size narrow)
 
 (* ---- paper-net helper values on figure 2 ---- *)
 
@@ -182,7 +172,6 @@ let () =
       ( "search",
         [
           Alcotest.test_case "min-delay witness replays" `Slow test_min_delay_witness_replays;
-          Alcotest.test_case "wide space" `Quick test_wide_space;
           Alcotest.test_case "mc dateline safe" `Quick test_mc_dateline_safe;
         ] );
       ( "paper_nets",

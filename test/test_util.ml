@@ -30,12 +30,6 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int child 1000) in
   check cb "streams differ" true (xs <> ys)
 
-let test_rng_copy () =
-  let r = Rng.create 9 in
-  ignore (Rng.int r 10);
-  let c = Rng.copy r in
-  check ci "copy continues identically" (Rng.int r 1000) (Rng.int c 1000)
-
 let test_rng_bernoulli_extremes () =
   let r = Rng.create 3 in
   for _ = 1 to 50 do
@@ -55,78 +49,53 @@ let test_rng_shuffle_permutes () =
 
 (* ---- Vec ---- *)
 
+let vec_of_list l =
+  let v = Vec.create () in
+  List.iter (Vec.push v) l;
+  v
+
 let test_vec_push_get () =
   let v = Vec.create () in
   for i = 0 to 99 do
     Vec.push v (i * i)
   done;
   check ci "length" 100 (Vec.length v);
-  check ci "get" 49 (Vec.get v 7);
-  Vec.set v 7 (-1);
-  check ci "set" (-1) (Vec.get v 7)
-
-let test_vec_pop_last () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
-  check (Alcotest.option ci) "last" (Some 3) (Vec.last v);
-  check (Alcotest.option ci) "pop" (Some 3) (Vec.pop v);
-  check ci "after pop" 2 (Vec.length v);
-  Vec.clear v;
-  check (Alcotest.option ci) "pop empty" None (Vec.pop v);
-  check cb "is_empty" true (Vec.is_empty v)
+  check ci "get" 49 (Vec.get v 7)
 
 let test_vec_bounds () =
-  let v = Vec.of_list [ 1 ] in
+  let v = vec_of_list [ 1 ] in
   Alcotest.check_raises "get oob" (Invalid_argument "Vec: index out of bounds") (fun () ->
       ignore (Vec.get v 1))
 
 let test_vec_iterators () =
-  let v = Vec.of_list [ 1; 2; 3; 4 ] in
-  check ci "fold sum" 10 (Vec.fold ( + ) 0 v);
+  let v = vec_of_list [ 1; 2; 3; 4 ] in
   check (Alcotest.list ci) "to_list" [ 1; 2; 3; 4 ] (Vec.to_list v);
-  check (Alcotest.list ci) "map" [ 2; 4; 6; 8 ] (Vec.to_list (Vec.map (fun x -> 2 * x) v));
-  check (Alcotest.list ci) "filter" [ 2; 4 ] (Vec.to_list (Vec.filter (fun x -> x mod 2 = 0) v));
-  check cb "exists" true (Vec.exists (fun x -> x = 3) v);
-  check cb "not exists" false (Vec.exists (fun x -> x = 7) v);
-  let seen = ref [] in
-  Vec.iteri (fun i x -> seen := (i, x) :: !seen) v;
-  check ci "iteri count" 4 (List.length !seen)
-
-let test_vec_make () =
-  let v = Vec.make 5 'x' in
-  check ci "make length" 5 (Vec.length v);
-  check cb "all x" true (List.for_all (fun c -> c = 'x') (Vec.to_list v))
+  check (Alcotest.array ci) "to_array" [| 1; 2; 3; 4 |] (Vec.to_array v);
+  let sum = ref 0 in
+  Vec.iter (fun x -> sum := !sum + x) v;
+  check ci "iter sum" 10 !sum
 
 (* ---- Bitset ---- *)
 
 let test_bitset_basic () =
   let b = Bitset.create 100 in
-  check ci "capacity" 100 (Bitset.capacity b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 99;
+  Bitset.unsafe_add b 0;
+  Bitset.unsafe_add b 63;
+  Bitset.unsafe_add b 99;
   check cb "mem 0" true (Bitset.mem b 0);
   check cb "mem 63" true (Bitset.mem b 63);
   check cb "mem 50" false (Bitset.mem b 50);
-  check ci "cardinal" 3 (Bitset.cardinal b);
-  Bitset.remove b 63;
+  check cb "unsafe_mem 99" true (Bitset.unsafe_mem b 99);
+  Bitset.unsafe_remove b 63;
   check cb "removed" false (Bitset.mem b 63);
-  check (Alcotest.list ci) "to_list" [ 0; 99 ] (Bitset.to_list b)
-
-let test_bitset_union_copy () =
-  let a = Bitset.create 64 and b = Bitset.create 64 in
-  Bitset.add a 1;
-  Bitset.add b 2;
-  let c = Bitset.copy a in
-  Bitset.union_into c b;
-  check (Alcotest.list ci) "union" [ 1; 2 ] (Bitset.to_list c);
-  check (Alcotest.list ci) "a untouched" [ 1 ] (Bitset.to_list a);
-  check cb "equal" true (Bitset.equal a (Bitset.copy a));
-  check cb "not equal" false (Bitset.equal a c)
+  check cb "others kept" true (Bitset.mem b 0 && Bitset.mem b 99);
+  Bitset.clear b;
+  check cb "cleared" false (Bitset.mem b 0 || Bitset.mem b 99)
 
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: out of range") (fun () ->
-      Bitset.add b 10)
+      ignore (Bitset.mem b 10))
 
 (* ---- Combinat ---- *)
 
@@ -137,9 +106,10 @@ let fact n =
 let test_permutations_count () =
   List.iter
     (fun n ->
-      let perms = Combinat.permutations (List.init n Fun.id) in
-      check ci (Printf.sprintf "%d! perms" n) (fact n) (List.length perms);
-      check ci "all distinct" (fact n) (List.length (List.sort_uniq compare perms)))
+      let perms = ref [] in
+      Combinat.iter_permutations (fun a -> perms := Array.to_list a :: !perms) (Array.init n Fun.id);
+      check ci (Printf.sprintf "%d! perms" n) (fact n) (List.length !perms);
+      check ci "all distinct" (fact n) (List.length (List.sort_uniq compare !perms)))
     [ 0; 1; 2; 3; 4; 5 ]
 
 let test_iter_permutations () =
@@ -152,19 +122,6 @@ let test_iter_permutations () =
     [| 1; 2; 3; 4 |];
   check ci "24 visits" 24 !count;
   check ci "24 distinct" 24 (Hashtbl.length seen)
-
-let test_tuples () =
-  check ci "3^2" 9 (List.length (Combinat.tuples 2 [ 1; 2; 3 ]));
-  check ci "k=0" 1 (List.length (Combinat.tuples 0 [ 1; 2 ]));
-  let count = ref 0 in
-  Combinat.iter_tuples (fun _ -> incr count) 3 4;
-  check ci "4^3 iter" 64 !count
-
-let test_choose () =
-  check ci "5C2" 10 (List.length (Combinat.choose 2 [ 1; 2; 3; 4; 5 ]));
-  check ci "nC0" 1 (List.length (Combinat.choose 0 [ 1; 2 ]));
-  check ci "nCn" 1 (List.length (Combinat.choose 2 [ 1; 2 ]));
-  check ci "k>n" 0 (List.length (Combinat.choose 3 [ 1; 2 ]))
 
 let test_cartesian () =
   let prod = Combinat.cartesian [ [ 1; 2 ]; [ 3 ]; [ 4; 5; 6 ] ] in
@@ -180,8 +137,6 @@ let test_stats_moments () =
   List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   check ci "count" 8 (Stats.count s);
   check cf "mean" 5.0 (Stats.mean s);
-  check (Alcotest.float 1e-6) "variance" (32.0 /. 7.0) (Stats.variance s);
-  check cf "min" 2.0 (Stats.min_value s);
   check cf "max" 9.0 (Stats.max_value s)
 
 let test_stats_percentile () =
@@ -191,16 +146,12 @@ let test_stats_percentile () =
   check cf "p95" 95.0 (Stats.percentile s 95.0);
   check cf "p100" 100.0 (Stats.percentile s 100.0)
 
-let test_stats_empty_and_merge () =
+let test_stats_empty () =
   let s = Stats.create () in
+  check ci "empty count" 0 (Stats.count s);
   check cf "empty mean" 0.0 (Stats.mean s);
-  check cf "empty var" 0.0 (Stats.variance s);
-  let a = Stats.create () and b = Stats.create () in
-  Stats.add a 1.0;
-  Stats.add b 3.0;
-  let m = Stats.merge a b in
-  check cf "merged mean" 2.0 (Stats.mean m);
-  check ci "merged count" 2 (Stats.count m)
+  check cf "empty percentile" 0.0 (Stats.percentile s 50.0);
+  check cf "empty max" neg_infinity (Stats.max_value s)
 
 (* ---- Table ---- *)
 
@@ -232,37 +183,31 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
-          Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       ( "vec",
         [
-          Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
-          Alcotest.test_case "pop/last/clear" `Quick test_vec_pop_last;
+          Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
-          Alcotest.test_case "make" `Quick test_vec_make;
         ] );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "union/copy/equal" `Quick test_bitset_union_copy;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
         ] );
       ( "combinat",
         [
           Alcotest.test_case "permutations count" `Quick test_permutations_count;
           Alcotest.test_case "iter_permutations" `Quick test_iter_permutations;
-          Alcotest.test_case "tuples" `Quick test_tuples;
-          Alcotest.test_case "choose" `Quick test_choose;
           Alcotest.test_case "cartesian" `Quick test_cartesian;
         ] );
       ( "stats",
         [
           Alcotest.test_case "moments" `Quick test_stats_moments;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "empty/merge" `Quick test_stats_empty_and_merge;
+          Alcotest.test_case "empty" `Quick test_stats_empty;
         ] );
       ( "table",
         [

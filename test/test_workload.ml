@@ -57,7 +57,7 @@ let test_uniform_never_self () =
 let test_hotspot_bias () =
   let rng = Rng.create 4 in
   let spot = mesh4.node_at [| 0; 0 |] in
-  let p = Traffic.hotspot ~fraction:0.5 rng mesh4 spot in
+  let p = Traffic.hotspot rng mesh4 spot in
   let hits = ref 0 in
   let n = 2000 in
   for _ = 1 to n do
@@ -65,8 +65,8 @@ let test_hotspot_bias () =
     | Some d when d = spot -> incr hits
     | _ -> ()
   done;
-  (* ~50% + uniform share; far more than the uniform 1/15 *)
-  check cb "biased" true (!hits > n / 3)
+  (* ~20% + uniform share; far more than the uniform 1/15 *)
+  check cb "biased" true (!hits > n / 5)
 
 let test_permutation_schedule () =
   let sched = Traffic.permutation_schedule (Traffic.transpose mesh4) ~coords:mesh4 ~length:5 in
