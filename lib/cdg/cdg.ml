@@ -17,6 +17,9 @@ let build rt =
   let support = Hashtbl.create 256 in
   let users = Array.make nchan [] in
   let paths = Hashtbl.create 256 in
+  (* Each pair is walked once, and a delivered path never repeats a channel
+     (a deterministic walk that did would loop until [Routing.path] calls it
+     a livelock), so a pair joins each edge's support at most once. *)
   let add_edge c1 c2 msg =
     let key = (c1, c2) in
     match Hashtbl.find_opt support key with
