@@ -303,6 +303,76 @@ let test_trace_adaptive () =
        ])
     (Trace.render mesh.Builders.topo (get ()))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Under cut-through the channel queues hold the longest packet (6 flits
+   here, over the configured 2): [worm], blocked behind [hog], compresses
+   into its head channel and shows uppercase cells. *)
+let test_trace_vct_compression () =
+  let mesh = Builders.mesh [ 4; 2 ] in
+  let n = mesh.Builders.node_at in
+  let sched =
+    [
+      Schedule.message ~length:6 "hog" (n [| 1; 0 |]) (n [| 3; 0 |]);
+      Schedule.message ~length:4 ~at:1 "worm" (n [| 0; 0 |]) (n [| 3; 0 |]);
+    ]
+  in
+  let config =
+    { Engine.default_config with buffer_capacity = 2; discipline = Engine.Virtual_cut_through }
+  in
+  let get, probe = Trace.collector () in
+  check Alcotest.string "outcome" "all-delivered"
+    (Engine.outcome_string (Engine.run ~config ~probe (Dimension_order.mesh mesh) sched));
+  check Alcotest.string "timeline"
+    (read_file "golden/vct-compress.timeline.txt")
+    (Trace.render mesh.Builders.topo (get ()))
+
+(* A stall holds [b]'s header, a failed link wedges [a] until the watchdog
+   drains it and reroutes it around the failure, and [c] is dropped at its
+   source and re-injected after the backoff. *)
+let test_trace_faulted_reroute () =
+  let mesh = Builders.mesh [ 4; 4 ] in
+  let topo = mesh.Builders.topo and n = mesh.Builders.node_at in
+  let rt = Dimension_order.mesh mesh in
+  let chan a b = Option.get (Topology.find_channel topo (n a) (n b)) in
+  let failed = chan [| 1; 0 |] [| 2; 0 |] in
+  let sched =
+    [
+      Schedule.message ~length:4 "a" (n [| 0; 0 |]) (n [| 3; 0 |]);
+      Schedule.message ~length:3 "b" (n [| 0; 1 |]) (n [| 0; 3 |]);
+      Schedule.message ~length:3 ~at:3 "c" (n [| 3; 3 |]) (n [| 0; 3 |]);
+    ]
+  in
+  let config =
+    {
+      Engine.default_config with
+      faults =
+        Fault.make
+          [
+            Fault.Link_failure { channel = failed; at = 2 };
+            Fault.Transient_stall { channel = chan [| 0; 1 |] [| 0; 2 |]; at = 1; duration = 4 };
+            Fault.Message_drop { label = "c"; at = 2 };
+          ];
+      recovery =
+        Some
+          {
+            Engine.trigger = Engine.Watchdog 6;
+            retry_limit = 2;
+            backoff = 3;
+            reroute = Some (Routing.avoiding ~failed:[ failed ] rt);
+          };
+    }
+  in
+  let get, probe = Trace.collector () in
+  check Alcotest.string "outcome"
+    "recovered by cycle 19: 3 delivered, 0 dropped, 0 gave up (2 retries total)\n\
+    \  a: delivered after 1 retry\n\
+    \  c: delivered after 1 retry"
+    (Format.asprintf "%a" (Engine.pp_outcome topo) (Engine.run ~config ~probe rt sched));
+  check Alcotest.string "timeline"
+    (read_file "golden/faulted-reroute.timeline.txt")
+    (Trace.render topo (get ()))
+
 let () =
   Alcotest.run "extensions"
     [
@@ -340,5 +410,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_trace_truncation;
           Alcotest.test_case "detect recovery" `Quick test_trace_detect_recovery;
           Alcotest.test_case "adaptive" `Quick test_trace_adaptive;
+          Alcotest.test_case "vct compression" `Quick test_trace_vct_compression;
+          Alcotest.test_case "faulted reroute" `Quick test_trace_faulted_reroute;
         ] );
     ]

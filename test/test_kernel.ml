@@ -26,10 +26,10 @@ let check = Alcotest.check
 (* the kernel's two routing modes, dispatched to their entry points *)
 type policy = Oblivious of Routing.t | Adaptive of Adaptive.t
 
-let run_policy ?config ?sanitizer ?probe policy sched =
+let run_policy ?config ?sanitizer ?probe ?obs policy sched =
   match policy with
-  | Oblivious rt -> Engine.run ?config ?sanitizer ?probe rt sched
-  | Adaptive ad -> Engine.run_adaptive ?config ?sanitizer ?probe ad sched
+  | Oblivious rt -> Engine.run ?config ?sanitizer ?probe ?obs rt sched
+  | Adaptive ad -> Engine.run_adaptive ?config ?sanitizer ?probe ?obs ad sched
 
 (* ---- fingerprinting ---- *)
 
@@ -88,6 +88,47 @@ let fp_outcome topo (o : Engine.outcome) =
       blocked
       (fp_occupancy topo d.d_occupancy)
 
+(* every field of one event, channels by name *)
+let fp_event topo (e : Obs_event.t) =
+  let ch = Topology.channel_name topo in
+  let opt f = function Some x -> f x | None -> "-" in
+  match e with
+  | Obs_event.Run_start { engine; algorithm; messages } ->
+    Printf.sprintf "start %s %s %d" engine algorithm messages
+  | Run_end { cycle; outcome } -> Printf.sprintf "end@%d %s" cycle outcome
+  | Channel_acquire { cycle; label; channel; waited } ->
+    Printf.sprintf "acq@%d %s %s %d" cycle label (ch channel) waited
+  | Channel_release { cycle; label; channel } ->
+    Printf.sprintf "rel@%d %s %s" cycle label (ch channel)
+  | Wait_add { cycle; label; channel; holder } ->
+    Printf.sprintf "wadd@%d %s %s %s" cycle label (ch channel) (opt Fun.id holder)
+  | Wait_drop { cycle; label; channel; waited } ->
+    Printf.sprintf "wdrop@%d %s %s %d" cycle label (ch channel) waited
+  | Flit { cycle; label; channel; kind } ->
+    Printf.sprintf "flit@%d %s %s %s" cycle label (ch channel)
+      (match kind with
+      | Obs_event.Inject -> "inject"
+      | Hop -> "hop"
+      | Cascade -> "cascade"
+      | Consume -> "consume")
+  | Delivered { cycle; label; latency } -> Printf.sprintf "dlv@%d %s %d" cycle label latency
+  | Abort { cycle; label; retries; reason } ->
+    Printf.sprintf "abort@%d %s %d %s" cycle label retries reason
+  | Retry { cycle; label; resume_at } -> Printf.sprintf "retry@%d %s %d" cycle label resume_at
+  | Gave_up { cycle; label; fate } -> Printf.sprintf "gaveup@%d %s %s" cycle label fate
+  | Fault { cycle; kind; channel; label; duration } ->
+    Printf.sprintf "fault@%d %s %s %s %d" cycle (Obs_event.fault_kind_string kind)
+      (opt ch channel) (opt Fun.id label) duration
+  | Deadlock_detected { cycle; members; channels; victims } ->
+    Printf.sprintf "knot@%d %s %s %s" cycle (String.concat "," members)
+      (String.concat "," (List.map ch channels))
+      (String.concat "," victims)
+  | Victim_aborted { cycle; label; policy } ->
+    Printf.sprintf "victim@%d %s %s" cycle label policy
+
+(* The outcome comes from a run without a sink, which keeps the no-sink
+   path pinned; the event digest from a second run with a recorder, which
+   must reach the same outcome. *)
 let run_fingerprint topo ?config ?sanitizer ?probe_hook policy sched =
   let snap = ref 5381 in
   let probe (s : Engine.snapshot) =
@@ -101,8 +142,14 @@ let run_fingerprint topo ?config ?sanitizer ?probe_hook policy sched =
       s.s_waiting;
     match probe_hook with Some f -> f s | None -> ()
   in
-  let outcome = run_policy ?config ?sanitizer ~probe policy sched in
-  Printf.sprintf "%s snap=%08x" (fp_outcome topo outcome) !snap
+  let outcome = fp_outcome topo (run_policy ?config ?sanitizer ~probe policy sched) in
+  let sink, events = Obs_event.recorder () in
+  let observed = fp_outcome topo (run_policy ?config ?sanitizer ~obs:sink policy sched) in
+  if observed <> outcome then
+    Alcotest.failf "a sink moved the outcome:\n  without %s\n  with    %s" outcome observed;
+  let ev = ref 5381 in
+  List.iter (fun e -> digest_add ev (fp_event topo e ^ ";")) (events ());
+  Printf.sprintf "%s snap=%08x ev=%08x" outcome !snap !ev
 
 (* ---- the seeded case matrix ---- *)
 
