@@ -92,7 +92,7 @@ let entries =
     case "properties/coherent-mesh8x8" (fun () -> Properties.coherent mesh8_rt);
     case "sim/mesh8x8-uniform-300c" (fun () -> Sim_measure.run mesh8_rt mesh_schedule);
     case "sim/torus5x5-tornado-deadlock" (fun () -> Engine.run torus5_rt tornado_schedule);
-    (* the raw engine with no probe and no sanitizer: the PR-3 hot path
+    (* the raw engine with no sink and no sanitizer: the hot path
        (precomputed hold arrays, indexed wait_since, stamped request
        scratch) is exactly what this measures *)
     case "sim/engine-hotpath" (fun () -> Engine.run mesh8_rt mesh_schedule);

@@ -61,12 +61,12 @@ let () =
   | o -> Format.printf "%a@." (Engine.pp_outcome mesh1.topo) o);
 
   Format.printf "@.=== A small wormhole timeline (oblivious XY) ===@.";
-  let get, probe = Trace.collector () in
+  let sink, events = Obs_event.recorder () in
   let tiny =
     [
       Schedule.message ~length:3 "a" n00 n22;
       Schedule.message ~length:3 ~at:1 "b" (mesh1.node_at [| 1; 0 |]) (mesh1.node_at [| 1; 3 |]);
     ]
   in
-  ignore (Engine.run ~probe xy tiny);
-  print_string (Trace.render mesh1.topo (get ()))
+  ignore (Engine.run ~obs:sink xy tiny);
+  print_string (Trace.render mesh1.topo (events ()))

@@ -111,13 +111,6 @@ type outcome =
       stats : retry_stat list;
     }
 
-type snapshot = {
-  s_cycle : int;
-  s_occupancy : (Topology.channel * string * int) list;
-  s_waiting : (string * Topology.channel * string option) list;
-  s_moved : bool;
-}
-
 (* how the header picks its next channel, and the key of the compiled-kernel
    memo; callers choose it through [run] or [run_adaptive] *)
 type policy = Oblivious of Routing.t | Adaptive of Adaptive.t
@@ -200,9 +193,9 @@ let outcome_string = function
    a kernel, and a run stays a pure function of (policy, schedule,
    config): every field a run reads is reset at entry, over the prefix it
    uses, before the first cycle.  Nothing is reset on exit, so a run that
-   raises (a probe, a sink, the sanitizer) leaves nothing behind that the
-   next run could see.  A run that starts while the slot's kernel is busy
-   -- [run] called from inside a probe -- compiles a private kernel. *)
+   raises (a sink, the sanitizer) leaves nothing behind that the next run
+   could see.  A run that starts while the slot's kernel is busy -- [run]
+   called from inside a sink -- compiles a private kernel. *)
 
 type msgs = {
   m_cap : int;
@@ -423,9 +416,8 @@ let option_row memo i ad input d =
   end
 
 (* -- event constructors, one per repeated kind, and the occupancy rows of a
-   snapshot or witness.  Top-level functions over the arena rather than
-   per-run closures, so a run that emits nothing allocates nothing for
-   them. -- *)
+   witness.  Top-level functions over the arena rather than per-run
+   closures, so a run that emits nothing allocates nothing for them. -- *)
 
 let flit_event t (ar : msgs) j channel kind =
   Obs_event.Flit { cycle = t; label = ar.specs.(j).Schedule.ms_label; channel; kind }
@@ -456,7 +448,7 @@ let occupancy (ar : msgs) nmsg =
   done;
   List.sort compare !acc
 
-let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sched =
+let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Engine.run_adaptive: " in
   let inv msg = invalid_arg (caller ^ msg) in
@@ -976,16 +968,15 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
       !scan_found
     end
   in
-  (* first channel the header is blocked on, mode-dispatched: used by the
-     probe snapshot and the deadlock witness.  Refreshing the adaptive
-     option cache here is safe: both run at the end of the cycle, after
-     every claim, and the next registration either recomputes the cache or
-     reuses the memo keyed by the same head position. *)
+  (* first channel the header is blocked on, mode-dispatched, for the
+     deadlock witness.  Refreshing the adaptive option cache here is safe:
+     the witness is built at the end of the cycle, after every claim, and
+     the run ends there. *)
   let first_want_chan j t = if oblivious then wanted_chan j else register_opts j t in
   (* -- sanitizer: re-derive the structural invariants from the full state
         at the end of every cycle (see Sanitizer's doc for the code table).
         Pure observation; a sanitized run takes the same decisions. -- *)
-  let sanitizer = match sanitizer with Some s -> Some s | None -> Sanitizer.current () in
+  let sanitizer = Sanitizer.current () in
   (* oblivious messages have a fixed route ("path position"); adaptive ones
      a carved route ("hop") -- the sanitizer wording tracks the mode *)
   let posw = if oblivious then "path position" else "hop" in
@@ -1693,24 +1684,8 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
         end
       done
     end;
-    (* -- end of cycle: sanitizer, probe, termination checks -- *)
+    (* -- end of cycle: sanitizer, termination checks -- *)
     sanitize t;
-    (match probe with
-    | None -> ()
-    | Some f ->
-      let waiting =
-        List.filter_map
-          (fun j ->
-            if delivered_at_.(j) >= 0 then None
-            else begin
-              let c = first_want_chan j t in
-              if c >= 0 && head_.(j) >= 0 && owner.(c) <> j then
-                Some (label j, c, if owner.(c) >= 0 then Some (label owner.(c)) else None)
-              else None
-            end)
-          (List.init nmsg (fun j -> j))
-      in
-      f { s_cycle = t; s_occupancy = occupancy ar nmsg; s_waiting = waiting; s_moved = !moved });
     if !finished = nmsg then
       outcome :=
         Some
@@ -1820,10 +1795,10 @@ let run_on k ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy sch
   end;
   o
 
-let run_policy ?config ?probe ?sanitizer ?obs ?stats policy sched =
+let run_policy ?config ?obs ?stats policy sched =
   let k = acquire policy in
   k.k_busy <- true;
-  match run_on k ?config ?probe ?sanitizer ?obs ?stats policy sched with
+  match run_on k ?config ?obs ?stats policy sched with
   | o ->
     k.k_busy <- false;
     o
@@ -1831,11 +1806,10 @@ let run_policy ?config ?probe ?sanitizer ?obs ?stats policy sched =
     k.k_busy <- false;
     raise e
 
-let run ?config ?probe ?sanitizer ?obs ?stats rt sched =
-  run_policy ?config ?probe ?sanitizer ?obs ?stats (Oblivious rt) sched
+let run ?config ?obs ?stats rt sched = run_policy ?config ?obs ?stats (Oblivious rt) sched
 
-let run_adaptive ?config ?probe ?sanitizer ?obs ?stats ad sched =
-  run_policy ?config ?probe ?sanitizer ?obs ?stats (Adaptive ad) sched
+let run_adaptive ?config ?obs ?stats ad sched =
+  run_policy ?config ?obs ?stats (Adaptive ad) sched
 
 let pp_fate ppf = function
   | Delivered -> Format.pp_print_string ppf "delivered"

@@ -228,22 +228,8 @@ type outcome =
           is still returned when faults/recovery were configured but never
           fired. *)
 
-type snapshot = {
-  s_cycle : int;
-  s_occupancy : (Topology.channel * string * int) list;
-      (** channel, owning message, buffered flits (only non-empty queues) *)
-  s_waiting : (string * Topology.channel * string option) list;
-      (** blocked message, wanted channel (first option when adaptive),
-          current holder *)
-  s_moved : bool;  (** something advanced this cycle *)
-}
-(** The observable network state at the end of one cycle, for probes:
-    wait-for-graph analysis (Dally-Aoki), tracing, invariant checking. *)
-
 val run :
   ?config:config ->
-  ?probe:(snapshot -> unit) ->
-  ?sanitizer:Sanitizer.t ->
   ?obs:Obs_event.sink ->
   ?stats:Obs_stats.t ->
   Routing.t ->
@@ -253,9 +239,6 @@ val run :
     every message is delivered (or, under faults/recovery, dropped or
     abandoned), the network is permanently blocked, or the cycle cutoff
     fires.
-
-    [probe] is called with the network {!snapshot} at the end of every
-    cycle ({!Trace.collector} records them).
 
     [stats] accumulates counters-first telemetry into a preallocated
     {!Obs_stats.t} (per-channel utilization and blocking, latency histogram,
@@ -267,13 +250,14 @@ val run :
     @raise Invalid_argument when [stats] is sized for a different channel
     count than the routing's topology.
 
-    [obs] is the run's structured-event sink, the only way a run emits
-    events: without it the run builds none (sinks compose with
-    {!Obs_event.tee}); the [Run_start] event reports the engine as
-    ["oblivious"] or ["adaptive"].  [sanitizer] arms the per-cycle
-    invariant sweep (codes E101-E106), falling back to the process-wide
-    {!Sanitizer.install}ed one.  Both are pure observation: the run takes
-    identical decisions with any sink or sanitizer attached.  A [Detect]
+    [obs] is the run's structured-event sink, the only way to observe a
+    run as it goes: without it the run builds no events (sinks compose
+    with {!Obs_event.tee}, and {!Trace.render} draws a recorded stream);
+    the [Run_start] event reports the engine as ["oblivious"] or
+    ["adaptive"].  A process-wide {!Sanitizer.install}ed sanitizer arms
+    the per-cycle invariant sweep (codes E101-E106).  Both are pure
+    observation: the run takes identical decisions with any sink or
+    sanitizer attached.  A [Detect]
     recovery trigger is different: the detector is part of the engine's
     semantics, so it is fed the event stream unconditionally (event
     construction is forced for the run even without a sink).
@@ -308,16 +292,14 @@ val run :
     on every run with the same message.
 
     The kernel is reset at the entry of every run, never on exit, so a run
-    that raises (from a probe, a sink or the sanitizer) leaves nothing the
-    next run can see.  A run started while the domain's kernel is in use
-    -- [run] called from inside a probe -- compiles a private kernel.  The
+    that raises (from a sink or the sanitizer) leaves nothing the next run
+    can see.  A run started while the domain's kernel is in use -- [run]
+    called from inside a sink -- compiles a private kernel.  The
     memo relies on the routing function being deterministic and read-only
     (see {!Routing.create}).  See DESIGN.md section 18. *)
 
 val run_adaptive :
   ?config:config ->
-  ?probe:(snapshot -> unit) ->
-  ?sanitizer:Sanitizer.t ->
   ?obs:Obs_event.sink ->
   ?stats:Obs_stats.t ->
   Adaptive.t ->

@@ -1,9 +1,10 @@
 (** Per-cycle invariant checking for the simulation engine.
 
-    A sanitizer is a diagnostic collector passed to {!Engine.run} or
-    {!Engine.run_adaptive} via their [?sanitizer] argument.  When present,
-    the engine re-derives a set of structural invariants from its full state
-    at the end of every cycle and reports any violation as a diagnostic:
+    A sanitizer is a diagnostic collector that is {!install}ed process-wide.
+    While one is installed, every {!Engine.run} and {!Engine.run_adaptive},
+    on any domain, re-derives a set of structural invariants from its full
+    state at the end of every cycle and reports any violation as a
+    diagnostic:
 
     - [E101] flit conservation: a message's injected flits all sit in its
       buffers or have been consumed
@@ -26,13 +27,12 @@
     The checks are pure observers -- a sanitized run takes the same
     decisions as an unsanitized one, only slower.
 
-    A sanitizer can also be {e installed} process-wide; engines fall back to
-    the installed one when no [?sanitizer] argument is given, which is how
-    whole experiment campaigns run sanitized without threading a value
-    through every call site.  Setting the environment variable
-    [WORMHOLE_SANITIZE] (to anything but [0]) installs a fail-fast sanitizer
-    at startup, so [WORMHOLE_SANITIZE=1 dune runtest] checks the whole test
-    suite's engine runs. *)
+    Installing is how whole experiment campaigns run sanitized without
+    threading a value through every call site.  Setting the environment
+    variable [WORMHOLE_SANITIZE] (to anything but [0]) installs a fail-fast
+    sanitizer at startup, so [WORMHOLE_SANITIZE=1 dune runtest] checks the
+    whole test suite's engine runs; a test that installs its own sanitizer
+    puts the previous one back afterwards. *)
 
 type t
 
@@ -68,8 +68,8 @@ val reset : t -> unit
 (** Clear diagnostics and counters (keeps [fail_fast] and [limit]). *)
 
 val install : t -> unit
-(** Make this sanitizer the process-wide fallback used by engine runs that
-    receive no [?sanitizer] argument. *)
+(** Make this sanitizer the one every engine run reports to, replacing any
+    installed before. *)
 
 val uninstall : unit -> unit
 val current : unit -> t option

@@ -1,40 +1,79 @@
-type t = Engine.snapshot list
-
-let collector () =
-  let acc = ref [] in
-  let probe snap = acc := snap :: !acc in
-  ((fun () -> List.rev !acc), probe)
-
-let occupancy_of trace c =
-  List.concat_map
-    (fun (s : Engine.snapshot) ->
-      List.filter_map
-        (fun (c', owner, n) -> if c' = c then Some (s.Engine.s_cycle, owner, n) else None)
-        s.Engine.s_occupancy)
-    trace
-
-let render ?(max_cycles = 120) topo trace =
-  let cycles = List.length trace in
-  let shown = min cycles max_cycles in
-  (* channel -> per-cycle cell *)
+(* Per-channel flit counts are replayed from the flit movements: an inject
+   adds a flit to the named channel, a hop or cascade moves one from the
+   channel the label acquired just before the named one, a consume takes
+   one out, and an abort or give-up drains every flit of the label.  The
+   end-of-cycle state of cycle [i] is column [i]. *)
+let render ?(max_cycles = 120) topo events =
+  let nchan = Topology.num_channels topo in
+  let owner = Array.make nchan "" and flits = Array.make nchan 0 in
+  (* label -> channels it acquired since its last drain, newest first *)
+  let acquired = Hashtbl.create 16 in
+  let acquired_by l = Option.value (Hashtbl.find_opt acquired l) ~default:[] in
+  (* channels that may hold flits, for the per-column scan *)
+  let live = Hashtbl.create 32 in
+  let add l c d =
+    owner.(c) <- l;
+    flits.(c) <- flits.(c) + d;
+    Hashtbl.replace live c ()
+  in
+  let rec before c = function
+    | c' :: (p :: _ as rest) -> if c' = c then Some p else before c rest
+    | [ _ ] | [] -> None
+  in
+  let drain l =
+    List.iter (fun c -> if owner.(c) = l then flits.(c) <- 0) (acquired_by l);
+    Hashtbl.remove acquired l
+  in
+  (* first occupied column of every channel over the whole run, not just
+     the shown prefix: a channel first occupied after the cutoff still gets
+     a row (all dots plus the truncation marker) instead of silently
+     vanishing from the picture *)
   let first_seen = Hashtbl.create 32 in
-  let cells = Hashtbl.create 32 in
-  List.iteri
-    (fun i (s : Engine.snapshot) ->
-      List.iter
-        (fun (c, owner, n) ->
-          (* Track first occupancy over the whole trace, not just the shown
-             prefix: a channel first occupied after the cutoff still gets a
-             row (all dots plus the truncation marker) instead of silently
-             vanishing from the picture. *)
-          if not (Hashtbl.mem first_seen c) then Hashtbl.add first_seen c i;
-          if i < shown then begin
-            let ch = if owner = "" then '?' else owner.[0] in
-            let ch = if n > 1 then Char.uppercase_ascii ch else Char.lowercase_ascii ch in
-            Hashtbl.replace cells (c, i) ch
+  let cells = Hashtbl.create 64 in
+  let columns = ref 0 in
+  let close_until t =
+    while !columns < t do
+      let i = !columns in
+      Hashtbl.filter_map_inplace
+        (fun c () ->
+          let n = flits.(c) in
+          if n = 0 then None
+          else begin
+            if not (Hashtbl.mem first_seen c) then Hashtbl.add first_seen c i;
+            if i < max_cycles then begin
+              let l = owner.(c) in
+              let ch = if l = "" then '?' else l.[0] in
+              Hashtbl.replace cells (c, i)
+                (if n > 1 then Char.uppercase_ascii ch else Char.lowercase_ascii ch)
+            end;
+            Some ()
           end)
-        s.Engine.s_occupancy)
-    trace;
+        live;
+      incr columns
+    done
+  in
+  List.iter
+    (fun (e : Obs_event.t) ->
+      match e with
+      | Channel_acquire { label; channel; _ } ->
+        Hashtbl.replace acquired label (channel :: acquired_by label)
+      | Flit { cycle; label; channel; kind } -> (
+        close_until cycle;
+        match kind with
+        | Inject -> add label channel 1
+        | Consume -> add label channel (-1)
+        | Hop | Cascade ->
+          Option.iter (fun p -> add label p (-1)) (before channel (acquired_by label));
+          add label channel 1)
+      | Abort { cycle; label; _ } | Gave_up { cycle; label; _ } ->
+        close_until cycle;
+        drain label
+      | Run_end { cycle; _ } -> close_until (cycle + 1)
+      | Run_start _ | Channel_release _ | Wait_add _ | Wait_drop _ | Delivered _ | Retry _
+      | Fault _ | Deadlock_detected _ | Victim_aborted _ -> ())
+    events;
+  let cycles = !columns in
+  let shown = min cycles max_cycles in
   let channels =
     Hashtbl.fold (fun c i acc -> (i, c) :: acc) first_seen []
     |> List.sort compare

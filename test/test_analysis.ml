@@ -281,8 +281,20 @@ let test_sanitizer_install () =
       Sanitizer.uninstall ();
       check cb "uninstalled" true (Sanitizer.current () = None))
 
-let test_sanitized_runs_clean () =
+(* [f ()] with a fresh collecting sanitizer installed process-wide, then
+   the sanitizer that was installed before (WORMHOLE_SANITIZE's fail-fast
+   one, or none) *)
+let sanitized f =
+  let prev = Sanitizer.current () in
   let s = Sanitizer.create () in
+  Sanitizer.install s;
+  Fun.protect
+    ~finally:(fun () ->
+      match prev with Some p -> Sanitizer.install p | None -> Sanitizer.uninstall ())
+    (fun () -> f s)
+
+let test_sanitized_runs_clean () =
+  sanitized @@ fun s ->
   let rt = Dimension_order.mesh (Builders.mesh [ 3; 3 ]) in
   let topo = Routing.topology rt in
   let sched =
@@ -292,14 +304,14 @@ let test_sanitized_runs_clean () =
       Schedule.message ~length:2 ~at:0 "m3" 1 4;
     ]
   in
-  (match Engine.run ~sanitizer:s rt sched with
+  (match Engine.run rt sched with
   | Engine.All_delivered _ -> ()
   | o -> Alcotest.failf "unexpected outcome %s" (Format.asprintf "%a" (Engine.pp_outcome topo) o));
   check cb "oblivious run is clean" true (Sanitizer.ok s);
   check cb "cycles were checked" true (Sanitizer.cycles_checked s > 0);
   let first_cycles = Sanitizer.cycles_checked s in
   let ad = Adaptive.fully_adaptive_minimal (Builders.mesh [ 3; 3 ]) in
-  (match Engine.run_adaptive ~sanitizer:s ad sched with
+  (match Engine.run_adaptive ad sched with
   | Engine.All_delivered _ -> ()
   | o ->
     Alcotest.failf "unexpected adaptive outcome %s"
@@ -308,7 +320,7 @@ let test_sanitized_runs_clean () =
   check cb "second run checked" true (Sanitizer.cycles_checked s > first_cycles)
 
 let test_sanitized_faulted_run_clean () =
-  let s = Sanitizer.create () in
+  sanitized @@ fun s ->
   let ring = Builders.ring ~unidirectional:true 5 in
   let rt = Ring_routing.clockwise ring in
   let topo = ring.Builders.topo in
@@ -327,7 +339,7 @@ let test_sanitized_faulted_run_clean () =
   let sched =
     [ Schedule.message ~length:3 ~at:0 "m1" 0 3; Schedule.message ~length:4 ~at:2 "m2" 2 1 ]
   in
-  ignore (Engine.run ~config ~sanitizer:s rt sched);
+  ignore (Engine.run ~config rt sched);
   if not (Sanitizer.ok s) then
     Alcotest.failf "faulted run violated invariants: %s"
       (Format.asprintf "%a" (Diagnostic.pp ~topo ()) (List.hd (Sanitizer.diagnostics s)))

@@ -1,6 +1,6 @@
 (* Tests for the extension modules: the message flow model (Section-2
    discussion), packet wait-for graphs (Dally-Aoki), the Corollary-1
-   input-independence checker, and the engine probe. *)
+   input-independence checker, and Trace timelines. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -55,22 +55,39 @@ let test_mfm_pp () =
 
 (* ---- packet wait-for graph ---- *)
 
-(* The first waiter -> holder cycle of a probe snapshot, [[]] when its
-   wait-for graph is acyclic. *)
-let snapshot_cycle (snap : Engine.snapshot) =
-  let holder l =
-    List.find_map (fun (w, _, h) -> if w = l then h else None) snap.Engine.s_waiting
-  in
-  Waitfor.cycle ~next:holder (List.map (fun (w, _, _) -> w) snap.Engine.s_waiting)
-
-(* An engine probe and, after the run, the first cycle at which the
-   wait-for graph held a cycle. *)
+(* An event sink that rebuilds the wait-for graph (who waits for which
+   channel, who holds it) and, after the run, the first cycle at whose end
+   the waiter -> holder graph held a cycle. *)
 let first_cyclic_monitor () =
-  let first = ref None in
-  let probe snap =
-    if !first = None && snapshot_cycle snap <> [] then first := Some snap.Engine.s_cycle
+  let wants = Hashtbl.create 16 and owner = Hashtbl.create 16 in
+  let first = ref None and cycle = ref 0 in
+  let close_cycle () =
+    let holder l = Option.bind (Hashtbl.find_opt wants l) (Hashtbl.find_opt owner) in
+    let waiters = Hashtbl.fold (fun l _ acc -> l :: acc) wants [] in
+    if !first = None && Waitfor.cycle ~next:holder waiters <> [] then first := Some !cycle
   in
-  (probe, fun () -> !first)
+  let at t = if t > !cycle then (close_cycle (); cycle := t) in
+  let emit (e : Obs_event.t) =
+    match e with
+    | Wait_add { cycle = t; label; channel; _ } ->
+      at t;
+      Hashtbl.replace wants label channel
+    | Wait_drop { cycle = t; label; _ } | Abort { cycle = t; label; _ } ->
+      at t;
+      Hashtbl.remove wants label
+    | Channel_acquire { cycle = t; label; channel; _ } ->
+      at t;
+      Hashtbl.remove wants label;
+      Hashtbl.replace owner channel label
+    | Channel_release { cycle = t; channel; _ } ->
+      at t;
+      Hashtbl.remove owner channel
+    | Run_end { cycle = t; _ } ->
+      at t;
+      close_cycle ()
+    | _ -> ()
+  in
+  ({ Obs_event.emit }, fun () -> !first)
 
 let test_pwfg_acyclic_on_mesh () =
   let coords = Builders.mesh [ 4; 4 ] in
@@ -80,8 +97,8 @@ let test_pwfg_acyclic_on_mesh () =
   let sched =
     Traffic.bernoulli_schedule rng pattern ~coords ~rate:0.05 ~length:4 ~horizon:100
   in
-  let probe, first_cyclic = first_cyclic_monitor () in
-  (match Engine.run ~probe rt sched with
+  let obs, first_cyclic = first_cyclic_monitor () in
+  (match Engine.run ~obs rt sched with
   | Engine.All_delivered _ -> ()
   | _ -> Alcotest.fail "expected delivery");
   check (Alcotest.option ci) "wait-for graph stays acyclic" None (first_cyclic ())
@@ -91,31 +108,26 @@ let test_pwfg_cyclic_at_deadlock () =
   let sched =
     List.init 4 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 2) mod 4))
   in
-  let probe, first_cyclic = first_cyclic_monitor () in
-  match Engine.run ~probe rt sched with
+  let obs, first_cyclic = first_cyclic_monitor () in
+  match Engine.run ~obs rt sched with
   | Engine.Deadlock d ->
     (match first_cyclic () with
     | Some t -> check cb "cycle appears no later than detection" true (t <= d.Engine.d_cycle)
     | None -> Alcotest.fail "wait-for graph never became cyclic")
   | _ -> Alcotest.fail "expected deadlock"
 
-let test_pwfg_of_snapshot () =
-  let snap =
-    {
-      Engine.s_cycle = 0;
-      s_occupancy = [];
-      s_waiting = [ ("a", 0, Some "b"); ("b", 1, Some "a"); ("c", 2, None) ];
-      s_moved = false;
-    }
+(* [Waitfor.cycle] over a plain (waiter, holder) list *)
+let test_pwfg_holder_list () =
+  let cycle edges =
+    Waitfor.cycle ~next:(fun l -> Option.join (List.assoc_opt l edges)) (List.map fst edges)
   in
-  check (Alcotest.list Alcotest.string) "cycle" [ "a"; "b" ] (snapshot_cycle snap);
-  let snap2 = { snap with Engine.s_waiting = [ ("a", 0, Some "b"); ("c", 2, Some "b") ] } in
-  check (Alcotest.list Alcotest.string) "chain acyclic" [] (snapshot_cycle snap2);
+  check (Alcotest.list Alcotest.string) "cycle" [ "a"; "b" ]
+    (cycle [ ("a", Some "b"); ("b", Some "a"); ("c", None) ]);
+  check (Alcotest.list Alcotest.string) "chain acyclic" []
+    (cycle [ ("a", Some "b"); ("c", Some "b") ]);
   (* a walk that runs into a cycle from outside returns the cycle alone *)
-  let snap3 =
-    { snap with Engine.s_waiting = [ ("a", 0, Some "b"); ("b", 1, Some "c"); ("c", 2, Some "b") ] }
-  in
-  check (Alcotest.list Alcotest.string) "tail cut" [ "b"; "c" ] (snapshot_cycle snap3)
+  check (Alcotest.list Alcotest.string) "tail cut" [ "b"; "c" ]
+    (cycle [ ("a", Some "b"); ("b", Some "c"); ("c", Some "b") ])
 
 (* ---- input independence (Corollary 1) ---- *)
 
@@ -169,42 +181,22 @@ let test_summary_rows () =
           standalone)
     (Registry.entries ())
 
-(* ---- engine probe ---- *)
-
-let test_probe_sees_every_cycle () =
-  let rt = Dimension_order.mesh (Builders.mesh [ 3; 3 ]) in
-  let cycles = ref [] in
-  let probe (s : Engine.snapshot) = cycles := s.Engine.s_cycle :: !cycles in
-  (match Engine.run ~probe rt [ Schedule.message ~length:4 "m" 0 8 ] with
-  | Engine.All_delivered { finished_at; _ } ->
-    check ci "one snapshot per cycle" (finished_at + 1) (List.length !cycles);
-    check (Alcotest.list ci) "in order" (List.init (finished_at + 1) Fun.id) (List.rev !cycles)
-  | _ -> Alcotest.fail "expected delivery")
-
-let test_probe_occupancy_consistent () =
-  let rt = Dimension_order.mesh (Builders.mesh [ 3; 3 ]) in
-  let max_flits = ref 0 in
-  let probe (s : Engine.snapshot) =
-    let total = List.fold_left (fun acc (_, _, n) -> acc + n) 0 s.Engine.s_occupancy in
-    if total > !max_flits then max_flits := total;
-    (* per-queue occupancy never exceeds the buffer capacity (1) *)
-    List.iter (fun (_, _, n) -> if n > 1 then Alcotest.fail "overfull queue") s.Engine.s_occupancy
-  in
-  ignore (Engine.run ~probe rt [ Schedule.message ~length:4 "m" 0 8 ]);
-  check cb "some flits in flight" true (!max_flits >= 1);
-  check cb "bounded by length" true (!max_flits <= 4)
-
 (* ---- trace ---- *)
+
+(* cells per row of an untruncated render *)
+let columns render =
+  match String.split_on_char '\n' render with
+  | _ :: row :: _ -> String.length row - String.rindex row ' ' - 1
+  | _ -> 0
 
 let test_trace_collects_and_renders () =
   let coords = Builders.mesh [ 3; 3 ] in
   let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  (match Engine.run ~probe rt [ Schedule.message ~length:3 "a" 0 8 ] with
+  let obs, events = Obs_event.recorder () in
+  (match Engine.run ~obs rt [ Schedule.message ~length:3 "a" 0 8 ] with
   | Engine.All_delivered { finished_at; _ } ->
-    let trace = get () in
-    check ci "one snapshot per cycle" (finished_at + 1) (List.length trace);
-    let s = Trace.render coords.Builders.topo trace in
+    let s = Trace.render coords.Builders.topo (events ()) in
+    check ci "one column per cycle" (finished_at + 1) (columns s);
     check cb "renders rows" true (String.length s > 80);
     (* the first channel of the path appears in the rendering *)
     let first = List.hd (Routing.path_exn rt 0 8) in
@@ -217,33 +209,23 @@ let test_trace_collects_and_renders () =
     check cb "mentions first channel" true (contains name s)
   | _ -> Alcotest.fail "expected delivery")
 
-let test_trace_occupancy_of () =
-  let coords = Builders.mesh [ 3; 3 ] in
-  let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  ignore (Engine.run ~probe rt [ Schedule.message ~length:4 "a" 0 8 ]);
-  let first = List.hd (Routing.path_exn rt 0 8) in
-  let hist = Trace.occupancy_of (get ()) first in
-  check cb "occupied for length cycles" true (List.length hist >= 4);
-  List.iter (fun (_, owner, n) ->
-      check Alcotest.string "owner" "a" owner;
-      check cb "capacity respected" true (n = 1))
-    hist
-
 let test_trace_truncation () =
   let coords = Builders.mesh [ 3; 3 ] in
   let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  ignore (Engine.run ~probe rt [ Schedule.message ~length:30 "a" 0 8 ]);
-  let trace = get () in
-  let s = Trace.render ~max_cycles:5 coords.Builders.topo trace in
+  let obs, events = Obs_event.recorder () in
+  let cycles =
+    match Engine.run ~obs rt [ Schedule.message ~length:30 "a" 0 8 ] with
+    | Engine.All_delivered { finished_at; _ } -> finished_at + 1
+    | _ -> Alcotest.fail "expected delivery"
+  in
+  let s = Trace.render ~max_cycles:5 coords.Builders.topo (events ()) in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
     scan 0
   in
   check cb "notes exact truncated cycle count" true
-    (contains (Printf.sprintf "… +%d cycles" (List.length trace - 5)) s)
+    (contains (Printf.sprintf "… +%d cycles" (cycles - 5)) s)
 
 (* the ring's four two-hop messages wedge; the detector aborts [a], whose
    channel empties at cycle 17 and which re-enters at cycle 25 *)
@@ -260,9 +242,9 @@ let test_trace_detect_recovery () =
         Some { Engine.default_recovery with trigger = Engine.Detect Obs_detect.default_config };
     }
   in
-  let get, probe = Trace.collector () in
+  let obs, events = Obs_event.recorder () in
   check Alcotest.string "outcome" "recovered"
-    (Engine.outcome_string (Engine.run ~config ~probe rt sched));
+    (Engine.outcome_string (Engine.run ~config ~obs rt sched));
   check Alcotest.string "timeline"
     (String.concat "\n"
        [
@@ -273,7 +255,7 @@ let test_trace_detect_recovery () =
          "n(3)->n(0) dddddddddddddddddddd.ccc.......";
          "";
        ])
-    (Trace.render ring.Builders.topo (get ()))
+    (Trace.render ring.Builders.topo (events ()))
 
 (* the probe detours over the Y channel while the hog holds the X one *)
 let test_trace_adaptive () =
@@ -285,10 +267,10 @@ let test_trace_adaptive () =
       Schedule.message ~length:2 ~at:1 "probe" (n [| 0; 0 |]) (n [| 2; 2 |]);
     ]
   in
-  let get, probe = Trace.collector () in
+  let obs, events = Obs_event.recorder () in
   check Alcotest.string "outcome" "all-delivered"
     (Engine.outcome_string
-       (Engine.run_adaptive ~probe (Adaptive.fully_adaptive_minimal mesh) sched));
+       (Engine.run_adaptive ~obs (Adaptive.fully_adaptive_minimal mesh) sched));
   check Alcotest.string "timeline"
     (String.concat "\n"
        [
@@ -301,7 +283,7 @@ let test_trace_adaptive () =
          "n(2,1)->n(2,2) ....pp..";
          "";
        ])
-    (Trace.render mesh.Builders.topo (get ()))
+    (Trace.render mesh.Builders.topo (events ()))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -320,12 +302,12 @@ let test_trace_vct_compression () =
   let config =
     { Engine.default_config with buffer_capacity = 2; discipline = Engine.Virtual_cut_through }
   in
-  let get, probe = Trace.collector () in
+  let obs, events = Obs_event.recorder () in
   check Alcotest.string "outcome" "all-delivered"
-    (Engine.outcome_string (Engine.run ~config ~probe (Dimension_order.mesh mesh) sched));
+    (Engine.outcome_string (Engine.run ~config ~obs (Dimension_order.mesh mesh) sched));
   check Alcotest.string "timeline"
     (read_file "golden/vct-compress.timeline.txt")
-    (Trace.render mesh.Builders.topo (get ()))
+    (Trace.render mesh.Builders.topo (events ()))
 
 (* A stall holds [b]'s header, a failed link wedges [a] until the watchdog
    drains it and reroutes it around the failure, and [c] is dropped at its
@@ -363,15 +345,15 @@ let test_trace_faulted_reroute () =
           };
     }
   in
-  let get, probe = Trace.collector () in
+  let obs, events = Obs_event.recorder () in
   check Alcotest.string "outcome"
     "recovered by cycle 19: 3 delivered, 0 dropped, 0 gave up (2 retries total)\n\
     \  a: delivered after 1 retry\n\
     \  c: delivered after 1 retry"
-    (Format.asprintf "%a" (Engine.pp_outcome topo) (Engine.run ~config ~probe rt sched));
+    (Format.asprintf "%a" (Engine.pp_outcome topo) (Engine.run ~config ~obs rt sched));
   check Alcotest.string "timeline"
     (read_file "golden/faulted-reroute.timeline.txt")
-    (Trace.render topo (get ()))
+    (Trace.render topo (events ()))
 
 let () =
   Alcotest.run "extensions"
@@ -389,7 +371,7 @@ let () =
         [
           Alcotest.test_case "acyclic on mesh traffic" `Quick test_pwfg_acyclic_on_mesh;
           Alcotest.test_case "cyclic at deadlock" `Quick test_pwfg_cyclic_at_deadlock;
-          Alcotest.test_case "of_snapshot" `Quick test_pwfg_of_snapshot;
+          Alcotest.test_case "waiter-holder list" `Quick test_pwfg_holder_list;
         ] );
       ( "input_independence",
         [
@@ -398,15 +380,9 @@ let () =
           Alcotest.test_case "dateline dependent" `Quick test_input_dependent_dateline;
           Alcotest.test_case "summary row" `Quick test_summary_rows;
         ] );
-      ( "probe",
-        [
-          Alcotest.test_case "every cycle" `Quick test_probe_sees_every_cycle;
-          Alcotest.test_case "occupancy consistent" `Quick test_probe_occupancy_consistent;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "collect and render" `Quick test_trace_collects_and_renders;
-          Alcotest.test_case "occupancy_of" `Quick test_trace_occupancy_of;
           Alcotest.test_case "truncation" `Quick test_trace_truncation;
           Alcotest.test_case "detect recovery" `Quick test_trace_detect_recovery;
           Alcotest.test_case "adaptive" `Quick test_trace_adaptive;

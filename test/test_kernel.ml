@@ -3,13 +3,15 @@
    A deterministic matrix of seeded runs -- paper figure networks and
    mesh/torus substrates, oblivious and adaptive, with holds, priorities,
    store-and-forward, faults, watchdog and online-detection recovery -- is
-   fingerprinted (full outcome payload plus a digest of every per-cycle
-   probe snapshot) and compared against the verdicts captured from the
-   pre-refactor record-based kernel in test/golden/kernel-pins.txt.  The
-   data-oriented kernel must not change a single decision: not an award,
-   not a wait edge, not a witness.
+   fingerprinted (full outcome payload plus a digest of every field of
+   every event the run emits) and compared against the verdicts captured
+   from the pre-refactor record-based kernel in
+   test/golden/kernel-pins.txt.  The data-oriented kernel must not change
+   a single decision: not an award, not a wait edge, not a witness.
 
-   Regenerate the pins ONLY when kernel semantics change deliberately:
+   Regenerate the pins ONLY when kernel semantics or the event stream
+   change deliberately, and check that the outcome part of every line
+   (before " ev=") stays the same unless a decision was meant to move:
 
      dune build test/test_kernel.exe && \
        WORMHOLE_KERNEL_PIN_REGEN=$PWD/test/golden/kernel-pins.txt \
@@ -26,10 +28,10 @@ let check = Alcotest.check
 (* the kernel's two routing modes, dispatched to their entry points *)
 type policy = Oblivious of Routing.t | Adaptive of Adaptive.t
 
-let run_policy ?config ?sanitizer ?probe ?obs policy sched =
+let run_policy ?config ?obs policy sched =
   match policy with
-  | Oblivious rt -> Engine.run ?config ?sanitizer ?probe ?obs rt sched
-  | Adaptive ad -> Engine.run_adaptive ?config ?sanitizer ?probe ?obs ad sched
+  | Oblivious rt -> Engine.run ?config ?obs rt sched
+  | Adaptive ad -> Engine.run_adaptive ?config ?obs ad sched
 
 (* ---- fingerprinting ---- *)
 
@@ -128,28 +130,22 @@ let fp_event topo (e : Obs_event.t) =
 
 (* The outcome comes from a run without a sink, which keeps the no-sink
    path pinned; the event digest from a second run with a recorder, which
-   must reach the same outcome. *)
-let run_fingerprint topo ?config ?sanitizer ?probe_hook policy sched =
-  let snap = ref 5381 in
-  let probe (s : Engine.snapshot) =
-    digest_add snap (Printf.sprintf "#%d%b" s.s_cycle s.s_moved);
-    digest_add snap (fp_occupancy topo s.s_occupancy);
-    List.iter
-      (fun (l, c, h) ->
-        digest_add snap
-          (Printf.sprintf "%s?%s%s" l (Topology.channel_name topo c)
-             (match h with Some x -> "@" ^ x | None -> "")))
-      s.s_waiting;
-    match probe_hook with Some f -> f s | None -> ()
+   must reach the same outcome.  [hook] also sees every event of that
+   second run. *)
+let run_fingerprint topo ?config ?hook policy sched =
+  let outcome = fp_outcome topo (run_policy ?config policy sched) in
+  let recorder, events = Obs_event.recorder () in
+  let sink =
+    match hook with
+    | None -> recorder
+    | Some emit -> Obs_event.tee [ recorder; { Obs_event.emit } ]
   in
-  let outcome = fp_outcome topo (run_policy ?config ?sanitizer ~probe policy sched) in
-  let sink, events = Obs_event.recorder () in
-  let observed = fp_outcome topo (run_policy ?config ?sanitizer ~obs:sink policy sched) in
+  let observed = fp_outcome topo (run_policy ?config ~obs:sink policy sched) in
   if observed <> outcome then
     Alcotest.failf "a sink moved the outcome:\n  without %s\n  with    %s" outcome observed;
   let ev = ref 5381 in
   List.iter (fun e -> digest_add ev (fp_event topo e ^ ";")) (events ());
-  Printf.sprintf "%s snap=%08x ev=%08x" outcome !snap !ev
+  Printf.sprintf "%s ev=%08x" outcome !ev
 
 (* ---- the seeded case matrix ---- *)
 
@@ -232,8 +228,7 @@ type run_spec = {
   config : Engine.config option;
 }
 
-let fp_of ?sanitizer ?probe_hook r =
-  run_fingerprint r.topo ?config:r.config ?sanitizer ?probe_hook r.policy r.sched
+let fp_of ?hook r = run_fingerprint r.topo ?config:r.config ?hook r.policy r.sched
 
 let spec_of ?config topo policy sched = { topo; policy; sched; config }
 
@@ -327,7 +322,7 @@ let fig3c = Paper_nets.figure3 `C
 let fig3c_rt = Cd_algorithm.of_net fig3c
 
 (* the exact engine-hotpath / mesh8x8 bench workload: the perf target of
-   the refactor must keep its verdict and its cycle-by-cycle snapshots *)
+   the refactor must keep its verdict and its event stream *)
 let mesh8 = Builders.mesh [ 8; 8 ]
 let mesh8_rt = Dimension_order.mesh mesh8
 
@@ -635,18 +630,29 @@ let with_variant v r =
     | Ok [] | Error _ -> r)
   | (Plain | Reroute | Override _ | Sanitized), _, _ -> r
 
+(* [f ()] with a fresh collecting sanitizer installed process-wide, then
+   the sanitizer that was installed before (WORMHOLE_SANITIZE's fail-fast
+   one, or none) *)
+let sanitized f =
+  let prev = Sanitizer.current () in
+  let s = Sanitizer.create () in
+  Sanitizer.install s;
+  Fun.protect
+    ~finally:(fun () ->
+      match prev with Some p -> Sanitizer.install p | None -> Sanitizer.uninstall ())
+    (fun () -> f s)
+
 (* fingerprint [r] under variant [v]; the reroute config is built by the
    caller so the memo-hit run and its fresh reference share it.  The
    sanitizer is pure observation, so [~sanitize] adds its invariant sweep
    (E101-E106) without moving the fingerprint. *)
 let fp_variant ?(sanitize = false) v r =
   let run () =
-    if sanitize || v = Sanitized then begin
-      let sanitizer = Sanitizer.create () in
-      let fp = fp_of ~sanitizer r in
-      if not (Sanitizer.ok sanitizer) then Alcotest.failf "sanitizer tripped on a reused kernel";
-      fp
-    end
+    if sanitize || v = Sanitized then
+      sanitized (fun s ->
+          let fp = fp_of r in
+          if not (Sanitizer.ok s) then Alcotest.failf "sanitizer tripped on a reused kernel";
+          fp)
     else fp_of r
   in
   match v with
@@ -743,36 +749,36 @@ let test_reuse_groups () =
 
 let case_spec id = (List.find (fun c -> c.id = id) cases).spec ()
 
-(* a probe that calls the engine on the same routing: the inner run finds
+(* a sink that calls the engine on the same routing: the inner run finds
    the memo's kernel busy and must run on a private one, leaving the outer
    run's state alone *)
-let test_reentrant_probe () =
+let test_reentrant_sink () =
   let outer = case_spec "obl/figure2/1" and inner = case_spec "obl/figure2/2" in
   let want_outer = fp_of (fresh outer) and want_inner = fp_of (fresh inner) in
   let inner_fps = ref [] in
-  let probe_hook (s : Engine.snapshot) =
-    if s.s_cycle = 0 then inner_fps := fp_of inner :: !inner_fps
+  let hook = function
+    | Obs_event.Run_start _ -> inner_fps := fp_of inner :: !inner_fps
+    | _ -> ()
   in
-  check Alcotest.string "outer run" want_outer (fp_of ~probe_hook outer);
+  check Alcotest.string "outer run" want_outer (fp_of ~hook outer);
   check Alcotest.(list string) "inner run" [ want_inner ] !inner_fps;
   check Alcotest.string "next run" want_inner (fp_of inner)
 
-(* a probe that raises mid-run: the next run on the same routing resets the
+(* a sink that raises mid-run: the next run on the same routing resets the
    kernel at entry and still hits the memo (the busy flag was released) *)
-let test_raising_probe () =
+let test_raising_sink () =
   let long = case_spec "obl/torus5-tornado-watchdog"
   and short = case_spec "obl/torus5-tornado-deadlock" in
   let want_long = fp_of (fresh long) and want_short = fp_of (fresh short) in
+  let emit e =
+    match Obs_event.cycle_of e with Some t when t >= 100 -> raise Exit | Some _ | None -> ()
+  in
   let raised =
-    match
-      run_policy ?config:long.config
-        ~probe:(fun s -> if s.Engine.s_cycle = 100 then raise Exit)
-        long.policy long.sched
-    with
+    match run_policy ?config:long.config ~obs:{ Obs_event.emit } long.policy long.sched with
     | _ -> false
     | exception Exit -> true
   in
-  check Alcotest.bool "probe raised mid-run" true raised;
+  check Alcotest.bool "sink raised mid-run" true raised;
   check Alcotest.string "clean run after the raise" want_short (fp_of short);
   check Alcotest.string "the interrupted run, clean" want_long (fp_of long);
   if not sanitize_on then begin
@@ -781,7 +787,7 @@ let test_raising_probe () =
     let words = Gc.minor_words () -. before in
     (* a stuck busy flag would compile a private kernel for every run *)
     if words > 2_000.0 then
-      Alcotest.failf "run after a raising probe allocates %.0f minor words: memo missed" words
+      Alcotest.failf "run after a raising sink allocates %.0f minor words: memo missed" words
   end
 
 (* ---- per-run allocation of short runs ---- *)
@@ -867,7 +873,7 @@ let () =
         [
           Alcotest.test_case "every case group back to back" `Quick test_reuse_groups;
           QCheck_alcotest.to_alcotest prop_reuse;
-          Alcotest.test_case "re-entrant run from a probe" `Quick test_reentrant_probe;
-          Alcotest.test_case "clean run after a raising probe" `Quick test_raising_probe;
+          Alcotest.test_case "re-entrant run from a sink" `Quick test_reentrant_sink;
+          Alcotest.test_case "clean run after a raising sink" `Quick test_raising_sink;
         ] );
     ]

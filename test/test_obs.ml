@@ -317,13 +317,14 @@ let test_tornado_postmortem_golden () =
 (* ---- trace truncation ---- *)
 
 let test_trace_truncation () =
-  let trace, probe = Trace.collector () in
+  let sink, events = Obs_event.recorder () in
   let sched = [ Schedule.message ~length:6 "a" 0 8 ] in
-  (match Engine.run ~probe mesh3_rt sched with
-  | Engine.All_delivered _ -> ()
-  | _ -> Alcotest.fail "expected delivery");
-  let tr = trace () in
-  let cycles = List.length tr in
+  let cycles =
+    match Engine.run ~obs:sink mesh3_rt sched with
+    | Engine.All_delivered { finished_at; _ } -> finished_at + 1
+    | _ -> Alcotest.fail "expected delivery"
+  in
+  let tr = events () in
   check cb "run long enough to truncate" true (cycles > 4);
   let truncated = Trace.render ~max_cycles:4 mesh3.Builders.topo tr in
   check cb "explicit cycle-count marker" true
