@@ -297,7 +297,7 @@ let max_p_arg =
 
 let sanitize_arg =
   let doc = "Run every simulation under the engine sanitizer (per-cycle invariant \
-             checks E101-E105); report violations at the end and exit nonzero on any." in
+             checks E101-E106); report violations at the end and exit nonzero on any." in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
 
 let detect_arg =

@@ -6,7 +6,7 @@
     per-algorithm [Verify] pipeline: instead of "is the routing you wrote
     safe?", the question is "does a safe routing exist, and what is it?"
     (Mendlovic & Matias, arXiv 2503.04583, close this question with a
-    necessary-and-sufficient condition; ROADMAP item 3.)
+    necessary-and-sufficient condition; ROADMAP item 5.)
 
     The decision procedure works on {e corners} -- channel transitions
     [(e, f)] with [dst e = src f], the edges of the channel line graph.  A
@@ -22,11 +22,12 @@
 
     Soundness notes: "exists" verdicts are self-certifying (the synthesized
     routing ships with its rank order; [Verify] re-derives the numbering).
-    "Impossible" verdicts rest on the reduction that if {e any}
-    deadlock-free oblivious routing exists then one with an acyclic CDG
-    exists (the paper shows cyclic-CDG routings are sometimes {e also}
-    deadlock-free, but never {e necessary}); the witness shapes below are
-    machine-checkable ({!check_witness}).
+    "Impossible" verdicts assume, without proof, the reduction that if
+    {e any} deadlock-free oblivious routing exists then one with an acyclic
+    CDG exists.  The paper shows only that a deadlock-free routing may have
+    a cyclic CDG; it does not show that another routing on the same network
+    has an acyclic one.  The witness shapes below are machine-checkable
+    ({!check_witness}), but only relative to that assumption.
 
     Pipeline: (1) strong-connectivity check; (2) fast heuristic channel
     orders (valley orders from BFS node keys, VC-layered dateline orders);

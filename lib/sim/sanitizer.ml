@@ -3,7 +3,6 @@
    sweep concurrently. *)
 type t = {
   fail_fast : bool;
-  limit : int;
   lock : Mutex.t;
   mutable diags : Diagnostic.t list; (* newest first; guarded by [lock] *)
   count : int Atomic.t;
@@ -12,11 +11,12 @@ type t = {
 
 exception Violation of Diagnostic.t
 
-let create ?(fail_fast = false) ?(limit = 100) () =
-  if limit < 0 then invalid_arg "Sanitizer.create: limit < 0";
+(* diagnostics kept; later violations are only counted *)
+let limit = 100
+
+let create ?(fail_fast = false) () =
   {
     fail_fast;
-    limit;
     lock = Mutex.create ();
     diags = [];
     count = Atomic.make 0;
@@ -28,7 +28,7 @@ let create ?(fail_fast = false) ?(limit = 100) () =
 let record s d =
   if s.fail_fast then raise (Violation d);
   let n = 1 + Atomic.fetch_and_add s.count 1 in
-  if n <= s.limit then begin
+  if n <= limit then begin
     Mutex.lock s.lock;
     s.diags <- d :: s.diags;
     Mutex.unlock s.lock
@@ -45,13 +45,6 @@ let diagnostics s =
 let violation_count s = Atomic.get s.count
 let cycles_checked s = Atomic.get s.cycles
 let ok s = Atomic.get s.count = 0
-
-let reset s =
-  Mutex.lock s.lock;
-  s.diags <- [];
-  Mutex.unlock s.lock;
-  Atomic.set s.count 0;
-  Atomic.set s.cycles 0
 
 let installed : t option ref = ref None
 

@@ -39,10 +39,10 @@ type t
 exception Violation of Diagnostic.t
 (** Raised on the first violation by a [fail_fast] sanitizer. *)
 
-val create : ?fail_fast:bool -> ?limit:int -> unit -> t
+val create : ?fail_fast:bool -> unit -> t
 (** A fresh collector.  [fail_fast] (default false) raises {!Violation}
-    instead of accumulating.  At most [limit] (default 100) diagnostics are
-    retained; further violations are counted but dropped. *)
+    instead of accumulating.  The first 100 diagnostics are retained;
+    further violations are counted but dropped. *)
 
 val record : t -> Diagnostic.t -> unit
 (** Report a violation (engines call this; tests may too).
@@ -54,18 +54,15 @@ val note_cycle : t -> unit
     ([Engine.run_count]). *)
 
 val diagnostics : t -> Diagnostic.t list
-(** Collected diagnostics, in report order (capped at [limit]). *)
+(** Collected diagnostics, in report order (the first 100). *)
 
 val violation_count : t -> int
-(** Total violations, including any dropped beyond [limit]. *)
+(** Total violations, including any dropped beyond the first 100. *)
 
 val cycles_checked : t -> int
 
 val ok : t -> bool
 (** No violation recorded. *)
-
-val reset : t -> unit
-(** Clear diagnostics and counters (keeps [fail_fast] and [limit]). *)
 
 val install : t -> unit
 (** Make this sanitizer the one every engine run reports to, replacing any

@@ -84,21 +84,6 @@ let reserve ~forced k =
 let release k = if k > 0 then ignore (Atomic.fetch_and_add (budget_ref ()) k)
 
 (* ------------------------------------------------------------------ *)
-(* Observer hook                                                       *)
-
-(* wr_util sits below the observability library, so the pool cannot emit
-   Obs events directly; instead it exposes a tiny hook that wr_obs bridges.
-   The observer runs on whichever domain claims/cancels, so it must be
-   domain-safe.  Held in an Atomic so installation from the main domain is
-   visible to helpers spawned afterwards. *)
-
-type event = Claim of { first : int; last : int } | Cancel of { index : int }
-
-let observer : (event -> unit) option Atomic.t = Atomic.make None
-let set_observer f = Atomic.set observer f
-let notify ev = match Atomic.get observer with None -> () | Some f -> f ev
-
-(* ------------------------------------------------------------------ *)
 (* Task execution                                                      *)
 
 (* Run [body 0 .. body (n-1)], each exactly once, on [helpers + 1] domains.
@@ -114,7 +99,6 @@ let run_tasks ~helpers ~chunk n body =
       let start = Atomic.fetch_and_add next chunk in
       if start < n then begin
         let stop = min n (start + chunk) in
-        notify (Claim { first = start; last = stop - 1 });
         for i = start to stop - 1 do
           body i
         done;
@@ -178,8 +162,7 @@ let map_until ?domains ~hit f arr =
           if i < cur && not (Atomic.compare_and_set best cur i) then lower i
         in
         let body i =
-          if Atomic.get best < i then notify (Cancel { index = i })
-          else begin
+          if Atomic.get best >= i then begin
             let r = f ~stop:(fun () -> Atomic.get best < i) i arr.(i) in
             results.(i) <- Some r;
             if hit r then lower i

@@ -26,21 +26,6 @@ val set_default_domains : int -> unit
     before the first parallel call: the helper budget is sized on first use.
     @raise Invalid_argument on values < 1. *)
 
-type event =
-  | Claim of { first : int; last : int }
-      (** a worker claimed the inclusive task-index range [first..last] *)
-  | Cancel of { index : int }
-      (** a claimed task was skipped because a lower-indexed task already hit *)
-
-val set_observer : (event -> unit) option -> unit
-(** Install (or with [None] remove) a process-wide pool observer.  The
-    observer runs on whichever domain claims or cancels, so it must be
-    domain-safe.  Observation only: the pool's results are unaffected.
-    These are not [Obs_event] events and reach no run's sink; they serve
-    direct observers such as the claim-coverage test.  The stream is inherently
-    schedule-dependent (claims race), unlike the pool's canonically-reduced
-    results. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f l] = [List.map f l], computed on up to [domains] domains.
     [f] must be safe to call from any domain (no shared mutable state). *)

@@ -333,29 +333,23 @@ let test_trace_truncation () =
   let full = Trace.render mesh3.Builders.topo tr in
   check cb "no marker when untruncated" false (contains full "… +")
 
-(* ---- pool observation ---- *)
+(* ---- pool coverage ---- *)
 
+(* each task counts its own executions: the pool's claims must run every
+   task exactly once *)
 let test_pool_claims_cover_tasks () =
-  let lock = Mutex.create () in
-  let claims = ref [] in
-  Wr_pool.set_observer
-    (Some
-       (fun ev ->
-         Mutex.lock lock;
-         (match ev with
-         | Wr_pool.Claim { first; last } -> claims := (first, last) :: !claims
-         | Wr_pool.Cancel _ -> ());
-         Mutex.unlock lock));
-  Fun.protect
-    ~finally:(fun () -> Wr_pool.set_observer None)
-    (fun () ->
-      let out = Wr_pool.mapi_array ~domains:2 (fun i () -> i) (Array.make 17 ()) in
-      check ci "all tasks ran" 17 (Array.length out);
-      Array.iteri (fun i v -> check ci "task identity" i v) out;
-      let covered = Array.make 17 0 in
-      List.iter (fun (f, l) -> for i = f to l do covered.(i) <- covered.(i) + 1 done) !claims;
-      check cb "claims cover every task exactly once" true
-        (Array.for_all (fun n -> n = 1) covered))
+  let runs = Array.init 17 (fun _ -> Atomic.make 0) in
+  let out =
+    Wr_pool.mapi_array ~domains:2
+      (fun i () ->
+        Atomic.incr runs.(i);
+        i)
+      (Array.make 17 ())
+  in
+  check ci "all tasks ran" 17 (Array.length out);
+  Array.iteri (fun i v -> check ci "task identity" i v) out;
+  check cb "claims cover every task exactly once" true
+    (Array.for_all (fun n -> Atomic.get n = 1) runs)
 
 (* ---- exact cancelled accounting ---- *)
 
