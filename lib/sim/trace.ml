@@ -9,12 +9,9 @@ let render ?(max_cycles = 120) topo events =
   (* label -> channels it acquired since its last drain, newest first *)
   let acquired = Hashtbl.create 16 in
   let acquired_by l = Option.value (Hashtbl.find_opt acquired l) ~default:[] in
-  (* channels that may hold flits, for the per-column scan *)
-  let live = Hashtbl.create 32 in
   let add l c d =
     owner.(c) <- l;
-    flits.(c) <- flits.(c) + d;
-    Hashtbl.replace live c ()
+    flits.(c) <- flits.(c) + d
   in
   let rec before c = function
     | c' :: (p :: _ as rest) -> if c' = c then Some p else before c rest
@@ -34,21 +31,18 @@ let render ?(max_cycles = 120) topo events =
   let close_until t =
     while !columns < t do
       let i = !columns in
-      Hashtbl.filter_map_inplace
-        (fun c () ->
-          let n = flits.(c) in
-          if n = 0 then None
-          else begin
+      Array.iteri
+        (fun c n ->
+          if n > 0 then begin
             if not (Hashtbl.mem first_seen c) then Hashtbl.add first_seen c i;
             if i < max_cycles then begin
               let l = owner.(c) in
               let ch = if l = "" then '?' else l.[0] in
               Hashtbl.replace cells (c, i)
                 (if n > 1 then Char.uppercase_ascii ch else Char.lowercase_ascii ch)
-            end;
-            Some ()
+            end
           end)
-        live;
+        flits;
       incr columns
     done
   in

@@ -280,9 +280,9 @@ let test_sanitizer_install () =
       Sanitizer.uninstall ();
       check cb "uninstalled" true (Sanitizer.current () = None))
 
-(* [f ()] with a fresh collecting sanitizer installed process-wide, then
-   the sanitizer that was installed before (WORMHOLE_SANITIZE's fail-fast
-   one, or none) *)
+(* [f s] with a fresh collecting sanitizer [s] installed process-wide,
+   then the sanitizer that was installed before (WORMHOLE_SANITIZE's
+   fail-fast one, or none) *)
 let sanitized f =
   let prev = Sanitizer.current () in
   let s = Sanitizer.create () in

@@ -630,9 +630,9 @@ let with_variant v r =
     | Ok [] | Error _ -> r)
   | (Plain | Reroute | Override _ | Sanitized), _, _ -> r
 
-(* [f ()] with a fresh collecting sanitizer installed process-wide, then
-   the sanitizer that was installed before (WORMHOLE_SANITIZE's fail-fast
-   one, or none) *)
+(* [f s] with a fresh collecting sanitizer [s] installed process-wide,
+   then the sanitizer that was installed before (WORMHOLE_SANITIZE's
+   fail-fast one, or none) *)
 let sanitized f =
   let prev = Sanitizer.current () in
   let s = Sanitizer.create () in
