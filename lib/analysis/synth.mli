@@ -22,12 +22,11 @@
 
     Soundness notes: "exists" verdicts are self-certifying (the synthesized
     routing ships with its rank order; [Verify] re-derives the numbering).
-    "Impossible" verdicts assume, without proof, the reduction that if
-    {e any} deadlock-free oblivious routing exists then one with an acyclic
-    CDG exists.  The paper shows only that a deadlock-free routing may have
-    a cyclic CDG; it does not show that another routing on the same network
-    has an acyclic one.  The witness shapes below are machine-checkable
-    ({!check_witness}), but only relative to that assumption.
+    "Impossible" verdicts assume, unproven, that if {e any} deadlock-free
+    oblivious routing exists then one with an acyclic CDG exists; the paper
+    shows only that a deadlock-free routing may have a cyclic CDG.  The
+    witness shapes below are machine-checkable ({!check_witness}), relative
+    to that assumption.
 
     Pipeline: (1) strong-connectivity check; (2) fast heuristic channel
     orders (valley orders from BFS node keys, VC-layered dateline orders);

@@ -250,10 +250,10 @@ val run :
     @raise Invalid_argument when [stats] is sized for a different channel
     count than the routing's topology.
 
-    [obs] is the run's structured-event sink, the only way to observe a
-    run as it goes: without it the run builds no events (sinks compose
-    with {!Obs_event.tee}, and {!Trace.render} draws a recorded stream);
-    the [Run_start] event reports the engine as ["oblivious"] or
+    [obs] is the run's structured-event sink, the only way a run emits
+    events: without it the run builds none (sinks compose with
+    {!Obs_event.tee}, and {!Trace.render} draws a recorded stream); the
+    [Run_start] event reports the engine as ["oblivious"] or
     ["adaptive"].  A process-wide {!Sanitizer.install}ed sanitizer arms
     the per-cycle invariant sweep (codes E101-E106).  Both are pure
     observation: the run takes identical decisions with any sink or
