@@ -65,6 +65,25 @@ let test_corpus_covers_codes () =
   in
   check cb "at least 8 distinct codes" true (List.length codes >= 8)
 
+(* Every corpus entry's full diagnostic list, message and context included,
+   one JSON object a line under the entry's name, against
+   golden/corpus-diagnostics.txt.  The routings live inside [Corpus], so
+   this pin is what holds their walk errors, closure witnesses and dead
+   channels in place, in order. *)
+let corpus_diagnostics () =
+  List.concat_map
+    (fun (e : Corpus.entry) ->
+      let topo, diags = e.Corpus.c_run () in
+      ("== " ^ e.Corpus.c_name) :: List.map (Diagnostic.to_json ~topo) diags)
+    (Corpus.entries ())
+  |> List.map (fun l -> l ^ "\n")
+  |> String.concat ""
+
+let test_corpus_diagnostics_pinned () =
+  check cs "corpus diagnostics"
+    (In_channel.with_open_bin "golden/corpus-diagnostics.txt" In_channel.input_all)
+    (corpus_diagnostics ())
+
 let test_registry_zero_errors () =
   List.iter
     (fun (e : Registry.entry) ->
@@ -355,6 +374,7 @@ let () =
         [
           Alcotest.test_case "corpus: every defect flagged once" `Quick test_corpus_all;
           Alcotest.test_case "corpus covers 8+ codes" `Quick test_corpus_covers_codes;
+          Alcotest.test_case "corpus: diagnostics pinned" `Quick test_corpus_diagnostics_pinned;
           Alcotest.test_case "registry: zero E-severity" `Quick test_registry_zero_errors;
           Alcotest.test_case "registry lookup" `Quick test_registry_find;
         ] );

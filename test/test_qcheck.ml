@@ -544,25 +544,42 @@ let prop_random_net_acyclic_implies_safe =
    any out channel, so many walks come back to a channel they already used.
    Determinism makes such a walk repeat itself until the step cutoff, which
    is why the CDG builder never sees one message twice on an edge. *)
+let hash_routing topo seed =
+  let dist = Topology.distance_matrix topo in
+  Routing.create ~name:"random-walk" topo (fun input dest ->
+      let here = Routing.current_node topo input in
+      if here = dest then None
+      else
+        let outs = Topology.out_channels topo here in
+        let h = Hashtbl.hash (seed, input, dest) in
+        if h mod 3 = 0 then Some (List.nth outs (h / 3 mod List.length outs))
+        else
+          List.find_opt
+            (fun c -> dist.(Topology.dst topo c).(dest) = dist.(here).(dest) - 1)
+            outs)
+
+(* The total variant: the same hash picks among the out channels that bring
+   the message one hop closer, so every pair is delivered minimally, but the
+   choice still depends on the input channel. *)
+let closer_routing topo seed =
+  let dist = Topology.distance_matrix topo in
+  Routing.create ~name:"random-closer" topo (fun input dest ->
+      let here = Routing.current_node topo input in
+      if here = dest then None
+      else
+        let outs =
+          List.filter
+            (fun c -> dist.(Topology.dst topo c).(dest) = dist.(here).(dest) - 1)
+            (Topology.out_channels topo here)
+        in
+        Some (List.nth outs (Hashtbl.hash (seed, input, dest) mod List.length outs)))
+
 let prop_delivered_paths_repeat_no_channel =
   QCheck.Test.make ~name:"no delivered path repeats a channel (random routing functions)"
     ~count:(count 40) random_net_gen
     (fun ((n, _, seed) as params) ->
       let topo, _ = build_random_net params in
-      let dist = Topology.distance_matrix topo in
-      let rt =
-        Routing.create ~name:"random-walk" topo (fun input dest ->
-            let here = Routing.current_node topo input in
-            if here = dest then None
-            else
-              let outs = Topology.out_channels topo here in
-              let h = Hashtbl.hash (seed, input, dest) in
-              if h mod 3 = 0 then Some (List.nth outs (h / 3 mod List.length outs))
-              else
-                List.find_opt
-                  (fun c -> dist.(Topology.dst topo c).(dest) = dist.(here).(dest) - 1)
-                  outs)
-      in
+      let rt = hash_routing topo seed in
       let ok = ref true in
       for s = 0 to n - 1 do
         for d = 0 to n - 1 do
@@ -573,6 +590,343 @@ let prop_delivered_paths_repeat_no_channel =
         done
       done;
       !ok)
+
+(* ---- reference walkers for the static chain ---- *)
+
+(* The property checkers and the CDG builder as they walked the routing
+   function pair by pair, kept verbatim as the oracle that [Properties] and
+   [Cdg] must agree with, failure text included. *)
+module Oracle = struct
+  let iter_realized rt k =
+    let seen = Hashtbl.create 256 in
+    let emit input dest c =
+      let key = (input, dest) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key c;
+        k input dest c
+      end
+    in
+    let n = Topology.num_nodes (Routing.topology rt) in
+    for s = 0 to n - 1 do
+      for d = 0 to n - 1 do
+        if s <> d then
+          match Routing.path rt s d with
+          | Error _ -> () (* validate reports these; nothing to enumerate *)
+          | Ok chans ->
+            let rec steps input = function
+              | [] -> ()
+              | c :: rest ->
+                emit input d c;
+                steps (Routing.From c) rest
+            in
+            steps (Routing.Inject s) chans
+      done
+    done
+
+  open Properties
+
+  (* Run [check s d path] over all pairs; first failure wins. *)
+  let over_pairs rt check =
+    let topo = Routing.topology rt in
+    let n = Topology.num_nodes topo in
+    let rec loop s d =
+      if s >= n then Holds
+      else if d >= n then loop (s + 1) 0
+      else if s = d then loop s (d + 1)
+      else
+        match Routing.path rt s d with
+        | Error e -> Fails (Routing.error_message e)
+        | Ok p -> (
+          match check s d p with
+          | None -> loop s (d + 1)
+          | Some why -> Fails why)
+    in
+    loop 0 0
+
+  let node_name rt = Topology.node_name (Routing.topology rt)
+
+  let minimal rt =
+    let topo = Routing.topology rt in
+    let dist = Topology.distance_matrix topo in
+    over_pairs rt (fun s d p ->
+        let len = List.length p in
+        if len = dist.(s).(d) then None
+        else
+          Some
+            (Printf.sprintf "path %s->%s has %d hops, shortest is %d" (node_name rt s)
+               (node_name rt d) len dist.(s).(d)))
+
+  (* The sequence of nodes visited by a path starting at [s]. *)
+  let visited topo s p = s :: List.map (Topology.dst topo) p
+
+  let no_repeated_nodes rt =
+    let topo = Routing.topology rt in
+    over_pairs rt (fun s d p ->
+        let nodes = visited topo s p in
+        let sorted = List.sort compare nodes in
+        let rec dup = function
+          | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
+          | _ -> None
+        in
+        match dup sorted with
+        | None -> None
+        | Some v ->
+          Some
+            (Printf.sprintf "path %s->%s visits %s twice" (node_name rt s) (node_name rt d)
+               (node_name rt v)))
+
+  (* [p] split just after its first arrival at node [x]. *)
+  let split_at topo x p =
+    let rec go before = function
+      | c :: after when Topology.dst topo c = x -> (List.rev (c :: before), after)
+      | c :: after -> go (c :: before) after
+      | [] -> (List.rev before, [])
+    in
+    go [] p
+
+  (* Definitions 7 and 8 share one walk: wherever the [s]->[d] path passes an
+     inner node [x], its part before [x] must be the [s]->[x] path (prefix)
+     and its part after [x] the [x]->[d] path (suffix). *)
+  let closed rt part =
+    let topo = Routing.topology rt in
+    let what = match part with `Prefix -> "prefix" | `Suffix -> "suffix" in
+    over_pairs rt (fun s d p ->
+        let rec each = function
+          | [] -> None
+          | x :: rest -> (
+            let before, after = split_at topo x p in
+            let (a, b), expected =
+              match part with `Prefix -> ((s, x), before) | `Suffix -> ((x, d), after)
+            in
+            match Routing.path rt a b with
+            | Error e -> Some (Routing.error_message e)
+            | Ok q when q = expected -> each rest
+            | Ok _ ->
+              Some
+                (Printf.sprintf "path %s->%s passes %s but the %s->%s path is not its %s"
+                   (node_name rt s) (node_name rt d) (node_name rt x) (node_name rt a)
+                   (node_name rt b) what))
+        in
+        each (List.filter (fun x -> x <> s && x <> d) (visited topo s p)))
+
+  let prefix_closed rt = closed rt `Prefix
+
+  let suffix_closed rt = closed rt `Suffix
+
+  (* Definition 9 from the verdicts it conjoins: the first failure among no
+     repeated nodes, prefix-closed and suffix-closed, in that order *)
+  let coherent_of ~no_repeated ~prefix ~suffix =
+    match (no_repeated, prefix) with
+    | Fails _, _ -> no_repeated
+    | Holds, Fails _ -> prefix
+    | Holds, Holds -> suffix
+
+  let coherent rt =
+    coherent_of ~no_repeated:(no_repeated_nodes rt) ~prefix:(prefix_closed rt)
+      ~suffix:(suffix_closed rt)
+
+  let input_independent rt =
+    let topo = Routing.topology rt in
+    (* collect every realized decision, grouped by (current node, dest) *)
+    let decisions = Hashtbl.create 256 in
+    let conflict = ref None in
+    iter_realized rt (fun input dest out ->
+        let here = Routing.current_node topo input in
+        match Hashtbl.find_opt decisions (here, dest) with
+        | None -> Hashtbl.add decisions (here, dest) out
+        | Some out' ->
+          if out <> out' && !conflict = None then
+            conflict :=
+              Some
+                (Printf.sprintf
+                   "at %s toward %s the output depends on the input channel (%s vs %s)"
+                   (Topology.node_name topo here) (Topology.node_name topo dest)
+                   (Topology.channel_name topo out') (Topology.channel_name topo out)));
+    match !conflict with None -> Holds | Some w -> Fails w
+
+  let summary rt =
+    let no_repeated = no_repeated_nodes rt in
+    let prefix = prefix_closed rt in
+    let suffix = suffix_closed rt in
+    [
+      ("minimal", minimal rt);
+      ("no-repeated-nodes", no_repeated);
+      ("prefix-closed", prefix);
+      ("suffix-closed", suffix);
+      ("coherent", coherent_of ~no_repeated ~prefix ~suffix);
+      ("input-independent", input_independent rt);
+    ]
+
+  type message = Topology.node * Topology.node
+
+  type cdg = {
+    rt : Routing.t;
+    nchan : int;
+    succs : Topology.channel list array;
+    support : (Topology.channel * Topology.channel, message list) Hashtbl.t;
+    users : message list array;
+    paths : (message, Topology.channel list) Hashtbl.t;
+  }
+
+  let build rt =
+    let topo = Routing.topology rt in
+    let n = Topology.num_nodes topo in
+    let nchan = Topology.num_channels topo in
+    let succ_sets = Array.make nchan [] in
+    let support = Hashtbl.create 256 in
+    let users = Array.make nchan [] in
+    let paths = Hashtbl.create 256 in
+    (* Each pair is walked once, and a delivered path never repeats a channel
+       (a deterministic walk that did would loop until [Routing.path] calls it
+       a livelock), so a pair joins each edge's support at most once. *)
+    let add_edge c1 c2 msg =
+      let key = (c1, c2) in
+      match Hashtbl.find_opt support key with
+      | None ->
+        Hashtbl.add support key [ msg ];
+        succ_sets.(c1) <- c2 :: succ_sets.(c1)
+      | Some msgs -> Hashtbl.replace support key (msg :: msgs)
+    in
+    for s = 0 to n - 1 do
+      for d = 0 to n - 1 do
+        if s <> d then
+          match Routing.path rt s d with
+          | Error _ -> ()
+          | Ok chans ->
+            let msg = (s, d) in
+            Hashtbl.add paths msg chans;
+            List.iter (fun c -> users.(c) <- msg :: users.(c)) chans;
+            let rec edges = function
+              | c1 :: (c2 :: _ as rest) ->
+                add_edge c1 c2 msg;
+                edges rest
+              | _ -> ()
+            in
+            edges chans
+      done
+    done;
+    (* Keep successor lists in a stable order for reproducible enumeration. *)
+    Array.iteri (fun i l -> succ_sets.(i) <- List.sort_uniq compare l) succ_sets;
+    Array.iteri (fun i l -> users.(i) <- List.rev l) users;
+    { rt; nchan; succs = succ_sets; support; users; paths }
+
+  let num_edges t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs
+
+  let succ t c = t.succs.(c)
+
+  let edge_support t c1 c2 =
+    match Hashtbl.find_opt t.support (c1, c2) with Some l -> List.rev l | None -> []
+
+  let channel_users t c = t.users.(c)
+
+  let path_of t msg = match Hashtbl.find_opt t.paths msg with Some p -> p | None -> []
+end
+
+(* The first disagreement between the library's static chain and the
+   oracle's on [rt], or [None]: all six verdicts and the summary (failure
+   text included), then the CDG's successors, edge count, channel users,
+   cached paths and the support of every edge. *)
+let static_chain_mismatch rt =
+  let topo = Routing.topology rt in
+  let n = Topology.num_nodes topo in
+  let nchan = Topology.num_channels topo in
+  let verdict = Format.asprintf "%a" Properties.pp_verdict in
+  let checkers =
+    [
+      ("minimal", Properties.minimal, Oracle.minimal);
+      ("no-repeated-nodes", Properties.no_repeated_nodes, Oracle.no_repeated_nodes);
+      ("prefix-closed", Properties.prefix_closed, Oracle.prefix_closed);
+      ("suffix-closed", Properties.suffix_closed, Oracle.suffix_closed);
+      ("coherent", Properties.coherent, Oracle.coherent);
+      ("input-independent", Properties.input_independent, Oracle.input_independent);
+    ]
+  in
+  let differ what got want =
+    Some (Printf.sprintf "%s: %s: got %s, oracle %s" (Routing.name rt) what got want)
+  in
+  let rec first = function
+    | [] -> None
+    | check :: rest -> ( match check () with Some _ as m -> m | None -> first rest)
+  in
+  let cdg = Cdg.build rt and ocdg = Oracle.build rt in
+  let chans l = String.concat "," (List.map string_of_int l) in
+  let msgs l = String.concat "," (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) l) in
+  let each_index k f =
+    let rec go i = if i >= k then None else match f i with Some _ as m -> m | None -> go (i + 1) in
+    go 0
+  in
+  first
+    (List.map
+       (fun (name, lib, oracle) () ->
+         let got = verdict (lib rt) and want = verdict (oracle rt) in
+         if got = want then None else differ name got want)
+       checkers
+    @ [
+        (fun () ->
+          let row (k, v) = k ^ "=" ^ verdict v in
+          let got = String.concat "; " (List.map row (Properties.summary rt))
+          and want = String.concat "; " (List.map row (Oracle.summary rt)) in
+          if got = want then None else differ "summary" got want);
+        (fun () ->
+          let got = Cdg.num_edges cdg and want = Oracle.num_edges ocdg in
+          if got = want then None else differ "num_edges" (string_of_int got) (string_of_int want));
+        (fun () ->
+          each_index nchan (fun c ->
+              let got = Cdg.succ cdg c and want = Oracle.succ ocdg c in
+              if got = want then None
+              else differ (Printf.sprintf "succ %d" c) (chans got) (chans want)));
+        (fun () ->
+          each_index nchan (fun c ->
+              let got = Cdg.channel_users cdg c and want = Oracle.channel_users ocdg c in
+              if got = want then None
+              else differ (Printf.sprintf "channel_users %d" c) (msgs got) (msgs want)));
+        (fun () ->
+          each_index (n * n) (fun i ->
+              let msg = (i / n, i mod n) in
+              let got = Cdg.path_of cdg msg and want = Oracle.path_of ocdg msg in
+              if got = want then None
+              else differ (Printf.sprintf "path_of %d>%d" (i / n) (i mod n)) (chans got) (chans want)));
+        (fun () ->
+          each_index nchan (fun c1 ->
+              first
+                (List.map
+                   (fun c2 () ->
+                     let got = Cdg.edge_support cdg c1 c2
+                     and want = Oracle.edge_support ocdg c1 c2 in
+                     if got = want then None
+                     else differ (Printf.sprintf "edge_support %d %d" c1 c2) (msgs got) (msgs want))
+                   (Oracle.succ ocdg c1))));
+      ])
+
+let prop_static_chain_matches_oracle =
+  QCheck.Test.make
+    ~name:"static chain agrees with the reference walkers (random routing functions)"
+    ~count:(count 1000)
+    QCheck.(pair random_net_gen bool)
+    (fun (((_, _, seed) as params), total) ->
+      let topo, _ = build_random_net params in
+      let rt = (if total then closer_routing else hash_routing) topo seed in
+      match static_chain_mismatch rt with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* The same comparison over every oblivious routing the registry ships,
+   escape subfunctions included. *)
+let test_registry_matches_oracle () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let routings =
+        match e.Registry.r_algo with
+        | Registry.Oblivious rt -> [ rt ]
+        | Registry.Adaptive (_, escape) -> Option.to_list escape
+      in
+      List.iter
+        (fun rt ->
+          match static_chain_mismatch rt with
+          | None -> ()
+          | Some why -> Alcotest.fail why)
+        routings)
+    (Registry.entries ())
 
 (* ---- synthesis existence checker on the random digraphs ---- *)
 
@@ -707,7 +1061,11 @@ let () =
       suite "differential" [ prop_differential_mesh; prop_differential_ring ];
       suite "random-nets"
         [ prop_random_net_routing_valid; prop_random_net_cdg_sound;
-          prop_random_net_acyclic_implies_safe; prop_delivered_paths_repeat_no_channel ];
+          prop_random_net_acyclic_implies_safe; prop_delivered_paths_repeat_no_channel;
+          prop_static_chain_matches_oracle ];
+      ( "static-oracle",
+        [ Alcotest.test_case "registry routings agree with the reference walkers" `Quick
+            test_registry_matches_oracle ] );
       suite "theorem5" [ prop_theorem5_matches_search ];
       suite "synthesis" [ prop_synth_differential ];
     ]
