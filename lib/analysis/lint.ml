@@ -21,18 +21,19 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) rt =
   let used = Array.make nchan false in
   let dist = lazy (Topology.distance_matrix topo) in
   let total = ref true in
+  let paths = Routing.paths rt in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
       if s <> d then
-        match Routing.path rt s d with
+        match Routing.path_row paths s d with
         | Error e ->
           total := false;
           add (route_error_diag e)
         | Ok p ->
-          List.iter (fun c -> used.(c) <- true) p;
+          Array.iter (fun c -> used.(c) <- true) p;
           if declared_minimal then begin
             let shortest = (Lazy.force dist).(s).(d) in
-            let hops = List.length p in
+            let hops = Array.length p in
             if shortest < max_int && hops > shortest then
               add
                 (Diagnostic.error "E011" (Diagnostic.Pair (s, d))
@@ -42,7 +43,7 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) rt =
                    ~context:
                      [
                        ("algorithm", name);
-                       ("witness", Format.asprintf "%a" (Routing.pp_path rt) p);
+                       ("witness", Format.asprintf "%a" (Routing.pp_path rt) (Array.to_list p));
                      ])
           end
     done
@@ -58,7 +59,7 @@ let algorithm ?(declared_minimal = false) ?(expect_deadlock_free = true) rt =
   (* Closure lints and CDG classification need every path to exist; when the
      routing is not total the totality errors above already tell the story. *)
   (if !total then begin
-    let static = Cycle_analysis.of_routing rt in
+    let static = Cycle_analysis.of_paths paths in
     let closure code property what =
       match List.assoc property static.Cycle_analysis.ra_summary with
       | Properties.Holds -> ()

@@ -59,9 +59,11 @@ val algorithm :
     [declared_minimal] (default false) arms the [E011] minimality lint;
     [expect_deadlock_free] (default true) decides whether a theorem-certified
     reachable cycle is an error ([E022]) or the documented expectation
-    ([I023]).  The closure lints and the cycle codes read
-    {!Cycle_analysis.of_routing}, so they examine the same first 100
-    cycles as [Verify.analyze].  Diagnostics are returned errors-first. *)
+    ([I023]).  One path table ({!Routing.paths}) feeds the totality,
+    minimality and dead-channel walk and, when every pair is delivered, the
+    closure lints and the cycle codes through {!Cycle_analysis.of_paths},
+    so they examine the same first 100 cycles as [Verify.analyze].
+    Diagnostics are returned errors-first. *)
 
 val adaptive :
   ?expect_deadlock_free:bool ->

@@ -557,20 +557,38 @@ let synthesize ?budget ?(name = "synth") topo =
   | Impossible w -> Error w
   | Exists plan ->
     let rt = routing ~name topo plan in
-    (match Routing.validate rt with
-    | Ok () -> ()
-    | Error e -> failwith ("Synth.synthesize: constructed routing failed validation: " ^ e));
+    let paths = Routing.paths rt in
+    let n = Topology.num_nodes topo in
+    let rows f =
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          f d (Routing.path_row paths s d)
+        done
+      done
+    in
+    rows (fun _ -> function
+      | Ok _ -> ()
+      | Error e ->
+        failwith
+          ("Synth.synthesize: constructed routing failed validation: " ^ Routing.error_message e));
     let m = Topology.num_channels topo in
     let used = Array.make (max 1 m) false in
+    (* each distinct (input channel, destination) decision counts once *)
+    let decided = Bitset.create (max 1 (m * n)) in
     let deps = ref 0 in
-    Routing.iter_realized rt (fun input _dest ch ->
-        used.(ch) <- true;
-        match input with
-        | Routing.Inject _ -> ()
-        | Routing.From e ->
-          incr deps;
-          if plan.p_order.(ch) <= plan.p_order.(e) then
-            failwith "Synth.synthesize: a realized dependency does not increase the rank");
+    rows (fun d -> function
+      | Error _ -> ()
+      | Ok p ->
+        Array.iteri
+          (fun i ch ->
+            used.(ch) <- true;
+            if i > 0 && not (Bitset.mem decided ((p.(i - 1) * n) + d)) then begin
+              Bitset.unsafe_add decided ((p.(i - 1) * n) + d);
+              incr deps;
+              if plan.p_order.(ch) <= plan.p_order.(p.(i - 1)) then
+                failwith "Synth.synthesize: a realized dependency does not increase the rank"
+            end)
+          p);
     let unused = List.filter (fun e -> not used.(e)) (Topology.channels topo) in
     Ok (rt, { plan with p_dependencies = !deps; p_unused = unused })
 

@@ -1,68 +1,59 @@
 type message = Topology.node * Topology.node
 
 type t = {
-  rt : Routing.t;
+  paths : Routing.paths;
   nchan : int;
   succs : Topology.channel list array;
-  support : (Topology.channel * Topology.channel, message list) Hashtbl.t;
   users : message list array;
-  paths : (message, Topology.channel list) Hashtbl.t;
 }
 
-let build rt =
-  let topo = Routing.topology rt in
+let of_paths paths =
+  let topo = Routing.topology (Routing.paths_routing paths) in
   let n = Topology.num_nodes topo in
   let nchan = Topology.num_channels topo in
   let succ_sets = Array.make nchan [] in
-  let support = Hashtbl.create 256 in
   let users = Array.make nchan [] in
-  let paths = Hashtbl.create 256 in
-  (* Each pair is walked once, and a delivered path never repeats a channel
-     (a deterministic walk that did would loop until [Routing.path] calls it
-     a livelock), so a pair joins each edge's support at most once. *)
-  let add_edge c1 c2 msg =
-    let key = (c1, c2) in
-    match Hashtbl.find_opt support key with
-    | None ->
-      Hashtbl.add support key [ msg ];
-      succ_sets.(c1) <- c2 :: succ_sets.(c1)
-    | Some msgs -> Hashtbl.replace support key (msg :: msgs)
-  in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
       if s <> d then
-        match Routing.path rt s d with
+        match Routing.path_row paths s d with
         | Error _ -> ()
         | Ok chans ->
           let msg = (s, d) in
-          Hashtbl.add paths msg chans;
-          List.iter (fun c -> users.(c) <- msg :: users.(c)) chans;
-          let rec edges = function
-            | c1 :: (c2 :: _ as rest) ->
-              add_edge c1 c2 msg;
-              edges rest
-            | _ -> ()
-          in
-          edges chans
+          Array.iter (fun c -> users.(c) <- msg :: users.(c)) chans;
+          for i = 0 to Array.length chans - 2 do
+            let c1 = chans.(i) and c2 = chans.(i + 1) in
+            if not (List.mem c2 succ_sets.(c1)) then succ_sets.(c1) <- c2 :: succ_sets.(c1)
+          done
     done
   done;
   (* Keep successor lists in a stable order for reproducible enumeration. *)
-  Array.iteri (fun i l -> succ_sets.(i) <- List.sort_uniq compare l) succ_sets;
+  Array.iteri (fun i l -> succ_sets.(i) <- List.sort compare l) succ_sets;
   Array.iteri (fun i l -> users.(i) <- List.rev l) users;
-  { rt; nchan; succs = succ_sets; support; users; paths }
+  { paths; nchan; succs = succ_sets; users }
 
-let topology t = Routing.topology t.rt
+let build rt = of_paths (Routing.paths rt)
+
+let topology t = Routing.topology (Routing.paths_routing t.paths)
 
 let num_edges t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs
 
 let succ t c = t.succs.(c)
 
-let edge_support t c1 c2 =
-  match Hashtbl.find_opt t.support (c1, c2) with Some l -> List.rev l | None -> []
-
 let channel_users t c = t.users.(c)
 
-let path_of t msg = match Hashtbl.find_opt t.paths msg with Some p -> p | None -> []
+let edge_support t c1 c2 =
+  List.filter
+    (fun (s, d) ->
+      match Routing.path_row t.paths s d with
+      | Error _ -> false
+      | Ok p ->
+        let rec at i = i + 1 < Array.length p && ((p.(i) = c1 && p.(i + 1) = c2) || at (i + 1)) in
+        at 0)
+    (channel_users t c1)
+
+let path_of t (s, d) =
+  match Routing.path_row t.paths s d with Ok p -> Array.to_list p | Error _ -> []
 
 let is_acyclic t = not (Scc.has_cycle ~n:t.nchan ~succ:(fun c -> t.succs.(c)))
 

@@ -4,31 +4,38 @@
     channel [c1] to [c2] when some message is permitted to use [c2]
     immediately after [c1]; for an oblivious algorithm this means some
     source/destination pair's unique path uses [c1] then [c2] consecutively.
-    The builder walks every pair's path, so each edge carries the list of
-    {e supporting messages} -- the pairs whose path realizes it -- which the
-    unreachability analysis consumes. *)
+    The graph is read off an all-pairs path table ({!Routing.paths}) and
+    keeps it, so each edge's {e supporting messages} -- the pairs whose path
+    realizes it, which the unreachability analysis consumes -- and each
+    pair's path are answered from the table's rows. *)
 
 type message = Topology.node * Topology.node
 (** A message class: (source, destination). *)
 
 type t
 
+val of_paths : Routing.paths -> t
+(** Record the dependencies of every row of the table.  Pairs whose path is
+    invalid are skipped ({!Routing.validate} reports those). *)
+
 val build : Routing.t -> t
-(** Walk all source/destination paths and record dependencies.  Pairs whose
-    path is invalid are skipped ({!Routing.validate} reports those). *)
+(** [of_paths (Routing.paths rt)]. *)
 
 val topology : t -> Topology.t
 
 val num_edges : t -> int
 val succ : t -> Topology.channel -> Topology.channel list
 val edge_support : t -> Topology.channel -> Topology.channel -> message list
-(** Messages realizing the given dependency ([[]] if the edge is absent). *)
+(** Messages realizing the given dependency, in pair order ([[]] if the edge
+    is absent).  Computed on demand: the users of [c1] whose row has [c2]
+    right after it. *)
 
 val channel_users : t -> Topology.channel -> message list
 (** All messages whose path uses the channel (anywhere on the path). *)
 
 val path_of : t -> message -> Topology.channel list
-(** The cached path of a message class. *)
+(** The path of a message class, from the table ([[]] when the pair's walk
+    fails). *)
 
 val is_acyclic : t -> bool
 

@@ -235,10 +235,12 @@ type routing_analysis = {
   ra_cycles : (analysis * verdict) list;
 }
 
-let of_routing rt =
-  let summary = Properties.summary rt in
+let of_paths paths =
+  let summary = Properties.of_paths paths in
   let holds name = List.exists (fun (n, v) -> n = name && Properties.is_holds v) summary in
-  let cdg = Cdg.build rt in
+  let cdg = Cdg.of_paths paths in
   let cycles = if Cdg.is_acyclic cdg then [] else Cdg.elementary_cycles ~max_cycles:100 cdg in
   let classify = classify ~minimal:(holds "minimal") ~suffix_closed:(holds "suffix-closed") cdg in
   { ra_summary = summary; ra_cdg = cdg; ra_cycles = List.map classify cycles }
+
+let of_routing rt = of_paths (Routing.paths rt)

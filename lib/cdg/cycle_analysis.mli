@@ -55,7 +55,12 @@ type routing_analysis = {
           routing's own minimal and suffix-closed verdicts; [[]] if acyclic *)
 }
 
+val of_paths : Routing.paths -> routing_analysis
+(** The paper's static chain, run once per routing over one path table:
+    the summary ({!Properties.of_paths}) and the CDG ({!Cdg.of_paths}) read
+    the same rows.  [Verify.analyze] and [Lint.algorithm] read the result
+    instead of rebuilding it.  A routing with more than 100 cycles has only
+    its first 100 examined. *)
+
 val of_routing : Routing.t -> routing_analysis
-(** The paper's static chain, run once per routing: [Verify.analyze] and
-    [Lint.algorithm] read it instead of rebuilding it.  A routing with more
-    than 100 cycles has only its first 100 examined. *)
+(** [of_paths (Routing.paths rt)]. *)

@@ -8,7 +8,7 @@ type result = {
 let analyze rt =
   let topo = Routing.topology rt in
   let nchan = Topology.num_channels topo in
-  let cdg = Cdg.build rt in
+  let paths = Routing.paths rt in
   (* per channel, the list of successor channels demanded by the messages
      that use it: None = the message is consumed right after this channel *)
   let demands = Array.make nchan [] in
@@ -16,19 +16,15 @@ let analyze rt =
   let n = Topology.num_nodes topo in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
-      if s <> d then begin
-        let rec scan = function
-          | [] -> ()
-          | [ last ] ->
-            used.(last) <- true;
-            demands.(last) <- None :: demands.(last)
-          | c1 :: (c2 :: _ as rest) ->
-            used.(c1) <- true;
-            demands.(c1) <- Some c2 :: demands.(c1);
-            scan rest
-        in
-        scan (Cdg.path_of cdg (s, d))
-      end
+      match Routing.path_row paths s d with
+      | Error _ -> ()
+      | Ok p ->
+        let len = Array.length p in
+        Array.iteri
+          (fun i c ->
+            used.(c) <- true;
+            demands.(c) <- (if i = len - 1 then None else Some p.(i + 1)) :: demands.(c))
+          p
     done
   done;
   let immune = Array.make nchan false in

@@ -1,10 +1,13 @@
 (** Structural properties of oblivious routing algorithms
     (Definitions 7-9 of the paper and the minimality notion of Section 1).
 
-    All checkers are brute force over every ordered pair of nodes, which is
-    exact and fast enough for the networks this library studies.  Each
-    returns a witness describing the first violation, so test failures and
-    experiment reports are self-explanatory. *)
+    All checkers run over one all-pairs path table ({!Routing.paths}):
+    every ordered pair's row, and for the closure checks the rows of the
+    pairs an inner node splits it into, with no further walk of the
+    routing function.  Each returns a witness describing the first
+    violation in pair order, so test failures and experiment reports are
+    self-explanatory.  The [Routing.t] checkers each build their own
+    table; {!of_paths} runs all six over one the caller holds. *)
 
 type verdict = Holds | Fails of string
 
@@ -38,3 +41,6 @@ val input_independent : Routing.t -> verdict
 
 val summary : Routing.t -> (string * verdict) list
 (** All six properties, labeled, for report tables. *)
+
+val of_paths : Routing.paths -> (string * verdict) list
+(** {!summary} over a table the caller already holds. *)

@@ -36,38 +36,47 @@ exception Route_error of error
 
 let error_message e = e.e_message
 
+(* The walk behind [path] and [paths]: [emit] receives each channel in
+   order, and the result says whether the walk delivered. *)
+let walk t s d emit =
+  let limit = (4 * Topology.num_channels t.topo) + 4 in
+  let err kind msg = Error { e_algorithm = t.name; e_src = s; e_dst = d; e_kind = kind; e_message = msg } in
+  let rec go input steps =
+    if steps > limit then
+      err (Livelock { limit })
+        (Printf.sprintf "%s: no delivery from %s to %s within %d steps (livelock?)" t.name
+           (Topology.node_name t.topo s) (Topology.node_name t.topo d) limit)
+    else begin
+      let here = current_node t.topo input in
+      match t.f input d with
+      | None ->
+        if here = d then Ok ()
+        else
+          err (Consumed_early { at = here })
+            (Printf.sprintf "%s: consumed at %s but destination is %s" t.name
+               (Topology.node_name t.topo here) (Topology.node_name t.topo d))
+      | Some c ->
+        if Topology.src t.topo c <> here then
+          err (Not_leaving { channel = c; at = here })
+            (Printf.sprintf "%s: routed onto %s which does not leave %s" t.name
+               (Topology.channel_name t.topo c) (Topology.node_name t.topo here))
+        else if here = d then
+          err Passed_destination
+            (Printf.sprintf "%s: passed through destination %s without consuming" t.name
+               (Topology.node_name t.topo d))
+        else begin
+          emit c;
+          go (From c) (steps + 1)
+        end
+    end
+  in
+  go (Inject s) 0
+
 let path t s d =
   if s = d then Ok []
   else begin
-    let limit = (4 * Topology.num_channels t.topo) + 4 in
-    let err kind msg = Error { e_algorithm = t.name; e_src = s; e_dst = d; e_kind = kind; e_message = msg } in
-    let rec walk input acc steps =
-      if steps > limit then
-        err (Livelock { limit })
-          (Printf.sprintf "%s: no delivery from %s to %s within %d steps (livelock?)" t.name
-             (Topology.node_name t.topo s) (Topology.node_name t.topo d) limit)
-      else begin
-        let here = current_node t.topo input in
-        match t.f input d with
-        | None ->
-          if here = d then Ok (List.rev acc)
-          else
-            err (Consumed_early { at = here })
-              (Printf.sprintf "%s: consumed at %s but destination is %s" t.name
-                 (Topology.node_name t.topo here) (Topology.node_name t.topo d))
-        | Some c ->
-          if Topology.src t.topo c <> here then
-            err (Not_leaving { channel = c; at = here })
-              (Printf.sprintf "%s: routed onto %s which does not leave %s" t.name
-                 (Topology.channel_name t.topo c) (Topology.node_name t.topo here))
-          else if here = d then
-            err Passed_destination
-              (Printf.sprintf "%s: passed through destination %s without consuming" t.name
-                 (Topology.node_name t.topo d))
-          else walk (From c) (c :: acc) (steps + 1)
-      end
-    in
-    walk (Inject s) [] 0
+    let acc = ref [] in
+    Result.map (fun () -> List.rev !acc) (walk t s d (fun c -> acc := c :: !acc))
   end
 
 let path_exn t s d =
@@ -86,31 +95,36 @@ let validate t =
   in
   pairs 0 0
 
-let iter_realized t k =
-  let seen = Hashtbl.create 256 in
-  let emit input dest c =
-    let key = (input, dest) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key c;
-      k input dest c
-    end
-  in
+type paths = {
+  routing : t;
+  n : int;
+  rows : (Topology.channel array, error) result array;  (* row [s * n + d] *)
+}
+
+let paths t =
   let n = Topology.num_nodes t.topo in
+  (* a walk emits at most one channel per step up to the cutoff *)
+  let buf = Array.make ((4 * Topology.num_channels t.topo) + 5) 0 in
+  let len = ref 0 in
+  let emit c =
+    buf.(!len) <- c;
+    incr len
+  in
+  let rows = Array.make (n * n) (Ok [||]) in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
-      if s <> d then
-        match path t s d with
-        | Error _ -> () (* validate reports these; nothing to enumerate *)
-        | Ok chans ->
-          let rec steps input = function
-            | [] -> ()
-            | c :: rest ->
-              emit input d c;
-              steps (From c) rest
-          in
-          steps (Inject s) chans
+      if s <> d then begin
+        len := 0;
+        rows.((s * n) + d) <-
+          Result.map (fun () -> Array.sub buf 0 !len) (walk t s d emit)
+      end
     done
-  done
+  done;
+  { routing = t; n; rows }
+
+let path_row p s d = p.rows.((s * p.n) + d)
+
+let paths_routing p = p.routing
 
 let avoiding ?name ~failed base =
   let topo = base.topo in

@@ -74,11 +74,31 @@ val path_exn : t -> Topology.node -> Topology.node -> Topology.channel list
 val validate : t -> (unit, string) result
 (** Check every ordered pair of distinct nodes is delivered. *)
 
-val iter_realized : t -> (input -> Topology.node -> Topology.channel -> unit) -> unit
-(** Iterate all realized routing decisions: for every source/destination
-    pair, every step of the path, including the injection step.  This is the
-    enumeration the CDG builder and the property checkers consume.
-    Decisions are deduplicated. *)
+(** {1 The all-pairs path table}
+
+    Every static analysis of a routing -- the structural properties, the
+    channel dependency graph, the lint battery, the message-flow model,
+    the synthesis audit -- is a function of the paths [R(s, d)].  A table
+    walks each ordered pair once and keeps the rows, so those analyses
+    read one walk instead of repeating it.  The table is not cached inside
+    [t]: routing values are shared by parallel sweep domains, and a lazy
+    value forced from two domains at once raises.  Each caller builds its
+    own table and holds it for as long as it needs it. *)
+
+type paths
+(** One row per ordered (source, destination) pair. *)
+
+val paths : t -> paths
+(** Walk every ordered pair once, sources then destinations in increasing
+    order, through the same walk as {!path}: a row holds exactly what
+    {!path} returns for the pair, as an array, errors included. *)
+
+val path_row : paths -> Topology.node -> Topology.node -> (Topology.channel array, error) result
+(** The pair's row; [path_row p s s] is [Ok [||]].  The array is the
+    table's own: do not mutate it. *)
+
+val paths_routing : paths -> t
+(** The routing the table was walked from. *)
 
 val avoiding : ?name:string -> failed:Topology.channel list -> t -> t
 (** [avoiding ~failed base] is the graceful-degradation wrapper: an

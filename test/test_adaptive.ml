@@ -16,9 +16,21 @@ let test_of_oblivious_roundtrip () =
   (match Adaptive.validate ad with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  (* singleton options equal the oblivious decision everywhere *)
-  Routing.iter_realized rt (fun input dest c ->
-      check (Alcotest.list ci) "singleton" [ c ] (Adaptive.options ad input dest));
+  (* singleton options equal the oblivious decision at every step of every
+     row of the path table *)
+  let paths = Routing.paths rt in
+  for s = 0 to 15 do
+    for d = 0 to 15 do
+      match Routing.path_row paths s d with
+      | Error e -> Alcotest.fail (Routing.error_message e)
+      | Ok p ->
+        Array.iteri
+          (fun i c ->
+            let input = if i = 0 then Routing.Inject s else Routing.From p.(i - 1) in
+            check (Alcotest.list ci) "singleton" [ c ] (Adaptive.options ad input d))
+          p
+    done
+  done;
   (* restrict_to_first gives back the same paths *)
   let rt' = Adaptive.restrict_to_first ad in
   for s = 0 to 15 do

@@ -255,15 +255,35 @@ let test_routing_error_reporting () =
     check cb "exception carries source" true (e.Routing.e_src = a && e.Routing.e_dst = c)
   | _ -> Alcotest.fail "expected Route_error"
 
-let test_iter_realized () =
-  let rt = Dimension_order.mesh (Builders.mesh [ 3; 3 ]) in
-  let count = ref 0 in
-  let seen = Hashtbl.create 64 in
-  Routing.iter_realized rt (fun input dest c ->
-      incr count;
-      if Hashtbl.mem seen (input, dest) then Alcotest.fail "duplicate decision";
-      Hashtbl.add seen (input, dest) c);
-  check cb "many decisions" true (!count > 50)
+(* The table holds exactly what [path] returns for every pair, errors
+   included, on a routing that delivers everywhere and on one whose walks
+   fail three different ways. *)
+let test_paths_table () =
+  let m = Builders.mesh [ 3; 3 ] in
+  let xy = Dimension_order.mesh m in
+  let topo = m.Builders.topo in
+  let broken =
+    Routing.create ~name:"broken" topo (fun input dest ->
+        let here = Routing.current_node topo input in
+        match (input, dest mod 3) with
+        | _ when here = dest -> None
+        | Routing.Inject _, 0 -> None (* consumed at the source *)
+        | Routing.From c, 1 -> Some c (* a channel that does not leave [here] *)
+        | _ -> Routing.next xy input dest)
+  in
+  List.iter
+    (fun rt ->
+      let paths = Routing.paths rt in
+      check cb "table routing" true (Routing.paths_routing paths == rt);
+      let n = Topology.num_nodes topo in
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          let row = Result.map Array.to_list (Routing.path_row paths s d) in
+          if row <> Routing.path rt s d then
+            Alcotest.failf "%s: row %d->%d differs from path" (Routing.name rt) s d
+        done
+      done)
+    [ xy; broken ]
 
 let test_pp_path () =
   let m = Builders.mesh [ 2; 2 ] in
@@ -302,7 +322,7 @@ let () =
       ( "walking",
         [
           Alcotest.test_case "error reporting" `Quick test_routing_error_reporting;
-          Alcotest.test_case "iter_realized dedup" `Quick test_iter_realized;
+          Alcotest.test_case "paths table rows" `Quick test_paths_table;
           Alcotest.test_case "pp_path" `Quick test_pp_path;
         ] );
     ]
