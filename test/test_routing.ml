@@ -257,7 +257,7 @@ let test_routing_error_reporting () =
 
 (* The table holds exactly what [path] returns for every pair, errors
    included, on a routing that delivers everywhere and on one whose walks
-   fail three different ways. *)
+   consume early or misroute. *)
 let test_paths_table () =
   let m = Builders.mesh [ 3; 3 ] in
   let xy = Dimension_order.mesh m in
@@ -271,19 +271,26 @@ let test_paths_table () =
         | Routing.From c, 1 -> Some c (* a channel that does not leave [here] *)
         | _ -> Routing.next xy input dest)
   in
+  let n = Topology.num_nodes topo in
+  let kinds = ref [] in
   List.iter
     (fun rt ->
       let paths = Routing.paths rt in
       check cb "table routing" true (Routing.paths_routing paths == rt);
-      let n = Topology.num_nodes topo in
       for s = 0 to n - 1 do
         for d = 0 to n - 1 do
           let row = Result.map Array.to_list (Routing.path_row paths s d) in
           if row <> Routing.path rt s d then
-            Alcotest.failf "%s: row %d->%d differs from path" (Routing.name rt) s d
+            Alcotest.failf "%s: row %d->%d differs from path" (Routing.name rt) s d;
+          match row with
+          | Error e -> kinds := e.Routing.e_kind :: !kinds
+          | Ok _ -> ()
         done
       done)
-    [ xy; broken ]
+    [ xy; broken ];
+  let has f = List.exists f !kinds in
+  check cb "consumed early" true (has (function Routing.Consumed_early _ -> true | _ -> false));
+  check cb "not leaving" true (has (function Routing.Not_leaving _ -> true | _ -> false))
 
 let test_pp_path () =
   let m = Builders.mesh [ 2; 2 ] in
