@@ -89,7 +89,7 @@ let entries =
     case "classify/theorem5-figure3c"
       (let cycle = List.hd (Cdg.elementary_cycles fig3c_cdg) in
        fun () -> Cycle_analysis.classify fig3c_cdg cycle);
-    case "properties/coherent-mesh8x8" (fun () -> Properties.coherent mesh8_rt);
+    case "properties/summary-mesh8x8" (fun () -> Properties.summary mesh8_rt);
     case "sim/mesh8x8-uniform-300c" (fun () -> Sim_measure.run mesh8_rt mesh_schedule);
     case "sim/torus5x5-tornado-deadlock" (fun () -> Engine.run torus5_rt tornado_schedule);
     (* the raw engine with no sink and no sanitizer: the hot path

@@ -65,8 +65,7 @@ let run_synth json =
       (fun n t -> n + List.length (Diagnostic.errors t.Synth_cert.sc_diagnostics))
       0 results
   in
-  if json then
-    print_endline ("[" ^ String.concat "," (List.map Synth_cert.json results) ^ "]")
+  if json then print_endline (Synth_cert.list_to_json results)
   else
     List.iter
       (fun t ->

@@ -214,8 +214,8 @@ let finalize_obs ?rt ~topo ~post_mortem = function
   | Some (_, events, path) ->
     let events = events () in
     if post_mortem then
-      Format.printf "%s@?" (Obs_postmortem.render ~topo (Obs_postmortem.analyze ?rt events));
-    Out_file.write ~cli:"wormsim" path (Obs_chrome.to_json ~topo events);
+      Format.printf "%s@?" (Obs_postmortem.render topo (Obs_postmortem.analyze ?rt events));
+    Out_file.write ~cli:"wormsim" path (Obs_chrome.to_json topo events);
     Format.printf "chrome trace written to %s@." path
 
 (* Counters-first telemetry for --stats-out: one preallocated accumulator
@@ -233,12 +233,12 @@ let finalize_stats ~topo = function
   | None -> ()
   | Some (st, path) ->
     let doc =
-      if Filename.check_suffix path ".json" then Obs_stats.to_json ~topo st
-      else Obs_stats.to_prometheus ~topo st
+      if Filename.check_suffix path ".json" then Obs_stats.to_json topo st
+      else Obs_stats.to_prometheus topo st
     in
     Out_file.write ~cli:"wormsim" path doc;
-    Format.printf "%s" (Obs_stats.summary ~topo st);
-    (match Obs_stats.heatmap ~topo st with
+    Format.printf "%s" (Obs_stats.summary topo st);
+    (match Obs_stats.heatmap topo st with
     | "" -> ()
     | hm -> Format.printf "%s" hm);
     Format.printf "stats written to %s@." path

@@ -52,12 +52,11 @@ val errors : t list -> t list
 val by_severity : t list -> t list
 (** Stable sort, errors first, then warnings, then infos. *)
 
-val subject_string : ?topo:Topology.t -> subject -> string
-(** Human-readable subject; channel and node ids are resolved to names when
-    the topology is given, otherwise printed as [channel#4] / [node#2]. *)
-
 val pp : ?topo:Topology.t -> unit -> Format.formatter -> t -> unit
-(** One line: [CODE severity subject: message (key=value, ...)]. *)
+(** One line: [CODE severity subject: message (key=value, ...)].  The
+    subject's channel and node ids are resolved to names when the topology
+    is given, otherwise printed as [channel#4] / [node#2]; {!to_json}
+    renders the subject the same way. *)
 
 val to_json : ?topo:Topology.t -> t -> string
 (** A single-diagnostic JSON object with fields [code], [severity],

@@ -501,7 +501,10 @@ let check ?(budget = default_budget) topo =
 
 (* ---- synthesis ------------------------------------------------------- *)
 
-let routing ?(name = "synth") topo plan =
+(* Deterministic routing from a plan: from input channel (or injection)
+   toward a destination, among output channels higher-ranked than the
+   input from which a rank-increasing path to the destination exists. *)
+let routing ~name topo plan =
   let ctx = build_ctx topo in
   let rank = plan.p_order in
   if Array.length rank <> ctx.m then

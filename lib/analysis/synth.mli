@@ -83,19 +83,17 @@ val check : ?budget:int -> Topology.t -> verdict
     exact corner-removal search; heuristic orders and the forced-corner
     test run first and settle every shipped topology without reaching it. *)
 
-val routing : ?name:string -> Topology.t -> plan -> Routing.t
-(** Deterministic routing from a plan: from input channel (or injection)
-    toward a destination, among output channels higher-ranked than the
-    input from which a rank-increasing path to the destination exists,
-    take the one with the fewest remaining hops, breaking ties toward the
-    lowest rank -- minimal within the rank discipline.  [name] defaults to
-    ["synth"]. *)
-
 val synthesize :
   ?budget:int -> ?name:string -> Topology.t -> (Routing.t * plan, witness) result
-(** {!check}, then {!routing}, then the self-audit: validate the routing,
-    walk every realized decision, confirm every dependency increases the
-    rank, and record the channels left unused.  The returned plan has
+(** {!check}, then a deterministic routing from the plan, then the
+    self-audit.  The routing, named [name] (default ["synth"]), goes from
+    an input channel (or injection) toward a destination along the output
+    channel higher-ranked than the input from which a rank-increasing
+    path to the destination exists; among those it takes the one with the
+    fewest remaining hops, breaking ties toward the lowest rank -- minimal
+    within the rank discipline.  The audit validates the routing, walks
+    every realized decision, confirms every dependency increases the rank,
+    and records the channels left unused.  The returned plan has
     [p_dependencies] and [p_unused] filled in.
     @raise Failure if the constructed routing fails its own audit (an
     internal invariant, never a property of the input network). *)

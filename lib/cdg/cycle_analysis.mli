@@ -36,10 +36,9 @@ type verdict =
   | Unreachable of string  (** a theorem guarantees a false resource cycle *)
   | Needs_search of string  (** outside the characterized cases; defer to simulation *)
 
-val analyze : Cdg.t -> Topology.channel list -> analysis
-
 val classify : ?minimal:bool -> ?suffix_closed:bool -> Cdg.t -> Topology.channel list -> analysis * verdict
-(** Apply Theorems 2-5 and Corollaries 1-3 in order.  [minimal] and
+(** The cycle's supporting messages and shared channels, and the verdict
+    of Theorems 2-5 and Corollaries 1-3 applied in order.  [minimal] and
     [suffix_closed] are the routing algorithm's properties (pass the checker
     results; they default to [false] = make no assumption). *)
 

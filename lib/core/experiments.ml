@@ -191,18 +191,18 @@ let exp_corollaries ?(quick = false) ppf =
 let exp_t3 ?(quick = false) ppf =
   ignore quick;
   header ppf "EXP-T3: Theorem 3 (minimal oblivious routing)";
-  let net = Paper_nets.figure1 () in
-  let rt = Cd_algorithm.of_net net in
-  let cd_minimal = Properties.is_holds (Properties.minimal rt) in
+  (* one path table per routing: its minimality verdict, then its CDG *)
+  let minimal paths = Properties.is_holds (List.assoc "minimal" (Properties.of_paths paths)) in
+  let cd_minimal = minimal (Routing.paths (Cd_algorithm.of_net (Paper_nets.figure1 ()))) in
   Format.fprintf ppf "CD algorithm minimal: %b (Theorem 3 forces nonminimality)@\n" cd_minimal;
   (* Minimal members of the suite: their cycles must all be reachable. *)
   let minimal_ok =
     List.for_all
       (fun (name, rt) ->
-        let minimal = Properties.is_holds (Properties.minimal rt) in
-        if not minimal then true
+        let paths = Routing.paths rt in
+        if not (minimal paths) then true
         else begin
-          let cdg = Cdg.build rt in
+          let cdg = Cdg.of_paths paths in
           let cycles = Cdg.elementary_cycles cdg in
           let ok =
             List.for_all
@@ -1225,14 +1225,15 @@ let exp_synth ?(quick = false) ppf =
     let buf = Buffer.create 256 in
     let bpf = Format.formatter_of_buffer buf in
     let topo = net.Paper_nets.topo in
+    let sc = Synth_cert.run ~name:(name ^ "-synth") topo in
     let result =
-      match Synth.synthesize ~name:(name ^ "-synth") topo with
+      match sc.Synth_cert.sc_result with
       | Error w ->
         Format.fprintf bpf "%s: IMPOSSIBLE (%a) -- but the paper routes it@\n" name
           (Synth.pp_witness topo) w;
         None
       | Ok (rt, plan) ->
-        let certified = Verify.is_deadlock_free (Verify.analyze ~quick:true rt).conclusion in
+        let certified = Synth_cert.certified sc in
         let templates =
           List.map
             (fun (i : Paper_nets.intent) ->
@@ -1342,18 +1343,14 @@ let exp_synth ?(quick = false) ppf =
     let bpf = Format.formatter_of_buffer buf in
     let topo = sy_random_digraph ~seed ~n ~chords in
     let label = Printf.sprintf "digraph(seed=%d,n=%d,chords=%d)" seed n chords in
+    let sc = Synth_cert.run ~name:label topo in
     let verdict_ok, verdict =
-      match Synth.synthesize ~name:label topo with
-      | Ok (rt, plan) ->
-        let certified = Verify.is_deadlock_free (Verify.analyze ~quick:true rt).conclusion in
-        let clean =
-          List.for_all
-            (fun d -> not (Diagnostic.is_error d))
-            (Synth.diagnostics ~name:label topo (Ok (rt, plan)))
-        in
+      match sc.Synth_cert.sc_result with
+      | Ok (_, plan) ->
+        let certified = Synth_cert.certified sc in
         Format.fprintf bpf "%s: exists via %s; certified %b@\n" label plan.Synth.p_strategy
           certified;
-        (certified && clean, `Exists)
+        (certified && Diagnostic.errors sc.Synth_cert.sc_diagnostics = [], `Exists)
       | Error w ->
         let checked = Synth.check_witness topo w in
         (* dynamic counterpart, cheap and sound: with no acyclic connector,
@@ -1530,7 +1527,7 @@ let latency_report ?(quick = false) ppf =
               string_of_int hol;
               string_of_int st.Obs_stats.st_waited.(c);
             ])
-        (Obs_stats.top_blocking ~k:3 st))
+        (Obs_stats.top_blocking st))
     workloads;
   if !any then Format.fprintf ppf "%s" (Table.render blocking)
   else Format.fprintf ppf "(no blocking recorded)@\n"

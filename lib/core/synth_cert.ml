@@ -6,8 +6,8 @@ type t = {
   sc_diagnostics : Diagnostic.t list;
 }
 
-let run ?(quick = true) ?budget ?(name = "synth") topo =
-  let result = Synth.synthesize ?budget ~name topo in
+let run ~name topo =
+  let result = Synth.synthesize ~name topo in
   let synth_diags = Synth.diagnostics ~name topo result in
   match result with
   | Error _ ->
@@ -19,7 +19,7 @@ let run ?(quick = true) ?budget ?(name = "synth") topo =
       sc_diagnostics = Diagnostic.by_severity synth_diags;
     }
   | Ok (rt, _) ->
-    let report = Verify.analyze ~quick rt in
+    let report = Verify.analyze ~quick:true rt in
     {
       sc_network = name;
       sc_topology = topo;
@@ -44,8 +44,7 @@ let networks () =
     ("ring-uni-6-vc2", (Builders.ring ~unidirectional:true ~vcs:2 6).Builders.topo);
   ]
 
-let run_all ?quick () =
-  Wr_pool.map (fun (name, topo) -> run ?quick ~name topo) (networks ())
+let run_all () = Wr_pool.map (fun (name, topo) -> run ~name topo) (networks ())
 
 let json t =
   let verdict = match t.sc_result with Ok _ -> "exists" | Error _ -> "impossible" in
@@ -54,5 +53,4 @@ let json t =
     verdict
     (Diagnostic.list_to_json ~topo:t.sc_topology t.sc_diagnostics)
 
-let registry_json ?quick () =
-  "[" ^ String.concat "," (List.map json (run_all ?quick ())) ^ "]"
+let list_to_json ts = "[" ^ String.concat "," (List.map json ts) ^ "]"

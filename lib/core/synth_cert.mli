@@ -6,8 +6,7 @@
     the full {!Verify} pipeline (CDG build, Dally-Seitz numbering,
     Theorem 2-5 classification when cycles appear) so every synthesized
     routing ships with the same certificate the hand-written algorithms
-    get.  [wormlint --synth], [wormsim --routing synth] and the EXP-SY1
-    campaign all go through here. *)
+    get.  [wormlint --synth] and the EXP-SY1 campaign go through here. *)
 
 type t = {
   sc_network : string;
@@ -21,28 +20,26 @@ type t = {
           W062) and the [Verify] diagnostics (E050/W052/I053...) *)
 }
 
-val run : ?quick:bool -> ?budget:int -> ?name:string -> Topology.t -> t
-(** Synthesize and certify one network.  [quick] (default [true]) is passed
-    to {!Verify.analyze}; synthesized routings have acyclic CDGs, so the
-    quick pass already produces the full numbering certificate.  [name]
-    labels the network in diagnostics (default ["synth"]). *)
+val run : name:string -> Topology.t -> t
+(** Synthesize and certify one network with [Synth]'s default search
+    budget, then run {!Verify.analyze} [~quick:true] on the result:
+    synthesized routings have acyclic CDGs, so the quick pass already
+    produces the full numbering certificate.  [name] labels the network
+    and the synthesized routing in diagnostics. *)
 
 val certified : t -> bool
 (** A routing was synthesized and [Verify] concluded [Deadlock_free]. *)
 
-val networks : unit -> (string * Topology.t) list
-(** The distinct networks underlying the algorithm registry -- every paper
-    figure network, the Section-6 family instance, and the classic
-    mesh/torus/hypercube/ring substrates -- named independently of the
-    routing algorithms that run on them. *)
+val run_all : unit -> t list
+(** {!run} over the distinct networks underlying the algorithm registry
+    -- every paper figure network, the Section-6 family instance, and the
+    classic mesh/torus/hypercube/ring substrates, named independently of
+    the routing algorithms that run on them -- fanned over [Wr_pool]
+    (order-preserving, so output is byte-identical at any domain count). *)
 
-val run_all : ?quick:bool -> unit -> t list
-(** {!run} over {!networks}, fanned over [Wr_pool] (order-preserving, so
-    output is byte-identical at any domain count). *)
-
-val json : t -> string
-(** [{"network":NAME,"verdict":"exists"|"impossible","diagnostics":[...]}]. *)
-
-val registry_json : ?quick:bool -> unit -> string
-(** The JSON array for {!run_all} -- exactly what [wormlint --synth --json]
-    prints and what the committed golden file pins. *)
+val list_to_json : t list -> string
+(** A JSON array with one
+    [{"network":NAME,"verdict":"exists"|"impossible","diagnostics":[...]}]
+    object per result, in order.  Over {!run_all} it is exactly what
+    [wormlint --synth --json] prints and what the committed golden file
+    pins. *)

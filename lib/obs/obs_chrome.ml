@@ -12,12 +12,8 @@ let esc = Diagnostic.json_escape
 
 type open_span = { os_start : int; os_label : string }
 
-let to_json ?topo events =
-  let chan_name c =
-    match topo with
-    | Some t -> Topology.channel_name t c
-    | None -> Printf.sprintf "channel#%d" c
-  in
+let to_json topo events =
+  let chan_name = Topology.channel_name topo in
   let final_cycle =
     List.fold_left
       (fun acc e -> match Obs_event.cycle_of e with Some c when c > acc -> c | _ -> acc)

@@ -17,5 +17,5 @@
 
     Cycles map 1:1 to trace microseconds. *)
 
-val to_json : ?topo:Topology.t -> Obs_event.t list -> string
-(** Channel tids carry topology channel names when [topo] is given. *)
+val to_json : Topology.t -> Obs_event.t list -> string
+(** Channel threads are named after the topology's channel names. *)

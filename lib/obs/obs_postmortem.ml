@@ -188,12 +188,8 @@ let analyze ?rt events =
       | _ -> None);
   }
 
-let pp ?topo () ppf t =
-  let chan c =
-    match topo with
-    | Some tp -> Topology.channel_name tp c
-    | None -> Printf.sprintf "channel#%d" c
-  in
+let pp topo ppf t =
+  let chan = Topology.channel_name topo in
   Format.fprintf ppf "=== post-mortem ===@\n";
   Format.fprintf ppf "outcome: %s%s at cycle %d@\n"
     (Option.value ~default:"(no run-end event)" t.pm_outcome)
@@ -271,4 +267,4 @@ let pp ?topo () ppf t =
     List.iter (fun (l, n) -> Format.fprintf ppf "  %s x%d@\n" l n) t.pm_aborts
   end
 
-let render ?topo t = Format.asprintf "%a" (pp ?topo ()) t
+let render topo t = Format.asprintf "%a" (pp topo) t

@@ -62,5 +62,5 @@ val analyze : ?rt:Routing.t -> Obs_event.t list -> t
 (** Deterministic: all result lists are sorted, the knot is found by
     walking from labels in sorted order. *)
 
-val pp : ?topo:Topology.t -> unit -> Format.formatter -> t -> unit
-val render : ?topo:Topology.t -> t -> string
+val render : Topology.t -> t -> string
+(** The report, naming channels through the topology. *)

@@ -160,7 +160,7 @@ let percentile t q =
     if !i < n_buckets then lat_bounds.(!i) else t.st_lat_max
   end
 
-let top_blocking ?(k = 3) t =
+let top_blocking t =
   let all = ref [] in
   for c = t.st_nchan - 1 downto 0 do
     if t.st_hol.(c) > 0 then all := (c, t.st_hol.(c)) :: !all
@@ -168,14 +168,9 @@ let top_blocking ?(k = 3) t =
   let sorted =
     List.stable_sort (fun (_, a) (_, b) -> compare b a) !all
   in
-  List.filteri (fun i _ -> i < k) sorted
+  List.filteri (fun i _ -> i < 3) sorted
 
 (* -- renderers --------------------------------------------------------- *)
-
-let chan_name topo c =
-  match topo with
-  | Some t -> Topology.channel_name t c
-  | None -> Printf.sprintf "channel#%d" c
 
 (* a channel earns a row/series once any of its counters is nonzero; the
    predicate is a pure function of accumulator values, so the filtered
@@ -185,7 +180,7 @@ let active t c =
   || t.st_waited.(c) > 0
   || t.st_hol.(c) > 0
 
-let to_prometheus ?topo t =
+let to_prometheus topo t =
   let sample suffix labels value =
     { Obs_metrics.s_suffix = suffix; s_labels = labels; s_value = value }
   in
@@ -202,7 +197,8 @@ let to_prometheus ?topo t =
     counter name help
       (List.filter_map
          (fun c ->
-           if active t c then Some (sample "" [ ("channel", chan_name topo c) ] (value_of c))
+           if active t c then
+             Some (sample "" [ ("channel", Topology.channel_name topo c) ] (value_of c))
            else None)
          (List.init t.st_nchan Fun.id))
   in
@@ -244,7 +240,7 @@ let to_prometheus ?topo t =
       scalar "wormhole_stats_runs_total" "simulator runs accumulated" t.st_runs;
     ]
 
-let to_json ?topo t =
+let to_json topo t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"schema\":\"wormhole-stats/1\"";
   Buffer.add_string buf
@@ -292,7 +288,7 @@ let to_json ?topo t =
         (Printf.sprintf
            "{\"id\":%d,\"name\":\"%s\",\"owned\":%d,\"busy\":%d,\"acquired\":%d,\"wait\":%d,\"hol\":%d}"
            c
-           (Diagnostic.json_escape (chan_name topo c))
+           (Diagnostic.json_escape (Topology.channel_name topo c))
            t.st_owned.(c) t.st_busy.(c) t.st_acquired.(c) t.st_waited.(c)
            t.st_hol.(c))
     end
@@ -300,7 +296,7 @@ let to_json ?topo t =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let heatmap ?topo t =
+let heatmap topo t =
   let width = 40 in
   let actives = ref [] in
   for c = t.st_nchan - 1 downto 0 do
@@ -311,7 +307,7 @@ let heatmap ?topo t =
   | channels ->
       let name_width =
         List.fold_left
-          (fun w c -> max w (String.length (chan_name topo c)))
+          (fun w c -> max w (String.length (Topology.channel_name topo c)))
           7 channels
       in
       let buf = Buffer.create 1024 in
@@ -330,12 +326,12 @@ let heatmap ?topo t =
           in
           Buffer.add_string buf
             (Printf.sprintf "%-*s  %4.0f%%  %s  %6d %6d %6d\n" name_width
-               (chan_name topo c) (u *. 100.0) bar t.st_acquired.(c)
+               (Topology.channel_name topo c) (u *. 100.0) bar t.st_acquired.(c)
                t.st_waited.(c) t.st_hol.(c)))
         channels;
       Buffer.contents buf
 
-let summary ?topo t =
+let summary topo t =
   let buf = Buffer.create 512 in
   let tbl = Table.create ~aligns:[ Table.Left; Table.Right ] [ "metric"; "value" ] in
   let pct q =
@@ -368,7 +364,7 @@ let summary ?topo t =
       (if !max_util_c < 0 then "-"
        else
          Printf.sprintf "%.1f%% (%s)" (!max_util *. 100.0)
-           (chan_name topo !max_util_c));
+           (Topology.channel_name topo !max_util_c));
     ];
   Table.add_row tbl [ "blocked cycles"; string_of_int t.st_blocked ];
   Buffer.add_string buf (Table.render tbl);
@@ -385,7 +381,7 @@ let summary ?topo t =
         (fun (c, hol) ->
           Table.add_row bt
             [
-              chan_name topo c; string_of_int hol; string_of_int t.st_waited.(c);
+              Topology.channel_name topo c; string_of_int hol; string_of_int t.st_waited.(c);
             ])
         tops;
       Buffer.add_string buf (Table.render bt));

@@ -119,30 +119,33 @@ val percentile : t -> float -> int
     as fixed-bucket histograms resolve; the overflow bucket reports the
     exact [st_lat_max].  0 when nothing was delivered. *)
 
-val top_blocking : ?k:int -> t -> (int * int) list
-(** The [k] (default 3) channels with the largest head-of-line blocking
+val top_blocking : t -> (int * int) list
+(** The three channels with the largest head-of-line blocking
     attribution, as [(channel, hol_cycles)] sorted descending (index
     ascending on ties), zero entries omitted. *)
 
 (* -- renderers (byte-deterministic whenever the values are) ----------- *)
 
-val to_prometheus : ?topo:Topology.t -> t -> string
+(* Each renderer names channels through the topology the accumulator was
+   sized for ({!Topology.channel_name}). *)
+
+val to_prometheus : Topology.t -> t -> string
 (** Prometheus text through {!Obs_metrics.to_prometheus}: families in name
     order; the per-channel families give one series per channel with any
-    nonzero counter, in channel-id order, labelled [channel="name"]
-    (["channel#id"] without [topo]); the latency histogram gives its
-    cumulative [_bucket] series, then [_sum] and [_count]. *)
+    nonzero counter, in channel-id order, labelled [channel="name"]; the
+    latency histogram gives its cumulative [_bucket] series, then [_sum]
+    and [_count]. *)
 
-val to_json : ?topo:Topology.t -> t -> string
+val to_json : Topology.t -> t -> string
 (** One-object JSON document, schema [wormhole-stats/1]. *)
 
-val heatmap : ?topo:Topology.t -> t -> string
+val heatmap : Topology.t -> t -> string
 (** ASCII per-channel utilization heatmap in [Trace.render] style: one row
     per active channel (index order), a 40-column bar of the channel's
     busy fraction, and the utilization/acquisition/wait/HoL numbers.
     Empty string when no channel saw traffic. *)
 
-val summary : ?topo:Topology.t -> t -> string
+val summary : Topology.t -> t -> string
 (** Percentile summary table: p50/p90/p99/max latency, deliveries, runs,
     cycles, max channel utilization, blocked cycles, and the three
     head-of-line blocking channels of {!top_blocking}. *)

@@ -162,19 +162,4 @@ let of_paths paths =
     ("input-independent", input_independent_of paths);
   ]
 
-let minimal rt = minimal_of (Routing.paths rt)
-
-let no_repeated_nodes rt = no_repeated_nodes_of (Routing.paths rt)
-
-let prefix_closed rt = closed (Routing.paths rt) `Prefix
-
-let suffix_closed rt = closed (Routing.paths rt) `Suffix
-
-let coherent rt =
-  let paths = Routing.paths rt in
-  coherent_of ~no_repeated:(no_repeated_nodes_of paths) ~prefix:(closed paths `Prefix)
-    ~suffix:(closed paths `Suffix)
-
-let input_independent rt = input_independent_of (Routing.paths rt)
-
 let summary rt = of_paths (Routing.paths rt)

@@ -89,8 +89,8 @@ let validate t =
     else if d >= n then pairs (s + 1) 0
     else if s = d then pairs s (d + 1)
     else
-      match path t s d with
-      | Ok _ -> pairs s (d + 1)
+      match walk t s d ignore with
+      | Ok () -> pairs s (d + 1)
       | Error e -> Error e.e_message
   in
   pairs 0 0
@@ -126,9 +126,9 @@ let path_row p s d = p.rows.((s * p.n) + d)
 
 let paths_routing p = p.routing
 
-let avoiding ?name ~failed base =
+let avoiding ~failed base =
   let topo = base.topo in
-  let name = match name with Some n -> n | None -> base.name ^ "+avoid" in
+  let name = base.name ^ "+avoid" in
   let nchan = Topology.num_channels topo in
   let n = Topology.num_nodes topo in
   let bad = Array.make nchan false in

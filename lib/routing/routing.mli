@@ -72,7 +72,9 @@ val path_exn : t -> Topology.node -> Topology.node -> Topology.channel list
 (** @raise Route_error when [path] returns an error. *)
 
 val validate : t -> (unit, string) result
-(** Check every ordered pair of distinct nodes is delivered. *)
+(** Check every ordered pair of distinct nodes is delivered, walking each
+    pair as {!path} does but keeping no path; the error is the first
+    failing pair's message. *)
 
 (** {1 The all-pairs path table}
 
@@ -100,10 +102,10 @@ val path_row : paths -> Topology.node -> Topology.node -> (Topology.channel arra
 val paths_routing : paths -> t
 (** The routing the table was walked from. *)
 
-val avoiding : ?name:string -> failed:Topology.channel list -> t -> t
+val avoiding : failed:Topology.channel list -> t -> t
 (** [avoiding ~failed base] is the graceful-degradation wrapper: an
-    oblivious routing function on the same topology that never uses a
-    channel in [failed].  Wherever the base algorithm's remaining path
+    oblivious routing function on the same topology, named [base]'s name
+    followed by ["+avoid"], that never uses a channel in [failed].  Wherever the base algorithm's remaining path
     already avoids every failed channel the wrapper follows it unchanged;
     otherwise it detours along a deterministic shortest path of the
     degraded network (failed channels removed) until a clean base suffix is

@@ -27,7 +27,7 @@ let space_for net h =
     buffers = [ 1 ];
   }
 
-let search ?max_h ?domains net =
+let search ?max_h net =
   let rt = Cd_algorithm.of_net net in
   let max_h =
     match max_h with
@@ -36,7 +36,7 @@ let search ?max_h ?domains net =
   in
   let runs = ref 0 in
   let base =
-    match Explorer.explore ?domains rt (space_for net 0) with
+    match Explorer.explore rt (space_for net 0) with
     | Explorer.No_deadlock { runs = r } ->
       runs := !runs + r;
       true
@@ -47,7 +47,7 @@ let search ?max_h ?domains net =
   let rec sweep h =
     if h > max_h then (None, None)
     else
-      match Explorer.explore ?domains rt (space_for net h) with
+      match Explorer.explore rt (space_for net h) with
       | Explorer.Deadlock_found { runs = r; witness } ->
         runs := !runs + r;
         (Some h, Some witness)

@@ -15,9 +15,11 @@ type result = {
   md_runs : int;  (** total simulator runs across the sweep *)
 }
 
-val search : ?max_h:int -> ?domains:int -> Paper_nets.net -> result
+val search : ?max_h:int -> Paper_nets.net -> result
 (** [max_h] defaults to twice the family parameter implied by the ring
     (ring length / 4), which comfortably brackets the expected threshold.
     The space per [h] is trimmed to the worst case the paper's analysis
     identifies: minimal lengths, simultaneous starts (gap 0), one-flit
-    buffers, all injection orders and arbitration priorities. *)
+    buffers, all injection orders and arbitration priorities.  Each sweep
+    runs on {!Wr_pool.default_domains} domains; the result is the same at
+    any count. *)

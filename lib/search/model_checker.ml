@@ -177,7 +177,7 @@ let check ?(max_states = 2_000_000) ?(allow_stalls = false) rt msgs =
   | None -> Safe { states = !states }
 
 let check_net ?max_states ?allow_stalls ?(extra = Explorer.length_window ~quick:false)
-    ?domains (net : Paper_nets.net) =
+    (net : Paper_nets.net) =
   let rt = Cd_algorithm.of_net net in
   let candidates =
     List.map
@@ -194,7 +194,7 @@ let check_net ?max_states ?allow_stalls ?(extra = Explorer.length_window ~quick:
      including the winner, byte-identical to the sequential sweep for any
      domain count. *)
   let results =
-    Wr_pool.map_until ?domains
+    Wr_pool.map_until
       ~hit:(function Safe _ -> false | Deadlock _ | Out_of_budget _ -> true)
       (fun ~stop:_ _ msgs -> check ?max_states ?allow_stalls rt msgs)
       combos

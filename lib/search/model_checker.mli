@@ -47,13 +47,12 @@ val check : ?max_states:int -> ?allow_stalls:bool -> Routing.t -> msg list -> ve
     labels, unroutable pairs). *)
 
 val check_net :
-  ?max_states:int -> ?allow_stalls:bool -> ?extra:int list -> ?domains:int ->
-  Paper_nets.net -> verdict
+  ?max_states:int -> ?allow_stalls:bool -> ?extra:int list -> Paper_nets.net -> verdict
 (** Sweep a paper network's designated messages over the paper-net length
     window ([extra] around each in-cycle span, defaulting to
-    [Explorer.length_window ~quick:false]), model-checking each combination on a
-    {!Wr_pool}; the first deadlock (least combo index, not wall clock) wins,
-    otherwise the sum of explored states is reported.  The verdict is
-    byte-identical for any domain count. *)
+    [Explorer.length_window ~quick:false]), model-checking each combination
+    on {!Wr_pool.default_domains} domains; the first deadlock (least combo
+    index, not wall clock) wins, otherwise the sum of explored states is
+    reported.  The verdict is byte-identical for any domain count. *)
 
 val pp : Format.formatter -> verdict -> unit

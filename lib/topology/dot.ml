@@ -9,12 +9,10 @@ let escape s =
     s;
   Buffer.contents buf
 
-let to_dot ?(highlight = []) ?label t =
+let to_dot ~highlight ~label t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph network {\n";
-  (match label with
-  | Some l -> Buffer.add_string buf (Printf.sprintf "  label=\"%s\";\n" (escape l))
-  | None -> ());
+  Buffer.add_string buf (Printf.sprintf "  label=\"%s\";\n" (escape label));
   Buffer.add_string buf "  node [shape=circle];\n";
   List.iter
     (fun v ->

@@ -195,24 +195,7 @@ let map ?domains f l =
   | [ x ] -> [ f x ]
   | l -> Array.to_list (mapi_array ?domains (fun _ x -> f x) (Array.of_list l))
 
-let map_reduce ?domains ~map:f ~reduce ~init l =
+let map_reduce ~map:f ~reduce ~init l =
   (* the parallel map already yields results in task-index order, so a
      sequential left fold over it IS the canonical reduction *)
-  List.fold_left reduce init (map ?domains f l)
-
-let find_mapi ?domains f arr =
-  let res =
-    map_until ?domains
-      ~hit:(fun r -> r <> None)
-      (fun ~stop i x -> f ~stop i x)
-      arr
-  in
-  let n = Array.length res in
-  let rec scan i =
-    if i >= n then None
-    else
-      match res.(i) with
-      | Some (Some v) -> Some (i, v)
-      | Some None | None -> scan (i + 1)
-  in
-  scan 0
+  List.fold_left reduce init (map f l)

@@ -34,18 +34,14 @@ val mapi_array : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Array/indexed variant of {!map}. *)
 
 val map_reduce :
-  ?domains:int ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
+  map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
 (** [map_reduce ~map ~reduce ~init l] = [List.fold_left reduce init
-    (List.map map l)], with the map fanned out on up to [domains] domains
-    and the fold applied sequentially in task-index order — the canonical
-    reduction that keeps accumulator merges (e.g. {!Obs_stats.merge})
-    byte-identical at any domain count.  [reduce] runs on the calling
-    domain only, so it may freely mutate [init]. *)
+    (List.map map l)], with the map fanned out on up to
+    {!default_domains} domains and the fold applied sequentially in
+    task-index order — the canonical reduction that keeps accumulator
+    merges (e.g. {!Obs_stats.merge}) byte-identical at any domain count.
+    [reduce] runs on the calling domain only, so it may freely mutate
+    [init]. *)
 
 val map_until :
   ?domains:int ->
@@ -71,12 +67,3 @@ val map_until :
     tasks should poll it and return early with any value (the winner's
     prefix never observes [stop () = true], so cancelled garbage is always
     discarded by the reduce). *)
-
-val find_mapi :
-  ?domains:int ->
-  (stop:(unit -> bool) -> int -> 'a -> 'b option) ->
-  'a array ->
-  (int * 'b) option
-(** First-match search: [find_mapi f tasks] returns [Some (i, v)] for the
-    least [i] with [f ~stop i tasks.(i) = Some v], else [None].  Same
-    cancellation contract as {!map_until}. *)

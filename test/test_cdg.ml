@@ -125,7 +125,7 @@ let test_figure1_single_cycle () =
 let test_figure1_analysis () =
   let net, cdg = fig1_cdg () in
   let cycle = List.hd (Cdg.elementary_cycles cdg) in
-  let analysis = Cycle_analysis.analyze cdg cycle in
+  let analysis = fst (Cycle_analysis.classify cdg cycle) in
   check ci "four supporting messages" 4 (List.length analysis.Cycle_analysis.a_messages);
   List.iter
     (fun (cm : Cycle_analysis.cycle_message) ->

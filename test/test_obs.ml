@@ -177,7 +177,7 @@ let test_figure1_chrome_golden () =
   let net, _, _, events = Lazy.force fig1 in
   check cs "chrome trace matches wormsim --trace-out"
     (read_file "golden/figure1.trace.json")
-    (Obs_chrome.to_json ~topo:net.Paper_nets.topo events)
+    (Obs_chrome.to_json net.Paper_nets.topo events)
 
 let test_figure1_postmortem_no_knot () =
   let _, rt, _, events = Lazy.force fig1 in
@@ -217,7 +217,7 @@ let test_figure2_chrome_golden () =
   let net, _, _, events = Lazy.force fig2 in
   check cs "chrome trace matches wormsim --witness --trace-out"
     (read_file "golden/figure2.trace.json")
-    (Obs_chrome.to_json ~topo:net.Paper_nets.topo events)
+    (Obs_chrome.to_json net.Paper_nets.topo events)
 
 let test_figure2_postmortem () =
   let net, rt, _, events = Lazy.force fig2 in
@@ -239,7 +239,7 @@ let test_figure2_postmortem () =
   | Some (_, v) ->
     Alcotest.fail (Format.asprintf "expected Deadlock_reachable, got %a" Cycle_analysis.pp_verdict v)
   | None -> Alcotest.fail "expected a classification verdict");
-  let rendered = Obs_postmortem.render ~topo:net.Paper_nets.topo pm in
+  let rendered = Obs_postmortem.render net.Paper_nets.topo pm in
   check cb "render names a theorem" true (contains rendered "Theorem");
   check cb "render names the knot" true (contains rendered "wait-for knot");
   (* occupancy history must cover every channel the knot waits on *)
@@ -277,7 +277,7 @@ let test_adaptive_chrome_golden () =
   let topo, _, events = Lazy.force adaptive_deadlock in
   check cs "chrome trace matches wormsim --routing adaptive --trace-out"
     (read_file "golden/adaptive-deadlock.trace.json")
-    (Obs_chrome.to_json ~topo events)
+    (Obs_chrome.to_json topo events)
 
 (* ---- golden exporters: the 5x5 torus tornado, detected and wedged ---- *)
 
@@ -306,13 +306,13 @@ let test_tornado_detect_golden () =
   let topo, _, detected, _ = Lazy.force tornado in
   check cs "chrome trace matches wormsim --detect --trace-out"
     (read_file "golden/tornado-detect.trace.json")
-    (Obs_chrome.to_json ~topo detected)
+    (Obs_chrome.to_json topo detected)
 
 let test_tornado_postmortem_golden () =
   let topo, rt, _, wedged = Lazy.force tornado in
   check cs "post-mortem matches wormsim --trace-out"
     (read_file "golden/tornado.postmortem.txt")
-    (Obs_postmortem.render ~topo (Obs_postmortem.analyze ~rt wedged))
+    (Obs_postmortem.render topo (Obs_postmortem.analyze ~rt wedged))
 
 (* ---- trace truncation ---- *)
 

@@ -53,20 +53,6 @@ let prop_map_until_matches_sequential =
       Wr_pool.map_until ~domains:d ~hit (fun ~stop:_ i x -> g i x) a
       = seq_map_until ~hit g a)
 
-let prop_find_mapi_least_index =
-  QCheck.Test.make ~name:"Wr_pool.find_mapi finds the least index" ~count:100
-    QCheck.(triple domains_gen (int_range 1 20) (array small_int))
-    (fun (d, modulus, a) ->
-      let g i x = if (f x + i) mod modulus = 0 then Some (i, x) else None in
-      let expected =
-        let rec scan i =
-          if i >= Array.length a then None
-          else match g i a.(i) with Some v -> Some (i, v) | None -> scan (i + 1)
-        in
-        scan 0
-      in
-      Wr_pool.find_mapi ~domains:d (fun ~stop:_ i x -> g i x) a = expected)
-
 let prop_map_same_for_all_domain_counts =
   QCheck.Test.make ~name:"map identical across domain counts" ~count:50
     QCheck.(list small_int)
@@ -124,7 +110,6 @@ let () =
           qtest prop_map_matches_list_map;
           qtest prop_mapi_matches_array_mapi;
           qtest prop_map_until_matches_sequential;
-          qtest prop_find_mapi_least_index;
           qtest prop_map_same_for_all_domain_counts;
         ] );
     ]

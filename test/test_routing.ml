@@ -5,7 +5,10 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let holds = Properties.is_holds
+(* one of the six verdicts of [Properties.summary] *)
+let property name rt = List.assoc name (Properties.summary rt)
+
+let holds name rt = Properties.is_holds (property name rt)
 
 (* ---- path walking and validation ---- *)
 
@@ -123,7 +126,7 @@ let test_north_last_shape () =
   in
   check cb "north hops last" true (only_north_after_first moves);
   check cb "acyclic CDG" true (Cdg.is_acyclic (Cdg.build rt));
-  check cb "minimal" true (holds (Properties.minimal rt))
+  check cb "minimal" true (holds "minimal" rt)
 
 let test_negative_first_shape () =
   let m = Builders.mesh [ 4; 4 ] in
@@ -145,42 +148,42 @@ let test_negative_first_shape () =
   in
   check cb "negative first" true (no_neg_after_pos false signs);
   check cb "acyclic CDG" true (Cdg.is_acyclic (Cdg.build rt));
-  check cb "coherent" true (holds (Properties.coherent rt))
+  check cb "coherent" true (holds "coherent" rt)
 
 (* ---- property checkers ---- *)
 
 let test_xy_properties () =
   let rt = Dimension_order.mesh (Builders.mesh [ 4; 4 ]) in
-  check cb "minimal" true (holds (Properties.minimal rt));
-  check cb "coherent" true (holds (Properties.coherent rt));
-  check cb "prefix" true (holds (Properties.prefix_closed rt));
-  check cb "suffix" true (holds (Properties.suffix_closed rt));
-  check cb "no repeats" true (holds (Properties.no_repeated_nodes rt))
+  check cb "minimal" true (holds "minimal" rt);
+  check cb "coherent" true (holds "coherent" rt);
+  check cb "prefix" true (holds "prefix-closed" rt);
+  check cb "suffix" true (holds "suffix-closed" rt);
+  check cb "no repeats" true (holds "no-repeated-nodes" rt)
 
 let test_west_first_properties () =
   let rt = Turn_model.west_first (Builders.mesh [ 4; 4 ]) in
-  check cb "minimal" true (holds (Properties.minimal rt));
-  check cb "coherent" true (holds (Properties.coherent rt))
+  check cb "minimal" true (holds "minimal" rt);
+  check cb "coherent" true (holds "coherent" rt)
 
 let test_torus_properties () =
   let rt = Dimension_order.torus (Builders.torus [ 5; 5 ]) in
-  check cb "minimal" true (holds (Properties.minimal rt));
-  check cb "suffix-closed" true (holds (Properties.suffix_closed rt))
+  check cb "minimal" true (holds "minimal" rt);
+  check cb "suffix-closed" true (holds "suffix-closed" rt)
 
 let test_cd_properties () =
   let rt = Cd_algorithm.of_net (Paper_nets.figure1 ()) in
   (* the paper's example is necessarily nonminimal, non-prefix-closed,
      non-suffix-closed and incoherent -- otherwise Corollaries 2-3 or
      Theorem 3 would forbid its false resource cycle *)
-  check cb "not minimal" false (holds (Properties.minimal rt));
-  check cb "not prefix" false (holds (Properties.prefix_closed rt));
-  check cb "not suffix" false (holds (Properties.suffix_closed rt));
-  check cb "not coherent" false (holds (Properties.coherent rt));
-  check cb "no repeated nodes" true (holds (Properties.no_repeated_nodes rt))
+  check cb "not minimal" false (holds "minimal" rt);
+  check cb "not prefix" false (holds "prefix-closed" rt);
+  check cb "not suffix" false (holds "suffix-closed" rt);
+  check cb "not coherent" false (holds "coherent" rt);
+  check cb "no repeated nodes" true (holds "no-repeated-nodes" rt)
 
 let test_property_witness_strings () =
   let rt = Cd_algorithm.of_net (Paper_nets.figure1 ()) in
-  match Properties.minimal rt with
+  match property "minimal" rt with
   | Properties.Holds -> Alcotest.fail "expected failure with witness"
   | Properties.Fails w -> check cb "witness mentions hops" true (String.length w > 10)
 

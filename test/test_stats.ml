@@ -83,19 +83,19 @@ let test_fig2_prometheus_golden () =
   let net, _, st = Lazy.force fig2 in
   check_golden "prometheus matches wormsim --witness --stats-out"
     "golden/figure2.stats.prom"
-    (Obs_stats.to_prometheus ~topo:net.Paper_nets.topo st)
+    (Obs_stats.to_prometheus net.Paper_nets.topo st)
 
 let test_fig2_json_golden () =
   let net, _, st = Lazy.force fig2 in
   check_golden "json matches wormsim --witness --stats-out x.json"
     "golden/figure2.stats.json"
-    (Obs_stats.to_json ~topo:net.Paper_nets.topo st)
+    (Obs_stats.to_json net.Paper_nets.topo st)
 
 let test_fig2_heatmap_golden () =
   let net, _, st = Lazy.force fig2 in
   check_golden "heatmap matches wormsim --witness --stats-out stdout"
     "golden/figure2.stats-heatmap.txt"
-    (Obs_stats.heatmap ~topo:net.Paper_nets.topo st)
+    (Obs_stats.heatmap net.Paper_nets.topo st)
 
 let test_mesh_delivers () =
   let _, (report : Measure.report), st = Lazy.force mesh8x8 in
@@ -108,19 +108,19 @@ let test_mesh_prometheus_golden () =
   let coords, _, st = Lazy.force mesh8x8 in
   check_golden "prometheus matches wormsim --stats-out"
     "golden/mesh8x8.stats.prom"
-    (Obs_stats.to_prometheus ~topo:coords.Builders.topo st)
+    (Obs_stats.to_prometheus coords.Builders.topo st)
 
 let test_mesh_json_golden () =
   let coords, _, st = Lazy.force mesh8x8 in
   check_golden "json matches wormsim --stats-out x.json"
     "golden/mesh8x8.stats.json"
-    (Obs_stats.to_json ~topo:coords.Builders.topo st)
+    (Obs_stats.to_json coords.Builders.topo st)
 
 let test_mesh_heatmap_golden () =
   let coords, _, st = Lazy.force mesh8x8 in
   check_golden "heatmap matches wormsim --stats-out stdout"
     "golden/mesh8x8.stats-heatmap.txt"
-    (Obs_stats.heatmap ~topo:coords.Builders.topo st)
+    (Obs_stats.heatmap coords.Builders.topo st)
 
 (* ---- purity: stats are observation, never perturbation ---- *)
 
