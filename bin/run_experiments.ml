@@ -230,25 +230,26 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
                 (if r.Experiments.x_ok then "ok" else "FAIL"))
             rows));
     Format.fprintf ppf "@\nclaim verdicts written to %s@\n" path);
+  (* a failed claim or sanitizer violation is reported like everything
+     else, and the exit status says so once every report is written *)
   let failed = List.filter (fun r -> not r.Experiments.x_ok) rows in
-  if failed <> [] then begin
-    Format.fprintf ppf "@\n%d claim(s) FAILED@." (List.length failed);
-    exit 1
-  end;
-  (match sanitizer with
-  | None -> ()
-  | Some s ->
-    let runs = Engine.run_count () and cancelled = Engine.cancelled_count () in
-    Format.fprintf ppf "@\nsanitizer: %d runs (%d canonical, %d cancelled), %d cycles checked@."
-      runs (runs - cancelled) cancelled (Sanitizer.cycles_checked s);
-    if not (Sanitizer.ok s) then begin
-      Format.fprintf ppf "%d invariant violation(s):@." (Sanitizer.violation_count s);
-      List.iter
-        (fun d -> Format.fprintf ppf "  %a@." (Diagnostic.pp ()) d)
-        (Sanitizer.diagnostics s);
-      exit 1
-    end);
-  Format.fprintf ppf "@\nall %d claims reproduced@." (List.length rows);
+  if failed <> [] then Format.fprintf ppf "@\n%d claim(s) FAILED@." (List.length failed);
+  let sanitized_ok =
+    match sanitizer with
+    | None -> true
+    | Some s ->
+      let runs = Engine.run_count () and cancelled = Engine.cancelled_count () in
+      Format.fprintf ppf "@\nsanitizer: %d runs (%d canonical, %d cancelled), %d cycles checked@."
+        runs (runs - cancelled) cancelled (Sanitizer.cycles_checked s);
+      if not (Sanitizer.ok s) then begin
+        Format.fprintf ppf "%d invariant violation(s):@." (Sanitizer.violation_count s);
+        List.iter
+          (fun d -> Format.fprintf ppf "  %a@." (Diagnostic.pp ()) d)
+          (Sanitizer.diagnostics s)
+      end;
+      Sanitizer.ok s
+  in
+  if failed = [] then Format.fprintf ppf "@\nall %d claims reproduced@." (List.length rows);
   (match metrics with
   | None -> ()
   | Some path ->
@@ -275,13 +276,14 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
             (fun (k, v) -> Printf.sprintf "%s=%d" k v)
             (Obs_stats.armed_totals ())))
   end;
-  match json with
+  (match json with
   | None -> ()
   | Some path ->
     write_json path ~quick
       ~domains:(Wr_pool.default_domains ())
       ~claims:(List.length rows) ~failed:(List.length failed) timings;
-    Format.fprintf ppf "@\ntiming JSON written to %s@." path
+    Format.fprintf ppf "@\ntiming JSON written to %s@." path);
+  if failed <> [] || not sanitized_ok then exit 1
 
 let names_arg =
   let doc = "Experiments to run (default: all).  One of " ^ experiment_names ^ "." in
