@@ -381,7 +381,9 @@ let summary topo t =
         (fun (c, hol) ->
           Table.add_row bt
             [
-              Topology.channel_name topo c; string_of_int hol; string_of_int t.st_waited.(c);
+              Topology.channel_name topo c;
+              string_of_int hol;
+              string_of_int t.st_waited.(c);
             ])
         tops;
       Buffer.add_string buf (Table.render bt));
