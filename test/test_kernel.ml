@@ -344,6 +344,104 @@ let mesh4_dense () =
   let pattern = Traffic.uniform rng mesh4 in
   Traffic.bernoulli_schedule rng pattern ~coords:mesh4 ~rate:0.3 ~length:6 ~horizon:6
 
+(* The 8x8 mesh past saturation: uniform traffic at 0.08 messages per
+   node and cycle, 8-flit worms.  Most messages spend most of their run
+   queued at their source behind a worm that owns their first channel, so
+   these cases pin the kernel's handling of source waiters.  Horizon 100
+   gives 490 messages, past the arena's pooled limit; horizon 40 gives 198,
+   under it.  Each runs on the oblivious kernel and, lifted, on the
+   adaptive one. *)
+let mesh8_lifted = Adaptive.of_oblivious mesh8_rt
+
+let mesh8_saturated ~horizon () =
+  let rng = Rng.create 5 in
+  let pattern = Traffic.uniform rng mesh8 in
+  Traffic.bernoulli_schedule rng pattern ~coords:mesh8 ~rate:0.08 ~length:8 ~horizon
+
+let saturated_cases =
+  let labels sched = List.map (fun (m : Schedule.message_spec) -> m.ms_label) sched in
+  let variants =
+    [
+      ("sat", 100, fun _ -> Engine.default_config);
+      ("sat-pooled", 40, fun _ -> Engine.default_config);
+      ( "sat-priority",
+        100,
+        fun sched ->
+          {
+            Engine.default_config with
+            arbitration =
+              Engine.Priority (List.filteri (fun i _ -> i mod 3 = 0) (List.rev (labels sched)));
+          } );
+      ( "sat-watchdog",
+        100,
+        fun _ ->
+          {
+            Engine.default_config with
+            recovery = Some { Engine.default_recovery with trigger = Engine.Watchdog 16 };
+          } );
+      (* both messages are queued at their source when the drop fires *)
+      ( "sat-drop",
+        100,
+        fun _ ->
+          {
+            Engine.default_config with
+            faults =
+              Fault.make
+                [
+                  Fault.Message_drop { label = "n6/5"; at = 200 };
+                  Fault.Message_drop { label = "n56/4"; at = 150 };
+                ];
+          } );
+    ]
+  in
+  List.concat_map
+    (fun (name, horizon, config_of) ->
+      let spec policy () =
+        let sched = mesh8_saturated ~horizon () in
+        spec_of ~config:(config_of sched) mesh8.Builders.topo policy sched
+      in
+      [
+        { id = "obl/mesh8x8-" ^ name; spec = spec (Oblivious mesh8_rt) };
+        { id = "adp/mesh8x8-" ^ name; spec = spec (Adaptive mesh8_lifted) };
+      ])
+    variants
+
+(* A backlog on a cyclic routing: three 3-flit worms queued at each node
+   of a unidirectional 4-ring, each bound two hops ahead.  The first worms
+   close a wait cycle at cycle 2 with the rest still waiting at their
+   sources, so a run ends with waiters queued behind wedged worms. *)
+let ring4 = Builders.ring ~unidirectional:true 4
+let ring4_rt = Ring_routing.clockwise ring4
+let ring4_lifted = Adaptive.of_oblivious ring4_rt
+
+let ring4_backlog () =
+  List.concat_map
+    (fun src ->
+      List.init 3 (fun i ->
+          Schedule.message ~length:3 ~at:i (Printf.sprintf "r%d/%d" src i) src ((src + 2) mod 4)))
+    [ 0; 1; 2; 3 ]
+
+let backlog_cases =
+  [
+    {
+      id = "obl/ring4-backlog-deadlock";
+      spec = (fun () -> spec_of ring4.Builders.topo (Oblivious ring4_rt) (ring4_backlog ()));
+    };
+    {
+      id = "obl/ring4-backlog-watchdog";
+      spec =
+        (fun () ->
+          let config =
+            { Engine.default_config with recovery = Some Engine.default_recovery }
+          in
+          spec_of ~config ring4.Builders.topo (Oblivious ring4_rt) (ring4_backlog ()));
+    };
+    {
+      id = "adp/ring4-backlog-deadlock";
+      spec = (fun () -> spec_of ring4.Builders.topo (Adaptive ring4_lifted) (ring4_backlog ()));
+    };
+  ]
+
 let special_cases =
   [
     {
@@ -451,6 +549,7 @@ let cases =
       Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
       Engine.Store_and_forward "saf" ~seeds:4
+  @ saturated_cases @ backlog_cases
 
 (* ---- pins: load, compare, regenerate ---- *)
 
