@@ -133,10 +133,25 @@ let is_deadlock = function
    claimant advertises after winning nothing; next to [owner] it is the
    live wait-for graph.
    Booleans sit in {!Bitset}s ([arrived_], [hold_fresh_]) or a byte row
-   ([progressed_], written for every live message every cycle).  Jagged
-   rows ([path_], [occ_], [holds_], [forced_]) are plain int arrays
-   replaced wholesale on reroute and grown by doubling when an adaptive
-   header carves. *)
+   ([progressed_], set on every move and cleared by the watchdog sweep,
+   its only reader).  Jagged rows ([path_], [occ_], [holds_], [forced_])
+   are plain int arrays replaced wholesale on reroute and grown by
+   doubling when an adaptive header carves.
+
+   Source waiters are parked.  An oblivious message that holds no channel
+   and waits for a first channel another message owns can neither win
+   that channel (an owned channel is never awarded) nor move (it holds
+   nothing), and its (wait_since, rank) key cannot change while it waits.
+   So arbitration takes it off the visit list [vis] and pushes it onto
+   its channel's waiter list: [park_head] per channel, linked through
+   [park_next_] per message ([not_parked] marks a message on no list).
+   When the channel's owner gives it up -- movement's release or [drain]
+   -- the whole list moves to the [woken] buffer, and the next cycle
+   merges it back into [vis] in schedule order, where the registration
+   picks the most senior waiter as before.  Invariant: at every
+   arbitration, each parked message's channel is owned by another
+   message (the sanitizer checks it under E104).  The heads sit in the
+   arena next to the links, so the list helpers take one record. *)
 
 (* fate encoding for [fate_] *)
 let f_live = 0
@@ -144,6 +159,9 @@ let f_live = 0
 let f_dropped = 1
 
 let f_gave_up = 2
+
+(* [park_next_] of a message on no waiter list; -1 ends a list *)
+let not_parked = -2
 
 (* physically-unique sentinel row marking a not-yet-memoized adaptive
    option set; compared with [!=] *)
@@ -228,7 +246,15 @@ type msgs = {
   rank_labels : string array;  (* (d): the labels [rank_of] was computed for, *)
   mutable rank_order : string list option;  (* ... the order list, *)
   mutable rank_n : int;  (* ... and the message count *)
-  live : int array;
+  live : int array;  (* unfinished messages, for the fault and watchdog sweeps *)
+  vis : int array;  (* the visit list of arbitration and movement *)
+  (* waiter lists (see the parking note above); every message is on no
+     list in adaptive kernels *)
+  park_head : int array;  (* per channel: first parked message, -1 = none *)
+  park_next_ : int array;
+  woken : int array;  (* messages woken this cycle, merged into [vis] next cycle *)
+  mutable woken_n : int;
+  mutable parked_n : int;
   (* adaptive only (empty in oblivious kernels) *)
   inject_opts : int array array;
   carved_mark : Bytes.t array;
@@ -270,6 +296,7 @@ let dummy_spec = Schedule.message "" 0 1
 
 let make_msgs ~oblivious ~nchan cap =
   let an = if oblivious then 0 else cap in
+  let on = if oblivious then cap else 0 in
   {
     m_cap = cap;
     specs = Array.make cap dummy_spec;
@@ -302,6 +329,12 @@ let make_msgs ~oblivious ~nchan cap =
     rank_order = None;
     rank_n = 0;
     live = Array.make cap 0;
+    vis = Array.make cap 0;
+    park_head = Array.make nchan (-1);
+    park_next_ = Array.make cap not_parked;
+    woken = Array.make on 0;
+    woken_n = 0;
+    parked_n = 0;
     inject_opts = Array.make an [||];
     carved_mark = Array.init an (fun _ -> Bytes.make (max nchan 1) '\000');
     opt_tag_ = Array.make an (-1);
@@ -448,6 +481,99 @@ let occupancy (ar : msgs) nmsg =
   done;
   List.sort compare !acc
 
+(* -- waiter lists and the visit list: top-level helpers over the arena, so
+   parking and waking allocate nothing -- *)
+
+(* channel [c] was given up: move its waiter list to the woken buffer *)
+let wake_waiters (ar : msgs) c =
+  let j = ref ar.park_head.(c) in
+  if !j >= 0 then begin
+    ar.park_head.(c) <- -1;
+    while !j >= 0 do
+      let m = !j in
+      j := ar.park_next_.(m);
+      ar.park_next_.(m) <- not_parked;
+      ar.woken.(ar.woken_n) <- m;
+      ar.woken_n <- ar.woken_n + 1;
+      ar.parked_n <- ar.parked_n - 1
+    done
+  end
+
+(* max-heap sift-down of [a.(root)] within [a.(0 .. last)] *)
+let rec sift_down (a : int array) root last =
+  let child = (2 * root) + 1 in
+  if child <= last then begin
+    let child = if child < last && a.(child + 1) > a.(child) then child + 1 else child in
+    if a.(child) > a.(root) then begin
+      let x = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- x;
+      sift_down a child last
+    end
+  end
+
+(* sort [a.(0 .. n-1)] ascending in place: a heapsort, skipped when the
+   prefix is already sorted (one woken list usually is) *)
+let sort_prefix (a : int array) n =
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if a.(i - 1) > a.(i) then sorted := false
+  done;
+  if not !sorted then begin
+    for root = (n / 2) - 1 downto 0 do
+      sift_down a root (n - 1)
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift_down a 0 (last - 1)
+    done
+  end
+
+(* merge the ascending [b.(0 .. m-1)] into the ascending [a.(0 .. n-1)],
+   in place from the back; [a] has room for [n + m] *)
+let merge_into (a : int array) n (b : int array) m =
+  let i = ref (n - 1) and o = ref (n + m - 1) in
+  for k = m - 1 downto 0 do
+    let x = b.(k) in
+    while !i >= 0 && a.(!i) > x do
+      a.(!o) <- a.(!i);
+      decr i;
+      decr o
+    done;
+    a.(!o) <- x;
+    decr o
+  done
+
+(* Head-of-line attribution of a wait on channel [e]: follow the owner ->
+   its wait edge chain to its head and return that channel.  The step cap
+   bounds walks around deadlock knots; a self-loop (an owner advertising
+   the channel it owns, which adaptive carving can produce) stops at
+   once. *)
+let hol_channel owner wait_edge nmsg e =
+  let c = ref e and steps = ref 0 and walking = ref true in
+  while !walking && !steps < nmsg do
+    let o = owner.(!c) in
+    if o < 0 then walking := false
+    else begin
+      let e' = wait_edge.(o) in
+      if e' < 0 || e' = !c then walking := false
+      else begin
+        c := e';
+        incr steps
+      end
+    end
+  done;
+  !c
+
+(* [n] waiters blocked on channel [e], into the stats accumulator *)
+let note_waiters (st : Obs_stats.t) owner wait_edge nmsg e n =
+  st.Obs_stats.st_waited.(e) <- st.Obs_stats.st_waited.(e) + n;
+  st.Obs_stats.st_blocked <- st.Obs_stats.st_blocked + n;
+  let h = hol_channel owner wait_edge nmsg e in
+  st.Obs_stats.st_hol.(h) <- st.Obs_stats.st_hol.(h) + n
+
 let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Engine.run_adaptive: " in
@@ -496,8 +622,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; arrived_; injected_;
          consumed_; hold_; hold_fresh_; injected_at_; delivered_at_; released_; attempt_;
          retries_; fate_; last_progress_; progressed_; wait_since_; awarded_; wait_edge_;
-         forced_; rank_of; rank_labels; live; inject_opts; carved_mark; opt_tag_;
-         first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
+         forced_; rank_of; rank_labels; live; vis; park_head; park_next_; woken; inject_opts;
+         carved_mark; opt_tag_; first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
     arena k nmsg
   in
   let pooled = ar == k.k_msgs in
@@ -552,6 +678,18 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     match config.recovery with
     | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
     | Some { trigger = Watchdog _; _ } | None -> None
+  in
+  (* the detector names its victims by label: resolve each label to its
+     schedule index once per run (validation made the labels unique) *)
+  let index_of_label =
+    match det with
+    | None -> None
+    | Some _ ->
+      let h = Hashtbl.create nmsg in
+      for j = 0 to nmsg - 1 do
+        Hashtbl.replace h (label j) j
+      done;
+      Some h
   in
   let obs_on = obs <> None || det <> None in
   let emit e =
@@ -633,6 +771,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   (* reset the message prefix of the arena *)
   Bitset.clear arrived_;
   Bitset.clear hold_fresh_;
+  Array.fill park_head 0 nchan (-1);
+  ar.woken_n <- 0;
+  ar.parked_n <- 0;
   for j = 0 to nmsg - 1 do
     let s = specs.(j) in
     len_.(j) <- s.Schedule.ms_length;
@@ -659,11 +800,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     retries_.(j) <- 0;
     fate_.(j) <- f_live;
     last_progress_.(j) <- 0;
+    Bytes.unsafe_set progressed_ j '\000';
     wait_since_.(j) <- (if oblivious then 0 else max_int);
     awarded_.(j) <- -1;
     wait_edge_.(j) <- -1;
     forced_.(j) <- [||];
-    live.(j) <- j
+    park_next_.(j) <- not_parked;
+    live.(j) <- j;
+    vis.(j) <- j
   done;
   let owner = k.k_owner in
   Array.fill owner 0 nchan (-1);
@@ -772,18 +916,21 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let scan_flag = ref false in
   let ins_b = ref 0 in
   let rel_i = ref 0 in
-  (* live-message index list in schedule order; delivered and abandoned
-     messages are compacted out at end of cycle so steady-state loops only
-     touch in-flight work *)
+  (* the unfinished messages in schedule order, for the fault and watchdog
+     sweeps: delivered and abandoned messages are compacted out at the end
+     of a cycle that finished one.  Runs with neither sweep keep no such
+     list. *)
+  let sweeps = have_faults || Option.is_some config.recovery in
   let nlive = ref nmsg in
   let last_finished = ref 0 in
   (* With no recovery configured the attempt windows never move, and the
-     workload generators emit messages in injection-time order: the
-     pre-window messages are then exactly a suffix of the (index-sorted)
-     live list, so each cycle's hot loops can stop at a cutoff instead of
-     re-testing every sleeping source.  Recovery (attempt windows move on
-     abort) or a hand-written out-of-order schedule falls back to the
-     per-message window test over the whole live list. *)
+     workload generators emit messages in injection-time order: a source
+     then joins the visit list [vis] when its window opens, in schedule
+     order, and the hot loops never see a sleeping source.  Recovery
+     (attempt windows move on abort) or a hand-written out-of-order
+     schedule starts with every message on [vis] and falls back to the
+     per-message window test.  Either way arbitration drops finished
+     messages from [vis] and parks source waiters off it. *)
   let static_windows =
     (match config.recovery with None -> true | Some _ -> false)
     && (let ok = ref true in
@@ -793,7 +940,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         !ok)
   in
   let awake_n = ref 0 in
-  let bs_lo = ref 0 and bs_hi = ref 0 in
+  let vis_n = ref (if static_windows then 0 else nmsg) in
   let moved = ref false in
   let finished = ref 0 in
   (* any fault fired or recovery action taken: the run reports [Recovered] *)
@@ -1089,6 +1236,25 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               (Printf.sprintf "waits for %s but holds no channel"
                  (Topology.channel_name topo edge))
         end
+      done;
+      (* E104, parking: a waiter list holds source waiters on its channel,
+         which another message owns (the walk is capped in case the links
+         loop) *)
+      for c = 0 to nchan - 1 do
+        let j = ref ar.park_head.(c) and steps = ref 0 in
+        while !j >= 0 && !steps < nmsg do
+          let m = !j in
+          if wait_edge_.(m) <> c || head_.(m) >= 0 || not (active m) then
+            viol "E104" m
+              (Printf.sprintf "parked on %s without waiting at its source for it"
+                 (Topology.channel_name topo c))
+          else if owner.(c) < 0 || owner.(c) = m then
+            viol "E104" m
+              (Printf.sprintf "parked on %s, which no other message owns"
+                 (Topology.channel_name topo c));
+          j := ar.park_next_.(m);
+          incr steps
+        done
       done
   in
   (* abort-and-drain: release every held channel, drop buffered flits, and
@@ -1099,10 +1265,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       let c = path.(i) in
       if owner.(c) = j then begin
         owner.(c) <- -1;
+        wake_waiters ar c;
         if obs_on then
           emit (Obs_event.Channel_release { cycle = t; label = label j; channel = c })
       end
     done;
+    (* a parked message leaves its waiter list: the whole list wakes, and
+       the others park again next cycle *)
+    if ar.park_next_.(j) <> not_parked then wake_waiters ar wait_edge_.(j);
     (* retract the advertised wait-for edge: without this, a message
        aborted mid-wait leaves a dangling edge on the stream that the
        online detector would keep chasing (sanitizer E106) *)
@@ -1190,26 +1360,31 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   while !outcome = None do
     let t = !cycle in
     moved := false;
-    Bytes.fill progressed_ 0 nmsg '\000';
-    (* live positions >= [nact] hold exactly the still-sleeping sources
-       (see [static_windows]); the arbitration and movement loops below do
-       not visit them.  The prefix test stays in each loop for the
-       fallback mode and never fires in static mode. *)
-    let nact =
-      if not static_windows then !nlive
-      else begin
-        while !awake_n < nmsg && attempt_.(!awake_n) <= t do
-          incr awake_n
-        done;
-        bs_lo := 0;
-        bs_hi := !nlive;
-        while !bs_lo < !bs_hi do
-          let mid = (!bs_lo + !bs_hi) / 2 in
-          if live.(mid) < !awake_n then bs_lo := mid + 1 else bs_hi := mid
-        done;
-        !bs_lo
-      end
-    in
+    (* -- the visit list: last cycle's woken waiters rejoin it in schedule
+          order (finished ones leave), then the sources whose window opens
+          now; their indices exceed every index already on it -- *)
+    if ar.woken_n > 0 then begin
+      let m = ref 0 in
+      for i = 0 to ar.woken_n - 1 do
+        let j = woken.(i) in
+        if active j then begin
+          woken.(!m) <- j;
+          incr m
+        end
+      done;
+      ar.woken_n <- 0;
+      sort_prefix woken !m;
+      merge_into vis !vis_n woken !m;
+      vis_n := !vis_n + !m
+    end;
+    if static_windows then
+      while !awake_n < nmsg && attempt_.(!awake_n) <= t do
+        vis.(!vis_n) <- !awake_n;
+        incr vis_n;
+        incr awake_n
+      done;
+    (* arbitration rewrites [vis] in place: [kept] entries stay *)
+    let kept = ref 0 in
     if oblivious then begin
       (* -- arbitration: register requests and track each channel's best
             waiter, then award.  A message's wait_since entry follows the
@@ -1221,12 +1396,17 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             registration is scan-order independent and equals the old
             award-time rescan. -- *)
       req_count := 0;
-      for li = 0 to nact - 1 do
-        let j = live.(li) in
+      for li = 0 to !vis_n - 1 do
+        let j = vis.(li) in
         (* a source still before its attempt window neither requests nor
            waits (its [wait_edge_] is -1 by construction: every abort drains
            the wait entry) -- skip it outright *)
-        if injected_.(j) = 0 && t < attempt_.(j) then ()
+        if injected_.(j) = 0 && t < attempt_.(j) then begin
+          if active j then begin
+            vis.(!kept) <- j;
+            incr kept
+          end
+        end
         else begin
         let c = wanted_chan j in
         if
@@ -1261,6 +1441,16 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               cand_since.(c) <- since;
               cand_rank.(c) <- r
             end
+          end;
+          (* a source waiter whose channel another message owns: park it *)
+          if head_.(j) < 0 && owner.(c) >= 0 then begin
+            park_next_.(j) <- park_head.(c);
+            park_head.(c) <- j;
+            ar.parked_n <- ar.parked_n + 1
+          end
+          else begin
+            vis.(!kept) <- j;
+            incr kept
           end
         end
         else begin
@@ -1269,7 +1459,11 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
              an owner is not a waiter, so it must not keep a seniority stamp
              (the sanitizer's E104 check relies on this) *)
           if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
-          wait_edge_.(j) <- -1
+          wait_edge_.(j) <- -1;
+          if active j then begin
+            vis.(!kept) <- j;
+            incr kept
+          end
         end
         end
       done;
@@ -1297,8 +1491,12 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       (* -- allocation: headers claim their first free option; earlier
             waiters first, then priority -- *)
       claim_count := 0;
-      for li = 0 to nact - 1 do
-        let j = live.(li) in
+      for li = 0 to !vis_n - 1 do
+        let j = vis.(li) in
+        if active j then begin
+          vis.(!kept) <- j;
+          incr kept
+        end;
         (* pre-window sources have no options, no stale award and no
            advertised edge (aborts drain them): skip without touching state *)
         if injected_.(j) = 0 && t < attempt_.(j) then ()
@@ -1380,11 +1578,17 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         end
       done
     end;
+    vis_n := !kept;
+    (* the messages the phase counters charge: every unfinished message
+       that is awake (all of them without static windows), parked or not *)
+    let nact = !vis_n + ar.parked_n in
     (* -- movement: per message, sweep from the front so freed slots are
           visible to the flits behind (wormhole pipelining).  A down channel
-          (failed or stalled) neither accepts nor emits flits. -- *)
-    for li = 0 to nact - 1 do
-      let j = live.(li) in
+          (failed or stalled) neither accepts nor emits flits.  A parked
+          message holds nothing and was awarded nothing: its sweep would be
+          a no-op. -- *)
+    for li = 0 to !vis_n - 1 do
+      let j = vis.(li) in
       (* a pre-window source holds nothing, buffers nothing and may not
          inject yet: the whole sweep is a no-op for it *)
       if active j && not (injected_.(j) = 0 && t < attempt_.(j)) then begin
@@ -1531,6 +1735,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             if occ.(i) = 0 && owner.(path.(i)) = j && (i < h || Bitset.unsafe_mem arrived_ j)
             then begin
               owner.(path.(i)) <- -1;
+              wake_waiters ar path.(i);
               moved := true;
               Bytes.unsafe_set progressed_ j '\001';
               if obs_on then
@@ -1577,8 +1782,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           knots; only the policy-chosen victim is aborted, so the rest of
           the knot unwinds through the freed channels instead of being
           drained wholesale like a watchdog abort. -- *)
-    (match (config.recovery, det) with
-    | Some r, Some d ->
+    (match (config.recovery, det, index_of_label) with
+    | Some r, Some d, Some index ->
       let policy_name =
         match r.trigger with
         | Detect c -> Obs_detect.victim_policy_string c.Obs_detect.policy
@@ -1593,19 +1798,15 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                  victims = dk.Obs_detect.dk_victims });
           List.iter
             (fun v ->
-              let vm = ref (-1) in
-              for j = 0 to nmsg - 1 do
-                if label j = v then vm := j
-              done;
-              let j = !vm in
-              if j >= 0 && active j then begin
+              match Hashtbl.find_opt index v with
+              | Some j when active j ->
                 perturbed := true;
                 emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
                 abort_retry j r t ~reason:"deadlock"
-              end)
+              | Some _ | None -> ())
             dk.Obs_detect.dk_victims)
         (Obs_detect.tick d ~now:t)
-    | (Some _ | None), _ -> ());
+    | (Some _ | None), _, _ -> ());
     (match config.recovery with
     | None -> ()
     | Some r ->
@@ -1619,12 +1820,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             perturbed := true;
             abort_retry j r t ~reason:"watchdog"
           end
-        end
+        end;
+        (* every message that moved this cycle is on [live]: clearing here
+           readies the flag for the next cycle *)
+        Bytes.unsafe_set progressed_ j '\000'
       done);
     (* -- telemetry accumulation: plain int stores into the preallocated
-          accumulator.  The head-of-line walk reuses the kernel's per-run
-          scratch cursors ([scan_found]/[ins_b]/[scan_flag] are free at end
-          of cycle), so a stats-armed steady cycle allocates nothing. -- *)
+          accumulator, through top-level helpers, so a stats-armed steady
+          cycle allocates nothing. -- *)
     if stats_on then begin
       st.Obs_stats.st_cycles <- st.Obs_stats.st_cycles + 1;
       if oblivious then st.Obs_stats.st_ph_arb <- st.Obs_stats.st_ph_arb + nact
@@ -1635,53 +1838,36 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       (match det with
       | Some _ -> st.Obs_stats.st_ph_detect <- st.Obs_stats.st_ph_detect + 1
       | None -> ());
+      (* Waiters are charged where they sit: on the visit list, among this
+         cycle's woken, or on a waiter list, whose members all wait on its
+         channel.  Sleeping sources, parked and woken messages buffer no
+         flits, so only the visit list feeds [busy]. *)
       let owned = st.Obs_stats.st_owned in
       for c = 0 to nchan - 1 do
-        if owner.(c) >= 0 then owned.(c) <- owned.(c) + 1
+        if owner.(c) >= 0 then owned.(c) <- owned.(c) + 1;
+        if park_head.(c) >= 0 then begin
+          let n = ref 0 and j = ref park_head.(c) in
+          while !j >= 0 do
+            incr n;
+            j := park_next_.(!j)
+          done;
+          note_waiters st owner wait_edge_ nmsg c !n
+        end
       done;
-      (* the scans stop at [nact]: positions beyond it are still-sleeping
-         sources with no flits in flight and no advertised edge, so they
-         cannot contribute to any counter (compaction runs later, so the
-         prefix is still exactly the one arbitration used) *)
       let busy = st.Obs_stats.st_busy in
-      for li = 0 to nact - 1 do
-        let j = live.(li) in
+      for li = 0 to !vis_n - 1 do
+        let j = vis.(li) in
         let path = path_.(j) and occ = occ_.(j) in
         let hi = min head_.(j) (plen_.(j) - 1) in
         for i = released_.(j) to hi do
           if occ.(i) > 0 then busy.(path.(i)) <- busy.(path.(i)) + 1
-        done
-      done;
-      let waited = st.Obs_stats.st_waited and hol = st.Obs_stats.st_hol in
-      for li = 0 to nact - 1 do
-        let j = live.(li) in
+        done;
         let e = wait_edge_.(j) in
-        if e >= 0 then begin
-          waited.(e) <- waited.(e) + 1;
-          st.Obs_stats.st_blocked <- st.Obs_stats.st_blocked + 1;
-          (* head-of-line attribution: follow wanted channel -> owner ->
-             its wanted channel to the head of the chain and charge that
-             channel.  The step cap bounds walks around deadlock knots;
-             a self-loop (owner waiting on its own channel cannot happen,
-             but an owner advertising the same edge can under adaptive
-             carving) stops immediately. *)
-          scan_found := e;
-          ins_b := 0;
-          scan_flag := true;
-          while !scan_flag && !ins_b < nmsg do
-            let o = owner.(!scan_found) in
-            if o < 0 then scan_flag := false
-            else begin
-              let e' = wait_edge_.(o) in
-              if e' < 0 || e' = !scan_found then scan_flag := false
-              else begin
-                scan_found := e';
-                incr ins_b
-              end
-            end
-          done;
-          hol.(!scan_found) <- hol.(!scan_found) + 1
-        end
+        if e >= 0 then note_waiters st owner wait_edge_ nmsg e 1
+      done;
+      for i = 0 to ar.woken_n - 1 do
+        let e = wait_edge_.(woken.(i)) in
+        if e >= 0 then note_waiters st owner wait_edge_ nmsg e 1
       done
     end;
     (* -- end of cycle: sanitizer, termination checks -- *)
@@ -1762,7 +1948,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       end
     end;
     (* compact the live list only on cycles where something finished *)
-    if !finished <> !last_finished then begin
+    if sweeps && !finished <> !last_finished then begin
       last_finished := !finished;
       let w = ref 0 in
       for i = 0 to !nlive - 1 do
