@@ -239,9 +239,7 @@ type msgs = {
   last_progress_ : int array;
   progressed_ : Bytes.t;
   wait_since_ : int array;
-  awarded_ : int array;
   wait_edge_ : int array;
-  forced_ : int array array;
   rank_of : int array;
   rank_labels : string array;  (* (d): the labels [rank_of] was computed for, *)
   mutable rank_order : string list option;  (* ... the order list, *)
@@ -256,6 +254,8 @@ type msgs = {
   mutable woken_n : int;
   mutable parked_n : int;
   (* adaptive only (empty in oblivious kernels) *)
+  awarded_ : int array;
+  forced_ : int array array;
   inject_opts : int array array;
   carved_mark : Bytes.t array;
   opt_tag_ : int array;
@@ -321,9 +321,7 @@ let make_msgs ~oblivious ~nchan cap =
     last_progress_ = Array.make cap 0;
     progressed_ = Bytes.make cap '\000';
     wait_since_ = Array.make cap 0;
-    awarded_ = Array.make cap (-1);
     wait_edge_ = Array.make cap (-1);
-    forced_ = Array.make cap [||];
     rank_of = Array.make cap 0;
     rank_labels = Array.make cap "";
     rank_order = None;
@@ -335,6 +333,8 @@ let make_msgs ~oblivious ~nchan cap =
     woken = Array.make on 0;
     woken_n = 0;
     parked_n = 0;
+    awarded_ = Array.make an (-1);
+    forced_ = Array.make an [||];
     inject_opts = Array.make an [||];
     carved_mark = Array.init an (fun _ -> Bytes.make (max nchan 1) '\000');
     opt_tag_ = Array.make an (-1);
@@ -802,9 +802,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     last_progress_.(j) <- 0;
     Bytes.unsafe_set progressed_ j '\000';
     wait_since_.(j) <- (if oblivious then 0 else max_int);
-    awarded_.(j) <- -1;
     wait_edge_.(j) <- -1;
-    forced_.(j) <- [||];
     park_next_.(j) <- not_parked;
     live.(j) <- j;
     vis.(j) <- j
@@ -875,6 +873,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
          on my carved path" test becomes a single load instead of an
          O(carved length) rescan *)
       Bytes.fill carved_mark.(j) 0 (Bytes.length carved_mark.(j)) '\000';
+      awarded_.(j) <- -1;
+      forced_.(j) <- [||];
       opt_tag_.(j) <- -1;
       first_opt_.(j) <- -1;
       opt_row_.(j) <- unset_row;
