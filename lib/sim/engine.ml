@@ -574,6 +574,17 @@ let note_waiters (st : Obs_stats.t) owner wait_edge nmsg e n =
   let h = hol_channel owner wait_edge nmsg e in
   st.Obs_stats.st_hol.(h) <- st.Obs_stats.st_hol.(h) + n
 
+(* the schedule position labelled [v]: a binary search over [by_label],
+   positions sorted by label; -1 when no message has it *)
+let position_of_label (specs : Schedule.message_spec array) by_label v =
+  let label i = specs.(by_label.(i)).Schedule.ms_label in
+  let lo = ref 0 and hi = ref (Array.length by_label) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if String.compare (label mid) v < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length by_label && label !lo = v then by_label.(!lo) else -1
+
 let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Engine.run_adaptive: " in
@@ -679,17 +690,16 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
     | Some { trigger = Watchdog _; _ } | None -> None
   in
-  (* the detector names its victims by label: resolve each label to its
-     schedule index once per run (validation made the labels unique) *)
-  let index_of_label =
+  (* the detector names its victims by label: the schedule positions
+     sorted by label, built once per run (validation made the labels
+     unique), find each victim by binary search *)
+  let by_label =
     match det with
-    | None -> None
+    | None -> [||]
     | Some _ ->
-      let h = Hashtbl.create nmsg in
-      for j = 0 to nmsg - 1 do
-        Hashtbl.replace h (label j) j
-      done;
-      Some h
+      let a = Array.init nmsg Fun.id in
+      Array.sort (fun x y -> String.compare (label x) (label y)) a;
+      a
   in
   let obs_on = obs <> None || det <> None in
   let emit e =
@@ -1782,8 +1792,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           knots; only the policy-chosen victim is aborted, so the rest of
           the knot unwinds through the freed channels instead of being
           drained wholesale like a watchdog abort. -- *)
-    (match (config.recovery, det, index_of_label) with
-    | Some r, Some d, Some index ->
+    (match (config.recovery, det) with
+    | Some r, Some d ->
       let policy_name =
         match r.trigger with
         | Detect c -> Obs_detect.victim_policy_string c.Obs_detect.policy
@@ -1798,15 +1808,15 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                  victims = dk.Obs_detect.dk_victims });
           List.iter
             (fun v ->
-              match Hashtbl.find_opt index v with
-              | Some j when active j ->
+              let j = position_of_label specs by_label v in
+              if j >= 0 && active j then begin
                 perturbed := true;
                 emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
                 abort_retry j r t ~reason:"deadlock"
-              | Some _ | None -> ())
+              end)
             dk.Obs_detect.dk_victims)
         (Obs_detect.tick d ~now:t)
-    | (Some _ | None), _, _ -> ());
+    | (Some _ | None), _ -> ());
     (match config.recovery with
     | None -> ()
     | Some r ->
