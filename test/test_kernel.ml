@@ -642,11 +642,16 @@ let long_sched () =
     Schedule.message ~length:8000 "w2" a d;
   ]
 
-let alloc_per_run policy =
+(* five long worms queued at one source: behind the worm in flight the
+   rest wait parked, and every release of the first channel wakes them *)
+let queued_sched () =
+  List.init 5 (fun i -> Schedule.message ~length:3200 (Printf.sprintf "q%d" i) 0 3)
+
+let alloc_per_run policy sched =
   (* one warm-up run (fills any per-state memo tables), then measure *)
-  ignore (run_policy policy (long_sched ()));
+  ignore (run_policy policy (sched ()));
   let before = Gc.minor_words () in
-  let outcome = run_policy policy (long_sched ()) in
+  let outcome = run_policy policy (sched ()) in
   let delta = Gc.minor_words () -. before in
   (match outcome with
   | Engine.All_delivered _ -> ()
@@ -656,17 +661,21 @@ let alloc_per_run policy =
 let test_steady_cycle_allocation_oblivious () =
   if sanitize_on then ()
   else begin
-    let words = alloc_per_run (Oblivious line4_rt) in
-    if words > 25_000.0 then
-      Alcotest.failf "oblivious steady cycle allocates: %.0f minor words per ~16k-cycle run"
-        words
+    List.iter
+      (fun (name, sched) ->
+        let words = alloc_per_run (Oblivious line4_rt) sched in
+        if words > 25_000.0 then
+          Alcotest.failf
+            "oblivious steady cycle allocates (%s): %.0f minor words per ~16k-cycle run" name
+            words)
+      [ ("two worms", long_sched); ("five queued worms", queued_sched) ]
   end
 
 let test_steady_cycle_allocation_adaptive () =
   if sanitize_on then ()
   else begin
     let ad = Adaptive.of_oblivious line4_rt in
-    let words = alloc_per_run (Adaptive ad) in
+    let words = alloc_per_run (Adaptive ad) long_sched in
     if words > 25_000.0 then
       Alcotest.failf "adaptive steady cycle allocates: %.0f minor words per ~16k-cycle run"
         words

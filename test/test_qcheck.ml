@@ -345,7 +345,10 @@ let prop_faulted_runs_deterministic =
    the permanent regression gate for the shared switching kernel: the two
    entry points are thin shims over one core, and this property pins the
    singleton case across random schedules, arbitrations, buffer capacities
-   and fault plans.
+   and fault plans.  Half the schedules are backlogs that queue most
+   messages at their source, where the oblivious kernel parks them and the
+   adaptive one does not, so these properties are also the oracle for
+   parking.
 
    The generators stay inside the semantic domain the two engines share by
    contract: wormhole switching, no adversarial holds, fault plans made of
@@ -383,8 +386,28 @@ let recovery_gen =
            { Engine.default_recovery with trigger = Engine.Watchdog watchdog; retry_limit;
              backoff }))
 
+(* A backlog: 10-40 messages from one to three sources, injected within
+   four cycles, so most of them queue at their source behind a worm that
+   owns their first channel *)
+let backlog_gen coords =
+  let n = Topology.num_nodes coords.Builders.topo in
+  QCheck.Gen.(
+    let* srcs = list_size (1 -- 3) (0 -- (n - 1)) in
+    let* k = 10 -- 40 in
+    let rec build i acc =
+      if i = k then return (List.rev acc)
+      else
+        let* s = oneofl srcs in
+        let* d = 0 -- (n - 1) in
+        let* len = 1 -- 6 in
+        let* at = 0 -- 3 in
+        let d = if d = s then (d + 1) mod n else d in
+        build (i + 1) (Schedule.message ~length:len ~at (Printf.sprintf "m%d" i) s d :: acc)
+    in
+    build 0 [])
+
 let differential_case_gen coords =
-  let sched_gen = schedule_gen coords in
+  let sched_gen = QCheck.Gen.oneof [ QCheck.gen (schedule_gen coords); backlog_gen coords ] in
   QCheck.make
     ~print:(fun (sched, arb, cap, drops, recovery) ->
       Printf.sprintf "sched=[%s] arb=%s cap=%d drops=[%s] recovery=%s"
@@ -411,7 +434,7 @@ let differential_case_gen coords =
                 c.Obs_detect.backstop)
             r.Engine.retry_limit r.Engine.backoff))
     QCheck.Gen.(
-      let* sched = QCheck.gen sched_gen in
+      let* sched = sched_gen in
       let labels = List.map (fun (m : Schedule.message_spec) -> m.ms_label) sched in
       let* arb = arbitration_gen labels in
       let* cap = 1 -- 3 in
