@@ -6,7 +6,7 @@
     the cheap alternative: a preallocated accumulator of flat int arrays
     that {!Engine.run} writes into with plain stores -- per-channel
     busy/owned/acquisition/wait counters, head-of-line blocking
-    attribution, a fixed-bucket latency histogram, and per-phase work
+    attribution, a fixed-bucket latency histogram, and per-phase load
     counters.  The steady cycle stays allocation-free with stats on; with
     stats off the kernel pays one [Atomic.get] per run plus a never-taken
     branch per accumulation site.  It is the one source of per-run
@@ -42,10 +42,14 @@ type t = {
   mutable st_blocked : int;  (** total waiter-cycles (sum of [st_waited]) *)
   mutable st_runs : int;
   mutable st_cycles : int;
-  (* -- per-phase work counters (messages scanned, a cost proxy) -- *)
-  mutable st_ph_arb : int;  (** oblivious arbitration registrations *)
+  (* -- per-phase counters, summed over cycles: the load a phase faces,
+     not its cost (parked source waiters are counted but not visited,
+     DESIGN.md section 16) -- *)
+  mutable st_ph_arb : int;
+      (** oblivious: awake unfinished messages, parked or not (every
+          unfinished one without static windows) *)
   mutable st_ph_claim : int;  (** adaptive claimants sorted and served *)
-  mutable st_ph_advance : int;  (** movement-sweep message visits *)
+  mutable st_ph_advance : int;  (** the same awake count as [st_ph_arb], in both modes *)
   mutable st_ph_fault : int;  (** fault-sweep message visits *)
   mutable st_ph_detect : int;  (** detector ticks *)
   st_disc_runs : int array;

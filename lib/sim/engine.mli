@@ -296,7 +296,22 @@ val run :
     can see.  A run started while the domain's kernel is in use -- [run]
     called from inside a sink -- compiles a private kernel.  The
     memo relies on the routing function being deterministic and read-only
-    (see {!Routing.create}).  See DESIGN.md section 18. *)
+    (see {!Routing.create}).  See DESIGN.md section 18.
+
+    {b Steady cycle.}  Arbitration and movement visit the unfinished
+    messages in schedule order; without recovery, on a schedule in
+    injection-time order (as every generator emits), a source joins them
+    only when its attempt window opens.  A message that holds no channel
+    and waits for a first channel another message owns is parked on that
+    channel's waiter list and left out of both loops until the owner gives
+    the channel up (release, or an abort, drop or give-up that drains it);
+    then the whole list rejoins the next cycle's visit in schedule order.
+    Invariant: at every arbitration, each parked message's channel is
+    owned by another message, so the parked message could neither win it
+    nor move.  It keeps its wait seniority and its advertised wait edge,
+    so parking moves no award, event or outcome, and a cycle costs what
+    the worms in flight cost, not the backlog queued behind them.  The
+    adaptive kernel does not park.  See DESIGN.md section 15. *)
 
 val run_adaptive :
   ?config:config ->
