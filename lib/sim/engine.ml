@@ -574,16 +574,15 @@ let note_waiters (st : Obs_stats.t) owner wait_edge nmsg e n =
   let h = hol_channel owner wait_edge nmsg e in
   st.Obs_stats.st_hol.(h) <- st.Obs_stats.st_hol.(h) + n
 
-(* the schedule position labelled [v]: a binary search over [by_label],
-   positions sorted by label; -1 when no message has it *)
-let position_of_label (specs : Schedule.message_spec array) by_label v =
-  let label i = specs.(by_label.(i)).Schedule.ms_label in
-  let lo = ref 0 and hi = ref (Array.length by_label) in
+(* [sorted] holds indices in ascending order of [key]: the leftmost index
+   whose key is [v], by binary search; -1 when there is none *)
+let find_sorted (key : int -> string) (sorted : int array) v =
+  let lo = ref 0 and hi = ref (Array.length sorted) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare (label mid) v < 0 then lo := mid + 1 else hi := mid
+    if String.compare (key sorted.(mid)) v < 0 then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length by_label && label !lo = v then by_label.(!lo) else -1
+  if !lo < Array.length sorted && key sorted.(!lo) = v then sorted.(!lo) else -1
 
 let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
@@ -849,16 +848,10 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       Array.sort
         (fun a b -> match compare ord.(a) ord.(b) with 0 -> compare a b | c -> c)
         sorted;
-      let find l =
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if ord.(sorted.(mid)) < l then lo := mid + 1 else hi := mid
-        done;
-        if !lo < n && ord.(sorted.(!lo)) = l then sorted.(!lo) else n
-      in
+      let key i = ord.(i) in
       for j = 0 to nmsg - 1 do
-        rank_of.(j) <- (find (label j) * nmsg) + j;
+        let p = find_sorted key sorted (label j) in
+        rank_of.(j) <- ((if p < 0 then n else p) * nmsg) + j;
         rank_labels.(j) <- label j
       done;
       ar.rank_order <- Some order;
@@ -1808,7 +1801,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                  victims = dk.Obs_detect.dk_victims });
           List.iter
             (fun v ->
-              let j = position_of_label specs by_label v in
+              let j = find_sorted label by_label v in
               if j >= 0 && active j then begin
                 perturbed := true;
                 emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
