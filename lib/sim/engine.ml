@@ -201,8 +201,9 @@ let outcome_string = function
        ([carve] asserts this);
    (b) the channel-sized columns and scratch rows, and the adaptive option
        rows keyed by (channel, destination node);
-   (c) the message-indexed arena, grown geometrically, for schedules of
-       up to [pooled_limit] messages;
+   (c) the message-indexed arena, with the per-channel waiter-list heads,
+       grown geometrically, for schedules of up to [pooled_limit]
+       messages;
    (d) the [Priority] rank map of the previous run, reused when the order
        list and the label sequence are physically the same.
 
