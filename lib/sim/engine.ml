@@ -513,24 +513,18 @@ let rec sift_down (a : int array) root last =
     end
   end
 
-(* sort [a.(0 .. n-1)] ascending in place: a heapsort, skipped when the
-   prefix is already sorted (one woken list usually is) *)
+(* sort [a.(0 .. n-1)] ascending in place, by heapsort ([Array.sort]
+   sorts a whole array) *)
 let sort_prefix (a : int array) n =
-  let sorted = ref true in
-  for i = 1 to n - 1 do
-    if a.(i - 1) > a.(i) then sorted := false
+  for root = (n / 2) - 1 downto 0 do
+    sift_down a root (n - 1)
   done;
-  if not !sorted then begin
-    for root = (n / 2) - 1 downto 0 do
-      sift_down a root (n - 1)
-    done;
-    for last = n - 1 downto 1 do
-      let x = a.(0) in
-      a.(0) <- a.(last);
-      a.(last) <- x;
-      sift_down a 0 (last - 1)
-    done
-  end
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 (last - 1)
+  done
 
 (* merge the ascending [b.(0 .. m-1)] into the ascending [a.(0 .. n-1)],
    in place from the back; [a] has room for [n + m] *)
