@@ -358,6 +358,12 @@ let mesh8_saturated ~horizon () =
   let pattern = Traffic.uniform rng mesh8 in
   Traffic.bernoulli_schedule rng pattern ~coords:mesh8 ~rate:0.08 ~length:8 ~horizon
 
+let sat_drops =
+  [
+    Fault.Message_drop { label = "n6/5"; at = 200 };
+    Fault.Message_drop { label = "n56/4"; at = 150 };
+  ]
+
 let saturated_cases =
   let labels sched = List.map (fun (m : Schedule.message_spec) -> m.ms_label) sched in
   let variants =
@@ -385,12 +391,7 @@ let saturated_cases =
         fun _ ->
           {
             Engine.default_config with
-            faults =
-              Fault.make
-                [
-                  Fault.Message_drop { label = "n6/5"; at = 200 };
-                  Fault.Message_drop { label = "n56/4"; at = 150 };
-                ];
+            faults = Fault.make sat_drops;
           } );
     ]
   in
@@ -405,6 +406,57 @@ let saturated_cases =
         { id = "adp/mesh8x8-" ^ name; spec = spec (Adaptive mesh8_lifted) };
       ])
     variants
+
+(* The VC-less e-cube torus (a cyclic CDG) past saturation under recovery:
+   uniform traffic at 0.10 messages per node and cycle, 16-flit worms,
+   horizon 100 (166 messages).  Aborts keep moving attempt windows, so
+   these cases pin the kernel's handling of sleeping sources and of the
+   watchdog deadlines of parked waiters: online detection with a short
+   backstop (victim and backstop aborts), and the watchdog under backoff
+   1, where a first retry re-injects the very next cycle. *)
+let torus4_lifted = Adaptive.of_oblivious torus4_rt
+
+let torus4_saturated () =
+  let rng = Rng.create 5 in
+  let pattern = Traffic.uniform rng torus4 in
+  Traffic.bernoulli_schedule rng pattern ~coords:torus4 ~rate:0.10 ~length:16 ~horizon:100
+
+let recovery_cases =
+  let torus name trigger backoff =
+    let recovery = Some { Engine.default_recovery with trigger; backoff } in
+    let config = { Engine.default_config with recovery } in
+    ( "torus4x4-" ^ name,
+      (fun policy () -> spec_of ~config torus4.Builders.topo policy (torus4_saturated ())),
+      Oblivious torus4_rt,
+      Adaptive torus4_lifted )
+  in
+  (* sat-drop's drops retried under the watchdog, plus one that fires while
+     n52/9 sleeps before its window (cycle 99) and moves the window forward
+     to cycle 13 *)
+  let drop_retry =
+    let config =
+      {
+        Engine.default_config with
+        faults = Fault.make (Fault.Message_drop { label = "n52/9"; at = 5 } :: sat_drops);
+        recovery = Some { Engine.default_recovery with trigger = Engine.Watchdog 16 };
+      }
+    in
+    ( "mesh8x8-sat-drop-retry",
+      (fun policy () ->
+        spec_of ~config mesh8.Builders.topo policy (mesh8_saturated ~horizon:100 ())),
+      Oblivious mesh8_rt,
+      Adaptive mesh8_lifted )
+  in
+  List.concat_map
+    (fun (name, spec, obl, adp) ->
+      [ { id = "obl/" ^ name; spec = spec obl }; { id = "adp/" ^ name; spec = spec adp } ])
+    [
+      torus "sat-detect"
+        (Engine.Detect { Obs_detect.default_config with backstop = 64 })
+        Engine.default_recovery.Engine.backoff;
+      torus "sat-watchdog-b1" (Engine.Watchdog 16) 1;
+      drop_retry;
+    ]
 
 (* A backlog on a cyclic routing: three 3-flit worms queued at each node
    of a unidirectional 4-ring, each bound two hops ahead.  The first worms
@@ -549,7 +601,7 @@ let cases =
       Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
       Engine.Store_and_forward "saf" ~seeds:4
-  @ saturated_cases @ backlog_cases
+  @ saturated_cases @ backlog_cases @ recovery_cases
 
 (* ---- pins: load, compare, regenerate ---- *)
 
@@ -647,28 +699,42 @@ let long_sched () =
 let queued_sched () =
   List.init 5 (fun i -> Schedule.message ~length:3200 (Printf.sprintf "q%d" i) 0 3)
 
-let alloc_per_run policy sched =
+(* The queued worms again, under a watchdog that fires while they wait
+   parked, with backoff 1 and retries enough for all: every cycle parks,
+   wakes, aborts or re-injects, and the run recovers at cycle 36,196. *)
+let watchdog_b1 =
+  {
+    Engine.default_config with
+    recovery =
+      Some { Engine.trigger = Engine.Watchdog 16; retry_limit = 1_000; backoff = 1; reroute = None };
+  }
+
+let alloc_per_run ?config policy sched =
   (* one warm-up run (fills any per-state memo tables), then measure *)
-  ignore (run_policy policy (sched ()));
+  ignore (run_policy ?config policy (sched ()));
   let before = Gc.minor_words () in
-  let outcome = run_policy policy (sched ()) in
+  let outcome = run_policy ?config policy (sched ()) in
   let delta = Gc.minor_words () -. before in
-  (match outcome with
-  | Engine.All_delivered _ -> ()
-  | o -> Alcotest.failf "expected all-delivered, got %s" (Engine.outcome_string o));
+  (match (outcome, config) with
+  | Engine.All_delivered _, None | Engine.Recovered _, Some _ -> ()
+  | o, _ -> Alcotest.failf "unexpected outcome %s" (Engine.outcome_string o));
   delta
 
 let test_steady_cycle_allocation_oblivious () =
   if sanitize_on then ()
   else begin
     List.iter
-      (fun (name, sched) ->
-        let words = alloc_per_run (Oblivious line4_rt) sched in
+      (fun (name, config, sched) ->
+        let words = alloc_per_run ?config (Oblivious line4_rt) sched in
         if words > 25_000.0 then
           Alcotest.failf
             "oblivious steady cycle allocates (%s): %.0f minor words per ~16k-cycle run" name
             words)
-      [ ("two worms", long_sched); ("five queued worms", queued_sched) ]
+      [
+        ("two worms", None, long_sched);
+        ("five queued worms", None, queued_sched);
+        ("five queued worms, watchdog backoff 1", Some watchdog_b1, queued_sched);
+      ]
   end
 
 let test_steady_cycle_allocation_adaptive () =

@@ -373,18 +373,26 @@ let drops_gen labels =
     let* ats = flatten_l (List.map (fun l -> map (fun t -> (l, t)) (0 -- 40)) drop_list) in
     return ats)
 
+(* Watchdog or online detection; a small bound and backstop make the
+   detector name victims and the backstop fire within these short runs *)
 let recovery_gen =
   QCheck.Gen.(
     let* on = bool in
     if not on then return None
     else
-      let* watchdog = 8 -- 32 in
+      let* trigger =
+        oneof
+          [
+            map (fun w -> Engine.Watchdog w) (8 -- 32);
+            map2
+              (fun bound backstop ->
+                Engine.Detect { Obs_detect.default_config with bound; backstop })
+              (1 -- 8) (16 -- 48);
+          ]
+      in
       let* retry_limit = 0 -- 3 in
       let* backoff = 1 -- 8 in
-      return
-        (Some
-           { Engine.default_recovery with trigger = Engine.Watchdog watchdog; retry_limit;
-             backoff }))
+      return (Some { Engine.default_recovery with trigger; retry_limit; backoff }))
 
 (* A backlog: 10-40 messages from one to three sources, injected within
    four cycles, so most of them queue at their source behind a worm that
