@@ -151,7 +151,21 @@ let is_deadlock = function
    picks the most senior waiter as before.  Invariant: at every
    arbitration, each parked message's channel is owned by another
    message (the sanitizer checks it under E104).  The heads sit in the
-   arena next to the links, so the list helpers take one record. *)
+   arena next to the links, so the list helpers take one record.
+
+   Sleeping sources and the deadlines of waiters sit in the calendar.
+   Unless the static-window cursor below applies, an oblivious source
+   before its attempt window is on no list but the calendar [cal], an
+   indexed binary min-heap over (key, schedule index) with the slot of
+   each message in [cal_pos_] (-1 = no entry) and its key in [cal_key_];
+   its window's opening moves it to the woken buffer.  Under recovery a
+   parked or woken source waiter has its watchdog deadline there
+   instead: it holds nothing, so its last progress, and with it the
+   deadline, cannot move while it waits, and the watchdog sweep needs to
+   see it only at that cycle.  A key orders the phases of a cycle: [2t]
+   wakes at the top of cycle [t], [2t + 1] is due in cycle [t]'s sweep.
+   So a message has at most one entry, and the heap never grows past the
+   arena. *)
 
 (* fate encoding for [fate_] *)
 let f_live = 0
@@ -245,8 +259,7 @@ type msgs = {
   rank_labels : string array;  (* (d): the labels [rank_of] was computed for, *)
   mutable rank_order : string list option;  (* ... the order list, *)
   mutable rank_n : int;  (* ... and the message count *)
-  live : int array;  (* unfinished messages, for the fault and watchdog sweeps *)
-  vis : int array;  (* the visit list of arbitration and movement *)
+  vis : int array;  (* the visit list of arbitration, movement and the watchdog *)
   (* waiter lists (see the parking note above); every message is on no
      list in adaptive kernels *)
   park_head : int array;  (* per channel: first parked message, -1 = none *)
@@ -254,6 +267,11 @@ type msgs = {
   woken : int array;  (* messages woken this cycle, merged into [vis] next cycle *)
   mutable woken_n : int;
   mutable parked_n : int;
+  (* the calendar (see above); empty in adaptive kernels *)
+  cal : int array;
+  mutable cal_n : int;
+  cal_pos_ : int array;
+  cal_key_ : int array;
   (* adaptive only (empty in oblivious kernels) *)
   awarded_ : int array;
   forced_ : int array array;
@@ -327,13 +345,16 @@ let make_msgs ~oblivious ~nchan cap =
     rank_labels = Array.make cap "";
     rank_order = None;
     rank_n = 0;
-    live = Array.make cap 0;
     vis = Array.make cap 0;
     park_head = Array.make nchan (-1);
     park_next_ = Array.make cap not_parked;
     woken = Array.make on 0;
     woken_n = 0;
     parked_n = 0;
+    cal = Array.make on 0;
+    cal_n = 0;
+    cal_pos_ = Array.make on (-1);
+    cal_key_ = Array.make on 0;
     awarded_ = Array.make an (-1);
     forced_ = Array.make an [||];
     inject_opts = Array.make an [||];
@@ -485,6 +506,10 @@ let occupancy (ar : msgs) nmsg =
 (* -- waiter lists and the visit list: top-level helpers over the arena, so
    parking and waking allocate nothing -- *)
 
+let push_woken (ar : msgs) j =
+  ar.woken.(ar.woken_n) <- j;
+  ar.woken_n <- ar.woken_n + 1
+
 (* channel [c] was given up: move its waiter list to the woken buffer *)
 let wake_waiters (ar : msgs) c =
   let j = ref ar.park_head.(c) in
@@ -494,11 +519,92 @@ let wake_waiters (ar : msgs) c =
       let m = !j in
       j := ar.park_next_.(m);
       ar.park_next_.(m) <- not_parked;
-      ar.woken.(ar.woken_n) <- m;
-      ar.woken_n <- ar.woken_n + 1;
+      push_woken ar m;
       ar.parked_n <- ar.parked_n - 1
     done
   end
+
+(* take the parked message [j] off channel [c]'s waiter list *)
+let unpark (ar : msgs) c j =
+  if ar.park_head.(c) = j then ar.park_head.(c) <- ar.park_next_.(j)
+  else begin
+    let p = ref ar.park_head.(c) in
+    while ar.park_next_.(!p) <> j do
+      p := ar.park_next_.(!p)
+    done;
+    ar.park_next_.(!p) <- ar.park_next_.(j)
+  end;
+  ar.park_next_.(j) <- not_parked;
+  ar.parked_n <- ar.parked_n - 1
+
+(* -- the calendar (see the note above the arena) -- *)
+
+let cal_less (ar : msgs) a b =
+  let ka = ar.cal_key_.(a) and kb = ar.cal_key_.(b) in
+  ka < kb || (ka = kb && a < b)
+
+let cal_put (ar : msgs) i j =
+  ar.cal.(i) <- j;
+  ar.cal_pos_.(j) <- i
+
+let rec cal_up (ar : msgs) i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let j = ar.cal.(i) and q = ar.cal.(p) in
+    if cal_less ar j q then begin
+      cal_put ar p j;
+      cal_put ar i q;
+      cal_up ar p
+    end
+  end
+
+let rec cal_down (ar : msgs) i =
+  let l = (2 * i) + 1 in
+  if l < ar.cal_n then begin
+    let c = if l + 1 < ar.cal_n && cal_less ar ar.cal.(l + 1) ar.cal.(l) then l + 1 else l in
+    let j = ar.cal.(i) and m = ar.cal.(c) in
+    if cal_less ar m j then begin
+      cal_put ar i m;
+      cal_put ar c j;
+      cal_down ar c
+    end
+  end
+
+(* enter message [j], which has no entry, at [key] *)
+let cal_add (ar : msgs) j key =
+  ar.cal_key_.(j) <- key;
+  cal_put ar ar.cal_n j;
+  ar.cal_n <- ar.cal_n + 1;
+  cal_up ar (ar.cal_n - 1)
+
+(* take message [j]'s entry out *)
+let cal_remove (ar : msgs) j =
+  let i = ar.cal_pos_.(j) in
+  ar.cal_pos_.(j) <- -1;
+  ar.cal_n <- ar.cal_n - 1;
+  if i < ar.cal_n then begin
+    let m = ar.cal.(ar.cal_n) in
+    cal_put ar i m;
+    cal_up ar i;
+    cal_down ar ar.cal_pos_.(m)
+  end
+
+(* the message of the first entry when its key is at most [key], else -1 *)
+let cal_due (ar : msgs) key =
+  if ar.cal_n > 0 && ar.cal_key_.(ar.cal.(0)) <= key then ar.cal.(0) else -1
+
+(* [j] sleeps in the calendar until its window opens *)
+let cal_asleep (ar : msgs) j = ar.cal_pos_.(j) >= 0 && ar.cal_key_.(j) land 1 = 0
+
+(* Where a retried message [j] waits for its new window at cycle
+   [attempt_] (an abort at cycle [t] drained it, and with it any entry):
+   the calendar, when the window opens after the next cycle.  Otherwise
+   it stays on the visit list or in the woken buffer, whichever holds it,
+   and the woken buffer takes it when it was [asleep] in the calendar. *)
+let resettle (ar : msgs) j t ~asleep =
+  if ar.fate_.(j) = f_live then
+    if ar.attempt_.(j) > t + 1 then cal_add ar j (2 * ar.attempt_.(j))
+    else if asleep then push_woken ar j
 
 (* max-heap sift-down of [a.(root)] within [a.(0 .. last)] *)
 let rec sift_down (a : int array) root last =
@@ -627,7 +733,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; arrived_; injected_;
          consumed_; hold_; hold_fresh_; injected_at_; delivered_at_; released_; attempt_;
          retries_; fate_; last_progress_; progressed_; wait_since_; awarded_; wait_edge_;
-         forced_; rank_of; rank_labels; live; vis; park_head; park_next_; woken; inject_opts;
+         forced_; rank_of; rank_labels; vis; park_head; park_next_; woken; inject_opts;
          carved_mark; opt_tag_; first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
     arena k nmsg
   in
@@ -684,16 +790,37 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
     | Some { trigger = Watchdog _; _ } | None -> None
   in
-  (* the detector names its victims by label: the schedule positions
-     sorted by label, built once per run (validation made the labels
-     unique), find each victim by binary search *)
+  (* the detector names its victims by label, and a fault plan the
+     messages it drops: the schedule positions sorted by label, built once
+     per run (validation made the labels unique), find each by binary
+     search *)
+  let plan_drops =
+    if Fault.is_empty config.faults then []
+    else
+      List.filter_map
+        (function Fault.Message_drop { label; at } -> Some (label, at) | _ -> None)
+        (Fault.events config.faults)
+  in
   let by_label =
-    match det with
-    | None -> [||]
-    | Some _ ->
+    if det = None && plan_drops = [] then [||]
+    else begin
       let a = Array.init nmsg Fun.id in
       Array.sort (fun x y -> String.compare (label x) (label y)) a;
       a
+    end
+  in
+  (* the plan's drops as (cycle, schedule index), in the order they fire;
+     a drop of a label the schedule lacks never fires *)
+  let drops =
+    if plan_drops = [] then [||]
+    else
+      Array.of_list
+        (List.sort_uniq compare
+           (List.filter_map
+              (fun (l, at) ->
+                let j = find_sorted label by_label l in
+                if j >= 0 then Some (at, j) else None)
+              plan_drops))
   in
   let obs_on = obs <> None || det <> None in
   let emit e =
@@ -772,12 +899,33 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       List.iter (fun (c, _) -> hold_scratch.(c) <- 0) hs;
       r
   in
+  (* With no recovery configured the attempt windows never move, and the
+     workload generators emit messages in injection-time order: a source
+     then joins the visit list [vis] when its window opens, in schedule
+     order, through a cursor.  Otherwise (recovery moves attempt windows
+     on abort; a hand-written schedule may be out of order) an oblivious
+     source before its window sleeps in the calendar, and an adaptive one
+     stays on [vis] behind the per-message window test.  Either way
+     arbitration drops finished messages from [vis] and parks source
+     waiters off it. *)
+  let static_windows =
+    (match config.recovery with None -> true | Some _ -> false)
+    && (let ok = ref true in
+        for j = 1 to nmsg - 1 do
+          if specs.(j).Schedule.ms_inject_at < specs.(j - 1).Schedule.ms_inject_at then
+            ok := false
+        done;
+        !ok)
+  in
+  let use_cal = oblivious && not static_windows in
   (* reset the message prefix of the arena *)
   Bitset.clear arrived_;
   Bitset.clear hold_fresh_;
   Array.fill park_head 0 nchan (-1);
   ar.woken_n <- 0;
   ar.parked_n <- 0;
+  ar.cal_n <- 0;
+  let vis_n = ref 0 in
   for j = 0 to nmsg - 1 do
     let s = specs.(j) in
     len_.(j) <- s.Schedule.ms_length;
@@ -790,7 +938,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       plen_.(j) <- p;
       if Array.length occ_.(j) < p then occ_.(j) <- Array.make p 0
       else Array.fill occ_.(j) 0 p 0;
-      holds_.(j) <- holds_for_path s path_.(j)
+      holds_.(j) <- holds_for_path s path_.(j);
+      ar.cal_pos_.(j) <- -1
     end
     else plen_.(j) <- 0;
     head_.(j) <- -1;
@@ -808,8 +957,13 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     wait_since_.(j) <- (if oblivious then 0 else max_int);
     wait_edge_.(j) <- -1;
     park_next_.(j) <- not_parked;
-    live.(j) <- j;
-    vis.(j) <- j
+    let at = s.Schedule.ms_inject_at in
+    if static_windows then ()
+    else if use_cal && at > 0 then cal_add ar j (2 * at)
+    else begin
+      vis.(!vis_n) <- j;
+      incr vis_n
+    end
   done;
   let owner = k.k_owner in
   Array.fill owner 0 nchan (-1);
@@ -914,31 +1068,11 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let scan_flag = ref false in
   let ins_b = ref 0 in
   let rel_i = ref 0 in
-  (* the unfinished messages in schedule order, for the fault and watchdog
-     sweeps: delivered and abandoned messages are compacted out at the end
-     of a cycle that finished one.  Runs with neither sweep keep no such
-     list. *)
-  let sweeps = have_faults || Option.is_some config.recovery in
-  let nlive = ref nmsg in
-  let last_finished = ref 0 in
-  (* With no recovery configured the attempt windows never move, and the
-     workload generators emit messages in injection-time order: a source
-     then joins the visit list [vis] when its window opens, in schedule
-     order, and the hot loops never see a sleeping source.  Recovery
-     (attempt windows move on abort) or a hand-written out-of-order
-     schedule starts with every message on [vis] and falls back to the
-     per-message window test.  Either way arbitration drops finished
-     messages from [vis] and parks source waiters off it. *)
-  let static_windows =
-    (match config.recovery with None -> true | Some _ -> false)
-    && (let ok = ref true in
-        for j = 1 to nmsg - 1 do
-          if attempt_.(j) < attempt_.(j - 1) then ok := false
-        done;
-        !ok)
-  in
   let awake_n = ref 0 in
-  let vis_n = ref (if static_windows then 0 else nmsg) in
+  (* the watchdog threshold, 0 without recovery *)
+  let wd = match config.recovery with Some r -> watchdog_of r | None -> 0 in
+  (* the next of [drops] to fire *)
+  let drop_i = ref 0 in
   let moved = ref false in
   let finished = ref 0 in
   (* any fault fired or recovery action taken: the run reports [Recovered] *)
@@ -1125,7 +1259,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   (* oblivious messages have a fixed route ("path position"); adaptive ones
      a carved route ("hop") -- the sanitizer wording tracks the mode *)
   let posw = if oblivious then "path position" else "hop" in
-  let sanitize t =
+  (* [nvis] is the length of the visit list; [use_cal] says whether the
+     calendar holds the sleeping sources *)
+  let sanitize t nvis use_cal =
     match sanitizer with
     | None -> ()
     | Some san ->
@@ -1191,8 +1327,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             viol "E105" j
               (Printf.sprintf "live message has %d retries, over the limit %d" retries_.(j)
                  r.retry_limit);
+          (* awake messages only: a source before its window has no
+             progress to make, and the watchdog does not stamp it *)
           let w = watchdog_of r in
-          if active j && t - last_progress_.(j) >= w then
+          if
+            active j
+            && (injected_.(j) > 0 || t >= ar.attempt_.(j))
+            && t - last_progress_.(j) >= w
+          then
             viol "E105" j
               (Printf.sprintf
                  "watchdog bound broken: no progress since cycle %d (watchdog %d)"
@@ -1237,7 +1379,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       done;
       (* E104, parking: a waiter list holds source waiters on its channel,
          which another message owns (the walk is capped in case the links
-         loop) *)
+         loop); under recovery each waits in the calendar at its watchdog
+         deadline *)
       for c = 0 to nchan - 1 do
         let j = ref ar.park_head.(c) and steps = ref 0 in
         while !j >= 0 && !steps < nmsg do
@@ -1250,10 +1393,45 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             viol "E104" m
               (Printf.sprintf "parked on %s, which no other message owns"
                  (Topology.channel_name topo c));
+          (match config.recovery with
+          | Some r ->
+            let due = last_progress_.(m) + watchdog_of r in
+            if ar.cal_pos_.(m) < 0 || ar.cal_key_.(m) <> (2 * due) + 1 then
+              viol "E104" m
+                (Printf.sprintf "parked on %s without its watchdog deadline %d in the calendar"
+                   (Topology.channel_name topo c) due)
+          | None -> ());
           j := ar.park_next_.(m);
           incr steps
         done
-      done
+      done;
+      (* E104, the calendar: a live source before its window sleeps there at
+         its attempt cycle, off the visit list and the waiter lists -- but
+         for a retry due the very next cycle, which stays where the abort
+         found it *)
+      if use_cal then begin
+        let listed = Array.make nmsg false in
+        for li = 0 to nvis - 1 do
+          listed.(ar.vis.(li)) <- true
+        done;
+        for j = 0 to nmsg - 1 do
+          let a = ar.attempt_.(j) in
+          if active j && injected_.(j) = 0 && t < a then begin
+            let p = ar.cal_pos_.(j) in
+            if p < 0 then begin
+              if a > t + 1 then
+                viol "E104" j
+                  (Printf.sprintf "sleeps until cycle %d outside the calendar" a)
+            end
+            else if ar.cal.(p) <> j || ar.cal_key_.(j) <> 2 * a then
+              viol "E104" j
+                (Printf.sprintf "sleeps until cycle %d, but its calendar entry is not there" a)
+            else if listed.(j) || ar.park_next_.(j) <> not_parked then
+              viol "E104" j
+                (Printf.sprintf "sleeps until cycle %d on the visit list or a waiter list" a)
+          end
+        done
+      end
   in
   (* abort-and-drain: release every held channel, drop buffered flits, and
      return the message to its pre-injection state *)
@@ -1268,9 +1446,13 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           emit (Obs_event.Channel_release { cycle = t; label = label j; channel = c })
       end
     done;
-    (* a parked message leaves its waiter list: the whole list wakes, and
-       the others park again next cycle *)
-    if ar.park_next_.(j) <> not_parked then wake_waiters ar wait_edge_.(j);
+    (* a parked message leaves the calendar, and its waiter list for the
+       woken buffer; the others on the list stay parked *)
+    if ar.park_next_.(j) <> not_parked then begin
+      unpark ar wait_edge_.(j) j;
+      push_woken ar j
+    end;
+    if oblivious && ar.cal_pos_.(j) >= 0 then cal_remove ar j;
     (* retract the advertised wait-for edge: without this, a message
        aborted mid-wait leaves a dangling edge on the stream that the
        online detector would keep chasing (sanitizer E106) *)
@@ -1329,7 +1511,13 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       if fate_.(j) = f_live then begin
         let delay = r.backoff * (1 lsl min (retries_.(j) - 1) 20) in
         attempt_.(j) <- t + delay;
-        last_progress_.(j) <- t + delay;
+        (* the watchdog's count for the retry: the calendar restarts it at
+           the cycle before the window when it wakes the message.  A retry
+           at the next cycle skips the calendar ([resettle]) and keeps this
+           stamp: the abort cycle after a drop or victim abort, and after a
+           watchdog abort, which follows the sweep's stamps of the cycle,
+           the window itself *)
+        last_progress_.(j) <- (if String.equal reason "watchdog" then t + delay else t);
         if obs_on then
           emit (Obs_event.Retry { cycle = t; label = label j; resume_at = attempt_.(j) })
       end
@@ -1358,14 +1546,29 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   while !outcome = None do
     let t = !cycle in
     moved := false;
-    (* -- the visit list: last cycle's woken waiters rejoin it in schedule
-          order (finished ones leave), then the sources whose window opens
-          now; their indices exceed every index already on it -- *)
+    (* the messages the fault phase counter charges: every unfinished one *)
+    let unfinished = nmsg - !finished in
+    (* -- the visit list: the sources whose window opens now leave the
+          calendar, watched from the cycle before; with last cycle's woken
+          waiters they rejoin the list in schedule order.  Finished ones
+          leave, and so do the ones an abort sent back to sleep, which wait
+          in the calendar.  A woken waiter's deadline entry goes: the
+          watchdog sweeps the list.  Without the calendar, the sources whose
+          window opens now are appended: their indices exceed every index
+          already on the list. -- *)
+    if use_cal then
+      while cal_due ar (2 * t) >= 0 do
+        let j = ar.cal.(0) in
+        cal_remove ar j;
+        last_progress_.(j) <- t - 1;
+        push_woken ar j
+      done;
     if ar.woken_n > 0 then begin
       let m = ref 0 in
       for i = 0 to ar.woken_n - 1 do
         let j = woken.(i) in
-        if active j then begin
+        if active j && (injected_.(j) > 0 || t >= attempt_.(j)) then begin
+          if use_cal && ar.cal_pos_.(j) >= 0 then cal_remove ar j;
           woken.(!m) <- j;
           incr m
         end
@@ -1394,24 +1597,12 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             registration is scan-order independent and equals the old
             award-time rescan. -- *)
       req_count := 0;
+      (* no source before its window is on the list (the static cursor and
+         the calendar hold them) *)
       for li = 0 to !vis_n - 1 do
         let j = vis.(li) in
-        (* a source still before its attempt window neither requests nor
-           waits (its [wait_edge_] is -1 by construction: every abort drains
-           the wait entry) -- skip it outright *)
-        if injected_.(j) = 0 && t < attempt_.(j) then begin
-          if active j then begin
-            vis.(!kept) <- j;
-            incr kept
-          end
-        end
-        else begin
         let c = wanted_chan j in
-        if
-          c >= 0
-          && (head_.(j) >= 0 || (injected_.(j) = 0 && t >= attempt_.(j)))
-          && owner.(c) <> j
-        then begin
+        if c >= 0 && owner.(c) <> j then begin
           if wait_edge_.(j) <> c then begin
             if obs_on then begin
               if wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
@@ -1440,11 +1631,13 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               cand_rank.(c) <- r
             end
           end;
-          (* a source waiter whose channel another message owns: park it *)
+          (* a source waiter whose channel another message owns: park it,
+             under recovery with its watchdog deadline in the calendar *)
           if head_.(j) < 0 && owner.(c) >= 0 then begin
             park_next_.(j) <- park_head.(c);
             park_head.(c) <- j;
-            ar.parked_n <- ar.parked_n + 1
+            ar.parked_n <- ar.parked_n + 1;
+            if wd > 0 then cal_add ar j ((2 * (last_progress_.(j) + wd)) + 1)
           end
           else begin
             vis.(!kept) <- j;
@@ -1462,7 +1655,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             vis.(!kept) <- j;
             incr kept
           end
-        end
         end
       done;
       (* awards for distinct channels are independent (an award writes only
@@ -1578,8 +1770,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     end;
     vis_n := !kept;
     (* the messages the phase counters charge: every unfinished message
-       that is awake (all of them without static windows), parked or not *)
-    let nact = !vis_n + ar.parked_n in
+       that is awake (all of them without static windows: asleep in the
+       calendar too), parked or not *)
+    let nact = if static_windows then !vis_n + ar.parked_n else nmsg - !finished in
     (* -- movement: per message, sweep from the front so freed slots are
           visible to the flits behind (wormhole pipelining).  A down channel
           (failed or stalled) neither accepts nor emits flits.  A parked
@@ -1760,22 +1953,27 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         end
       end
     done;
-    (* -- faults and recovery: source-side drops, then the watchdog -- *)
-    if have_faults then
-      for li = 0 to !nlive - 1 do
-        let j = live.(li) in
-        if active j && injected_.(j) = 0 && Fault.dropped_now faults (label j) t then begin
-          perturbed := true;
-          if obs_on then
-            emit
-              (Obs_event.Fault
-                 { cycle = t; kind = Obs_event.Drop_fired; channel = None;
-                   label = Some (label j); duration = 0 });
-          match config.recovery with
-          | None -> give_up j f_dropped t
-          | Some r -> abort_retry j r t ~reason:"drop"
-        end
-      done;
+    (* -- faults and recovery: source-side drops, in schedule order, then
+          the watchdog.  A drop on a source asleep in the calendar moves its
+          window, maybe earlier. -- *)
+    while !drop_i < Array.length drops && fst drops.(!drop_i) <= t do
+      let j = snd drops.(!drop_i) in
+      incr drop_i;
+      if active j && injected_.(j) = 0 then begin
+        perturbed := true;
+        if obs_on then
+          emit
+            (Obs_event.Fault
+               { cycle = t; kind = Obs_event.Drop_fired; channel = None;
+                 label = Some (label j); duration = 0 });
+        match config.recovery with
+        | None -> give_up j f_dropped t
+        | Some r ->
+          let asleep = use_cal && cal_asleep ar j in
+          abort_retry j r t ~reason:"drop";
+          if use_cal then resettle ar j t ~asleep
+      end
+    done;
     (* -- online detection: end-of-cycle tick confirms quiescent wait-for
           knots; only the policy-chosen victim is aborted, so the rest of
           the knot unwinds through the freed channels instead of being
@@ -1800,29 +1998,48 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               if j >= 0 && active j then begin
                 perturbed := true;
                 emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
-                abort_retry j r t ~reason:"deadlock"
+                abort_retry j r t ~reason:"deadlock";
+                if use_cal then resettle ar j t ~asleep:false
               end)
             dk.Obs_detect.dk_victims)
         (Obs_detect.tick d ~now:t)
     | (Some _ | None), _ -> ());
+    (* -- the watchdog: the visit list, merged in schedule order with the
+          waiters whose deadline is due.  Every other unfinished message is
+          a waiter not yet due or a source asleep in the calendar.  The
+          sweep rewrites the list in place as arbitration does: finished
+          messages leave it, and so do the ones an abort sent to sleep
+          past the next cycle (the adaptive kernel keeps its sleepers). -- *)
     (match config.recovery with
     | None -> ()
     | Some r ->
-      let w = watchdog_of r in
-      for li = 0 to !nlive - 1 do
-        let j = live.(li) in
+      let due = (2 * t) + 1 in
+      let n = !vis_n in
+      let li = ref 0 and kept = ref 0 in
+      while !li < n || cal_due ar due >= 0 do
+        let c = cal_due ar due in
+        let listed = !li < n && (c < 0 || vis.(!li) < c) in
+        let j = if listed then vis.(!li) else c in
+        if listed then incr li else cal_remove ar j;
         if active j then begin
           if Bytes.unsafe_get progressed_ j <> '\000' || (injected_.(j) = 0 && t < attempt_.(j))
           then last_progress_.(j) <- t
-          else if t - last_progress_.(j) >= w then begin
+          else if t - last_progress_.(j) >= wd then begin
             perturbed := true;
-            abort_retry j r t ~reason:"watchdog"
+            abort_retry j r t ~reason:"watchdog";
+            if use_cal then resettle ar j t ~asleep:false
           end
         end;
-        (* every message that moved this cycle is on [live]: clearing here
-           readies the flag for the next cycle *)
-        Bytes.unsafe_set progressed_ j '\000'
-      done);
+        (* every message that moved this cycle is on the list: clearing
+           here readies the flag for the next cycle *)
+        Bytes.unsafe_set progressed_ j '\000';
+        if listed && active j && not (use_cal && injected_.(j) = 0 && attempt_.(j) > t + 1)
+        then begin
+          vis.(!kept) <- j;
+          incr kept
+        end
+      done;
+      vis_n := !kept);
     (* -- telemetry accumulation: plain int stores into the preallocated
           accumulator, through top-level helpers, so a stats-armed steady
           cycle allocates nothing. -- *)
@@ -1832,7 +2049,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       else st.Obs_stats.st_ph_claim <- st.Obs_stats.st_ph_claim + !claim_count;
       st.Obs_stats.st_ph_advance <- st.Obs_stats.st_ph_advance + nact;
       if have_faults then
-        st.Obs_stats.st_ph_fault <- st.Obs_stats.st_ph_fault + !nlive;
+        st.Obs_stats.st_ph_fault <- st.Obs_stats.st_ph_fault + unfinished;
       (match det with
       | Some _ -> st.Obs_stats.st_ph_detect <- st.Obs_stats.st_ph_detect + 1
       | None -> ());
@@ -1869,25 +2086,22 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       done
     end;
     (* -- end of cycle: sanitizer, termination checks -- *)
-    sanitize t;
+    sanitize t !vis_n use_cal;
     if !finished = nmsg then
       outcome :=
         Some
           (if !perturbed then Recovered { finished_at = t; messages = results (); stats = stats () }
            else All_delivered { finished_at = t; messages = results () })
     else if t >= config.max_cycles then outcome := Some (Cutoff { at = t; messages = results () })
-    else if not !moved then begin
+    (* with recovery on, a live message (one is, as not all finished) is
+       future work: the watchdog will eventually abort it, so nothing is
+       permanently blocked *)
+    else if (not !moved) && Option.is_none config.recovery then begin
       scan_flag := false;
       for j = 0 to nmsg - 1 do
         if active j && ((injected_.(j) = 0 && t < attempt_.(j)) || hold_.(j) > 0) then
           scan_flag := true
       done;
-      (* with recovery on, any live message is future work: the watchdog
-         will eventually abort it, so nothing is permanently blocked *)
-      if Option.is_some config.recovery then
-        for j = 0 to nmsg - 1 do
-          if active j then scan_flag := true
-        done;
       (* a stall window about to close or an unfired event can unblock *)
       if Fault.change_after faults t then scan_flag := true;
       if not !scan_flag then begin
@@ -1944,19 +2158,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           Some (Deadlock { d_cycle = t; d_class; d_blocked = blocked;
                            d_wait_cycle = wait_cycle; d_occupancy = occupancy ar nmsg })
       end
-    end;
-    (* compact the live list only on cycles where something finished *)
-    if sweeps && !finished <> !last_finished then begin
-      last_finished := !finished;
-      let w = ref 0 in
-      for i = 0 to !nlive - 1 do
-        let j = live.(i) in
-        if delivered_at_.(j) < 0 && fate_.(j) = f_live then begin
-          live.(!w) <- j;
-          incr w
-        end
-      done;
-      nlive := !w
     end;
     incr cycle
   done;

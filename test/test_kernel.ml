@@ -700,13 +700,14 @@ let queued_sched () =
   List.init 5 (fun i -> Schedule.message ~length:3200 (Printf.sprintf "q%d" i) 0 3)
 
 (* The queued worms again, under a watchdog that fires while they wait
-   parked, with backoff 1 and retries enough for all: every cycle parks,
-   wakes, aborts or re-injects, and the run recovers at cycle 36,196. *)
+   parked, with backoff 1 and retries enough for all: the waiters park,
+   time out and retry the next cycle over and over, and the run recovers
+   at cycle 36,196. *)
 let watchdog_b1 =
+  let trigger = Engine.Watchdog 16 in
   {
     Engine.default_config with
-    recovery =
-      Some { Engine.trigger = Engine.Watchdog 16; retry_limit = 1_000; backoff = 1; reroute = None };
+    recovery = Some { Engine.trigger; retry_limit = 1_000; backoff = 1; reroute = None };
   }
 
 let alloc_per_run ?config policy sched =
