@@ -34,14 +34,12 @@ let failed_channels p =
 type compiled = {
   fail_at : int array;  (* per channel, first permanent-failure cycle; max_int if none *)
   stalls : (int * int) list array;  (* per channel, [(start, end_exclusive)] *)
-  drops : (string, int list) Hashtbl.t;  (* label -> drop cycles *)
   last_change : int;  (* no event boundary strictly after this cycle *)
 }
 
 let compile ~nchan p =
   let fail_at = Array.make nchan max_int in
   let stalls = Array.make nchan [] in
-  let drops = Hashtbl.create 8 in
   let last_change = ref (-1) in
   let chan c =
     if c < 0 || c >= nchan then invalid_arg "Fault.compile: channel out of range";
@@ -58,12 +56,9 @@ let compile ~nchan p =
         let c = chan channel in
         stalls.(c) <- (at, at + duration) :: stalls.(c);
         last_change := max !last_change (at + duration)
-      | Message_drop { label; at } ->
-        let prev = match Hashtbl.find_opt drops label with Some l -> l | None -> [] in
-        Hashtbl.replace drops label (at :: prev);
-        last_change := max !last_change at)
+      | Message_drop { at; _ } -> last_change := max !last_change at)
     p;
-  { fail_at; stalls; drops; last_change = !last_change }
+  { fail_at; stalls; last_change = !last_change }
 
 let perm_failed c ch t = ch >= 0 && ch < Array.length c.fail_at && c.fail_at.(ch) <= t
 
@@ -71,9 +66,6 @@ let down c ch t =
   perm_failed c ch t
   || (ch >= 0 && ch < Array.length c.stalls
       && List.exists (fun (s, e) -> s <= t && t < e) c.stalls.(ch))
-
-let dropped_now c label t =
-  match Hashtbl.find_opt c.drops label with Some l -> List.mem t l | None -> false
 
 let change_after c t = c.last_change > t
 

@@ -42,7 +42,8 @@ val failed_channels : plan -> Topology.channel list
 (** {1 Compiled queries}
 
     The engines compile a plan once per run so the per-cycle checks are a
-    couple of array reads. *)
+    couple of array reads.  Drops name messages, not channels: an engine
+    resolves them from {!events} against its schedule. *)
 
 type compiled
 
@@ -55,9 +56,6 @@ val down : compiled -> Topology.channel -> int -> bool
 
 val perm_failed : compiled -> Topology.channel -> int -> bool
 (** Permanently failed at or before this cycle. *)
-
-val dropped_now : compiled -> string -> int -> bool
-(** A drop event for this label fires at exactly this cycle. *)
 
 val change_after : compiled -> int -> bool
 (** Some event after cycle [t] can still change the network: a stall window

@@ -71,10 +71,6 @@ let test_make_and_queries () =
   check cb "bc down at end" true (Fault.down c bc 4);
   check cb "bc up after stall" false (Fault.down c bc 5);
   check cb "bc never perm" false (Fault.perm_failed c bc 1000);
-  (* drops fire at exactly their cycle *)
-  check cb "drop fires" true (Fault.dropped_now c "m" 4);
-  check cb "drop only then" false (Fault.dropped_now c "m" 3);
-  check cb "other labels safe" false (Fault.dropped_now c "x" 4);
   (* last boundary is the failure at 5 / stall end at 5 *)
   check cb "change after 4" true (Fault.change_after c 4);
   check cb "quiet after 5" false (Fault.change_after c 5)
