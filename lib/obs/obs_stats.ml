@@ -231,7 +231,8 @@ let to_prometheus topo t =
       family Obs_metrics.Histogram "wormhole_stats_latency_cycles"
         "injection-to-delivery latency"
         (buckets @ [ sample "_sum" [] t.st_lat_sum; sample "_count" [] t.st_delivered ]);
-      counter "wormhole_stats_phase_work_total" "per-phase message visits"
+      counter "wormhole_stats_phase_work_total"
+        "per-phase load summed over cycles: messages faced, not visited"
         (labelled "phase"
            [| "advance"; "arbitration"; "claims"; "detect"; "fault" |]
            [| t.st_ph_advance; t.st_ph_arb; t.st_ph_claim; t.st_ph_detect; t.st_ph_fault |]);

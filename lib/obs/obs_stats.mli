@@ -43,14 +43,16 @@ type t = {
   mutable st_runs : int;
   mutable st_cycles : int;
   (* -- per-phase counters, summed over cycles: the load a phase faces,
-     not its cost (parked source waiters are counted but not visited,
-     DESIGN.md section 16) -- *)
+     not its cost (parked waiters and sources asleep before their window
+     are counted but not visited, DESIGN.md section 16) -- *)
   mutable st_ph_arb : int;
       (** oblivious: awake unfinished messages, parked or not (every
           unfinished one without static windows) *)
   mutable st_ph_claim : int;  (** adaptive claimants sorted and served *)
   mutable st_ph_advance : int;  (** the same awake count as [st_ph_arb], in both modes *)
-  mutable st_ph_fault : int;  (** fault-sweep message visits *)
+  mutable st_ph_fault : int;
+      (** unfinished messages, in runs with a fault plan (the drop sweep
+          visits only the drops due) *)
   mutable st_ph_detect : int;  (** detector ticks *)
   st_disc_runs : int array;
       (** runs per switching discipline, slots in {!disciplines} order *)
