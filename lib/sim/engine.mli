@@ -298,20 +298,27 @@ val run :
     memo relies on the routing function being deterministic and read-only
     (see {!Routing.create}).  See DESIGN.md section 18.
 
-    {b Steady cycle.}  Arbitration and movement visit the unfinished
-    messages in schedule order; without recovery, on a schedule in
-    injection-time order (as every generator emits), a source joins them
-    only when its attempt window opens.  A message that holds no channel
-    and waits for a first channel another message owns is parked on that
-    channel's waiter list and left out of both loops until the owner gives
-    the channel up (release, or an abort, drop or give-up that drains it);
-    then the whole list rejoins the next cycle's visit in schedule order.
-    Invariant: at every arbitration, each parked message's channel is
-    owned by another message, so the parked message could neither win it
-    nor move.  It keeps its wait seniority and its advertised wait edge,
-    so parking moves no award, event or outcome, and a cycle costs what
-    the worms in flight cost, not the backlog queued behind them.  The
-    adaptive kernel does not park.  See DESIGN.md section 15. *)
+    {b Steady cycle.}  Arbitration, movement and the watchdog visit the
+    unfinished messages in schedule order, except the ones that could do
+    nothing.  A source joins them only when its attempt window opens:
+    without recovery, on a schedule in injection-time order (as every
+    generator emits), through a cursor; otherwise the oblivious kernel
+    keeps each sleeping source in a calendar, a heap keyed by the cycle
+    its window opens, which an abort may move.  A message that holds no
+    channel and waits for a first channel another message owns is parked
+    on that channel's waiter list and left out of the loops until the
+    owner gives the channel up (release, or an abort, drop or give-up that
+    drains it); then the whole list rejoins the next cycle's visit in
+    schedule order.  Invariant: at every arbitration, each parked
+    message's channel is owned by another message, so the parked message
+    could neither win it nor move.  It keeps its wait seniority and its
+    advertised wait edge, and under recovery its watchdog deadline waits
+    in the calendar: holding nothing, it cannot progress, so the deadline
+    cannot move.  The watchdog sweeps the visited messages merged with
+    the deadlines due.  None of this moves an award, event or outcome, and
+    a cycle costs what the worms in flight cost, not the backlog queued
+    behind them or the sources still asleep.  The adaptive kernel neither
+    parks nor keeps a calendar.  See DESIGN.md section 15. *)
 
 val run_adaptive :
   ?config:config ->

@@ -15,10 +15,17 @@
       the released prefix and the header (faults may punch holes {e inside}
       the window, so only its bounds are invariant)
     - [E104] wait-for consistency: a waiting message's seniority entry
-      matches the channel it currently wants
+      matches the channel it currently wants; a parked message waits for
+      a channel another message owns; and the oblivious kernel's
+      calendar holds what it should: every live source before its
+      attempt window (but one retried for the very next cycle) sleeps
+      there at its attempt cycle, off the visit list and the waiter
+      lists, and under recovery every parked message has its watchdog
+      deadline there
     - [E105] recovery monotonicity: retries never exceed the limit while a
       message is live, and the watchdog bound (the backstop under a
-      [Detect] trigger) holds after every abort
+      [Detect] trigger) holds for every awake message after every abort
+      (a source before its window has no progress to make)
     - [E106] wait-edge/hold consistency: a message advertising a wait-for
       edge on the event stream holds at least one channel unless it has
       not injected yet; abandoned messages advertise no edge (a dangling
