@@ -421,6 +421,17 @@ let torus4_saturated () =
   let pattern = Traffic.uniform rng torus4 in
   Traffic.bernoulli_schedule rng pattern ~coords:torus4 ~rate:0.10 ~length:16 ~horizon:100
 
+(* Five 40-flit worms queued at node 0 of a 4-node line, all bound for
+   node 3, under a watchdog with backoff 1.  The drop fires at cycle 5
+   while q2 waits parked behind q0, so its retry is due the next cycle
+   and skips the calendar: the watchdog then counts from the stamp the
+   drop left, the abort cycle, and the run's last cycles pin it. *)
+let line4 = Builders.line 4
+let line4_rt = Dimension_order.mesh line4
+
+let line4_queued ~length () =
+  List.init 5 (fun i -> Schedule.message ~length (Printf.sprintf "q%d" i) 0 3)
+
 let recovery_cases =
   let torus name trigger backoff =
     let recovery = Some { Engine.default_recovery with trigger; backoff } in
@@ -447,6 +458,22 @@ let recovery_cases =
       Oblivious mesh8_rt,
       Adaptive mesh8_lifted )
   in
+  let line4_drop =
+    let config =
+      {
+        Engine.default_config with
+        faults = Fault.make [ Fault.Message_drop { label = "q2"; at = 5 } ];
+        recovery =
+          Some
+            { Engine.trigger = Engine.Watchdog 16; retry_limit = 1_000; backoff = 1;
+              reroute = None };
+      }
+    in
+    ( "line4-queued-drop-b1",
+      (fun policy () -> spec_of ~config line4.Builders.topo policy (line4_queued ~length:40 ())),
+      Oblivious line4_rt,
+      Adaptive (Adaptive.of_oblivious line4_rt) )
+  in
   List.concat_map
     (fun (name, spec, obl, adp) ->
       [ { id = "obl/" ^ name; spec = spec obl }; { id = "adp/" ^ name; spec = spec adp } ])
@@ -456,6 +483,7 @@ let recovery_cases =
         Engine.default_recovery.Engine.backoff;
       torus "sat-watchdog-b1" (Engine.Watchdog 16) 1;
       drop_retry;
+      line4_drop;
     ]
 
 (* A backlog on a cyclic routing: three 3-flit worms queued at each node
@@ -684,9 +712,6 @@ let sanitize_on =
   | Some v when v <> "0" -> true
   | Some _ | None -> false
 
-let line4 = Builders.line 4
-let line4_rt = Dimension_order.mesh line4
-
 let long_sched () =
   let a = 0 and d = 3 in
   [
@@ -696,8 +721,7 @@ let long_sched () =
 
 (* five long worms queued at one source: behind the worm in flight the
    rest wait parked, and every release of the first channel wakes them *)
-let queued_sched () =
-  List.init 5 (fun i -> Schedule.message ~length:3200 (Printf.sprintf "q%d" i) 0 3)
+let queued_sched = line4_queued ~length:3200
 
 (* The queued worms again, under a watchdog that fires while they wait
    parked, with backoff 1 and retries enough for all: the waiters park,
@@ -721,32 +745,27 @@ let alloc_per_run ?config policy sched =
   | o, _ -> Alcotest.failf "unexpected outcome %s" (Engine.outcome_string o));
   delta
 
-let test_steady_cycle_allocation_oblivious () =
+(* the three schedules on either kernel; under the watchdog, retries
+   after the first sleep in the calendar and wake from it *)
+let check_steady_cycle kernel policy =
   if sanitize_on then ()
-  else begin
+  else
     List.iter
       (fun (name, config, sched) ->
-        let words = alloc_per_run ?config (Oblivious line4_rt) sched in
+        let words = alloc_per_run ?config policy sched in
         if words > 25_000.0 then
-          Alcotest.failf
-            "oblivious steady cycle allocates (%s): %.0f minor words per ~16k-cycle run" name
-            words)
+          Alcotest.failf "%s steady cycle allocates (%s): %.0f minor words per ~16k-cycle run"
+            kernel name words)
       [
         ("two worms", None, long_sched);
         ("five queued worms", None, queued_sched);
         ("five queued worms, watchdog backoff 1", Some watchdog_b1, queued_sched);
       ]
-  end
+
+let test_steady_cycle_allocation_oblivious () = check_steady_cycle "oblivious" (Oblivious line4_rt)
 
 let test_steady_cycle_allocation_adaptive () =
-  if sanitize_on then ()
-  else begin
-    let ad = Adaptive.of_oblivious line4_rt in
-    let words = alloc_per_run (Adaptive ad) long_sched in
-    if words > 25_000.0 then
-      Alcotest.failf "adaptive steady cycle allocates: %.0f minor words per ~16k-cycle run"
-        words
-  end
+  check_steady_cycle "adaptive" (Adaptive (Adaptive.of_oblivious line4_rt))
 
 (* ---- kernel reuse: memo-hit runs equal fresh-kernel runs ----
 
