@@ -154,13 +154,12 @@ let is_deadlock = function
    arena next to the links, so the list helpers take one record.
 
    Sleeping sources and the deadlines of waiters sit in the calendar.
-   Unless the static-window cursor below applies, an oblivious source
-   before its attempt window is on no list but the calendar [cal], an
-   indexed binary min-heap over (key, schedule index) with the slot of
-   each message in [cal_pos_] (-1 = no entry) and its key in [cal_key_];
-   its window's opening moves it to the woken buffer.  Under recovery a
-   parked or woken source waiter has its watchdog deadline there
-   instead: it holds nothing, so its last progress, and with it the
+   In both kernels a source before its attempt window is on no list but
+   the calendar [cal], an indexed binary min-heap over (key, schedule
+   index) with the slot of each message in [cal_pos_] (-1 = no entry) and
+   its key in [cal_key_]; its window's opening moves it to the woken
+   buffer.  Under recovery a parked or woken source waiter has its
+   watchdog deadline there instead: it holds nothing, so its last progress, and with it the
    deadline, cannot move while it waits, and the watchdog sweep needs to
    see it only at that cycle.  A key orders the phases of a cycle: [2t]
    wakes at the top of cycle [t], [2t + 1] is due in cycle [t]'s sweep.
@@ -267,7 +266,7 @@ type msgs = {
   woken : int array;  (* messages woken this cycle, merged into [vis] next cycle *)
   mutable woken_n : int;
   mutable parked_n : int;
-  (* the calendar (see above); empty in adaptive kernels *)
+  (* the calendar (see above) *)
   cal : int array;
   mutable cal_n : int;
   cal_pos_ : int array;
@@ -315,7 +314,6 @@ let dummy_spec = Schedule.message "" 0 1
 
 let make_msgs ~oblivious ~nchan cap =
   let an = if oblivious then 0 else cap in
-  let on = if oblivious then cap else 0 in
   {
     m_cap = cap;
     specs = Array.make cap dummy_spec;
@@ -348,13 +346,13 @@ let make_msgs ~oblivious ~nchan cap =
     vis = Array.make cap 0;
     park_head = Array.make nchan (-1);
     park_next_ = Array.make cap not_parked;
-    woken = Array.make on 0;
+    woken = Array.make cap 0;
     woken_n = 0;
     parked_n = 0;
-    cal = Array.make on 0;
+    cal = Array.make cap 0;
     cal_n = 0;
-    cal_pos_ = Array.make on (-1);
-    cal_key_ = Array.make on 0;
+    cal_pos_ = Array.make cap (-1);
+    cal_key_ = Array.make cap 0;
     awarded_ = Array.make an (-1);
     forced_ = Array.make an [||];
     inject_opts = Array.make an [||];
@@ -899,26 +897,10 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       List.iter (fun (c, _) -> hold_scratch.(c) <- 0) hs;
       r
   in
-  (* With no recovery configured the attempt windows never move, and the
-     workload generators emit messages in injection-time order: a source
-     then joins the visit list [vis] when its window opens, in schedule
-     order, through a cursor.  Otherwise (recovery moves attempt windows
-     on abort; a hand-written schedule may be out of order) an oblivious
-     source before its window sleeps in the calendar, and an adaptive one
-     stays on [vis] behind the per-message window test.  Either way
-     arbitration drops finished messages from [vis] and parks source
-     waiters off it. *)
-  let static_windows =
-    (match config.recovery with None -> true | Some _ -> false)
-    && (let ok = ref true in
-        for j = 1 to nmsg - 1 do
-          if specs.(j).Schedule.ms_inject_at < specs.(j - 1).Schedule.ms_inject_at then
-            ok := false
-        done;
-        !ok)
-  in
-  let use_cal = oblivious && not static_windows in
-  (* reset the message prefix of the arena *)
+  (* reset the message prefix of the arena.  A source starts on the visit
+     list [vis] when its window opens at cycle 0 and sleeps in the
+     calendar otherwise; arbitration drops finished messages from [vis]
+     and parks source waiters off it. *)
   Bitset.clear arrived_;
   Bitset.clear hold_fresh_;
   Array.fill park_head 0 nchan (-1);
@@ -938,8 +920,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       plen_.(j) <- p;
       if Array.length occ_.(j) < p then occ_.(j) <- Array.make p 0
       else Array.fill occ_.(j) 0 p 0;
-      holds_.(j) <- holds_for_path s path_.(j);
-      ar.cal_pos_.(j) <- -1
+      holds_.(j) <- holds_for_path s path_.(j)
     end
     else plen_.(j) <- 0;
     head_.(j) <- -1;
@@ -957,9 +938,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     wait_since_.(j) <- (if oblivious then 0 else max_int);
     wait_edge_.(j) <- -1;
     park_next_.(j) <- not_parked;
+    ar.cal_pos_.(j) <- -1;
     let at = s.Schedule.ms_inject_at in
-    if static_windows then ()
-    else if use_cal && at > 0 then cal_add ar j (2 * at)
+    if at > 0 then cal_add ar j (2 * at)
     else begin
       vis.(!vis_n) <- j;
       incr vis_n
@@ -1068,7 +1049,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let scan_flag = ref false in
   let ins_b = ref 0 in
   let rel_i = ref 0 in
-  let awake_n = ref 0 in
   (* the watchdog threshold, 0 without recovery *)
   let wd = match config.recovery with Some r -> watchdog_of r | None -> 0 in
   (* the next of [drops] to fire *)
@@ -1259,9 +1239,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   (* oblivious messages have a fixed route ("path position"); adaptive ones
      a carved route ("hop") -- the sanitizer wording tracks the mode *)
   let posw = if oblivious then "path position" else "hop" in
-  (* [nvis] is the length of the visit list; [use_cal] says whether the
-     calendar holds the sleeping sources *)
-  let sanitize t nvis use_cal =
+  (* [nvis] is the length of the visit list *)
+  let sanitize t nvis =
     match sanitizer with
     | None -> ()
     | Some san ->
@@ -1409,29 +1388,27 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
          its attempt cycle, off the visit list and the waiter lists -- but
          for a retry due the very next cycle, which stays where the abort
          found it *)
-      if use_cal then begin
-        let listed = Array.make nmsg false in
-        for li = 0 to nvis - 1 do
-          listed.(ar.vis.(li)) <- true
-        done;
-        for j = 0 to nmsg - 1 do
-          let a = ar.attempt_.(j) in
-          if active j && injected_.(j) = 0 && t < a then begin
-            let p = ar.cal_pos_.(j) in
-            if p < 0 then begin
-              if a > t + 1 then
-                viol "E104" j
-                  (Printf.sprintf "sleeps until cycle %d outside the calendar" a)
-            end
-            else if ar.cal.(p) <> j || ar.cal_key_.(j) <> 2 * a then
+      let listed = Array.make nmsg false in
+      for li = 0 to nvis - 1 do
+        listed.(ar.vis.(li)) <- true
+      done;
+      for j = 0 to nmsg - 1 do
+        let a = ar.attempt_.(j) in
+        if active j && injected_.(j) = 0 && t < a then begin
+          let p = ar.cal_pos_.(j) in
+          if p < 0 then begin
+            if a > t + 1 then
               viol "E104" j
-                (Printf.sprintf "sleeps until cycle %d, but its calendar entry is not there" a)
-            else if listed.(j) || ar.park_next_.(j) <> not_parked then
-              viol "E104" j
-                (Printf.sprintf "sleeps until cycle %d on the visit list or a waiter list" a)
+                (Printf.sprintf "sleeps until cycle %d outside the calendar" a)
           end
-        done
-      end
+          else if ar.cal.(p) <> j || ar.cal_key_.(j) <> 2 * a then
+            viol "E104" j
+              (Printf.sprintf "sleeps until cycle %d, but its calendar entry is not there" a)
+          else if listed.(j) || ar.park_next_.(j) <> not_parked then
+            viol "E104" j
+              (Printf.sprintf "sleeps until cycle %d on the visit list or a waiter list" a)
+        end
+      done
   in
   (* abort-and-drain: release every held channel, drop buffered flits, and
      return the message to its pre-injection state *)
@@ -1452,7 +1429,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       unpark ar wait_edge_.(j) j;
       push_woken ar j
     end;
-    if oblivious && ar.cal_pos_.(j) >= 0 then cal_remove ar j;
+    if ar.cal_pos_.(j) >= 0 then cal_remove ar j;
     (* retract the advertised wait-for edge: without this, a message
        aborted mid-wait leaves a dangling edge on the stream that the
        online detector would keep chasing (sanitizer E106) *)
@@ -1553,22 +1530,19 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           waiters they rejoin the list in schedule order.  Finished ones
           leave, and so do the ones an abort sent back to sleep, which wait
           in the calendar.  A woken waiter's deadline entry goes: the
-          watchdog sweeps the list.  Without the calendar, the sources whose
-          window opens now are appended: their indices exceed every index
-          already on the list. -- *)
-    if use_cal then
-      while cal_due ar (2 * t) >= 0 do
-        let j = ar.cal.(0) in
-        cal_remove ar j;
-        last_progress_.(j) <- t - 1;
-        push_woken ar j
-      done;
+          watchdog sweeps the list. -- *)
+    while cal_due ar (2 * t) >= 0 do
+      let j = ar.cal.(0) in
+      cal_remove ar j;
+      last_progress_.(j) <- t - 1;
+      push_woken ar j
+    done;
     if ar.woken_n > 0 then begin
       let m = ref 0 in
       for i = 0 to ar.woken_n - 1 do
         let j = woken.(i) in
         if active j && (injected_.(j) > 0 || t >= attempt_.(j)) then begin
-          if use_cal && ar.cal_pos_.(j) >= 0 then cal_remove ar j;
+          if ar.cal_pos_.(j) >= 0 then cal_remove ar j;
           woken.(!m) <- j;
           incr m
         end
@@ -1578,12 +1552,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       merge_into vis !vis_n woken !m;
       vis_n := !vis_n + !m
     end;
-    if static_windows then
-      while !awake_n < nmsg && attempt_.(!awake_n) <= t do
-        vis.(!vis_n) <- !awake_n;
-        incr vis_n;
-        incr awake_n
-      done;
     (* arbitration rewrites [vis] in place: [kept] entries stay *)
     let kept = ref 0 in
     if oblivious then begin
@@ -1597,8 +1565,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             registration is scan-order independent and equals the old
             award-time rescan. -- *)
       req_count := 0;
-      (* no source before its window is on the list (the static cursor and
-         the calendar hold them) *)
+      (* no source before its window is on the list (the calendar holds
+         them) *)
       for li = 0 to !vis_n - 1 do
         let j = vis.(li) in
         let c = wanted_chan j in
@@ -1687,10 +1655,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           vis.(!kept) <- j;
           incr kept
         end;
-        (* pre-window sources have no options, no stale award and no
-           advertised edge (aborts drain them): skip without touching state *)
-        if injected_.(j) = 0 && t < attempt_.(j) then ()
-        else begin
         awarded_.(j) <- -1;
         let fo = register_opts j t in
         first_opt_.(j) <- fo;
@@ -1704,7 +1668,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
              fault-pinned): its advertised edge is stale *)
           if obs_on then emit (wait_drop_event t ar j wait_edge_.(j));
           wait_edge_.(j) <- -1
-        end
         end
       done;
       (* insertion sort of the claimants by (wait_since, rank): keys are
@@ -1769,10 +1732,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       done
     end;
     vis_n := !kept;
-    (* the messages the phase counters charge: every unfinished message
-       that is awake (all of them without static windows: asleep in the
-       calendar too), parked or not *)
-    let nact = if static_windows then !vis_n + ar.parked_n else nmsg - !finished in
+    (* the messages the phase counters charge: the awake unfinished ones,
+       on the visit list or parked *)
+    let nact = !vis_n + ar.parked_n in
     (* -- movement: per message, sweep from the front so freed slots are
           visible to the flits behind (wormhole pipelining).  A down channel
           (failed or stalled) neither accepts nor emits flits.  A parked
@@ -1780,9 +1742,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           a no-op. -- *)
     for li = 0 to !vis_n - 1 do
       let j = vis.(li) in
-      (* a pre-window source holds nothing, buffers nothing and may not
-         inject yet: the whole sweep is a no-op for it *)
-      if active j && not (injected_.(j) = 0 && t < attempt_.(j)) then begin
+      if active j then begin
         (* consumption at the destination.  Oblivious: the route ends at
            the destination by construction and the last hop honors holds.
            Adaptive: the carved route may not have reached the destination
@@ -1969,9 +1929,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         match config.recovery with
         | None -> give_up j f_dropped t
         | Some r ->
-          let asleep = use_cal && cal_asleep ar j in
+          let asleep = cal_asleep ar j in
           abort_retry j r t ~reason:"drop";
-          if use_cal then resettle ar j t ~asleep
+          resettle ar j t ~asleep
       end
     done;
     (* -- online detection: end-of-cycle tick confirms quiescent wait-for
@@ -1999,7 +1959,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                 perturbed := true;
                 emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
                 abort_retry j r t ~reason:"deadlock";
-                if use_cal then resettle ar j t ~asleep:false
+                resettle ar j t ~asleep:false
               end)
             dk.Obs_detect.dk_victims)
         (Obs_detect.tick d ~now:t)
@@ -2009,7 +1969,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           a waiter not yet due or a source asleep in the calendar.  The
           sweep rewrites the list in place as arbitration does: finished
           messages leave it, and so do the ones an abort sent to sleep
-          past the next cycle (the adaptive kernel keeps its sleepers). -- *)
+          past the next cycle. -- *)
     (match config.recovery with
     | None -> ()
     | Some r ->
@@ -2027,14 +1987,13 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           else if t - last_progress_.(j) >= wd then begin
             perturbed := true;
             abort_retry j r t ~reason:"watchdog";
-            if use_cal then resettle ar j t ~asleep:false
+            resettle ar j t ~asleep:false
           end
         end;
         (* every message that moved this cycle is on the list: clearing
            here readies the flag for the next cycle *)
         Bytes.unsafe_set progressed_ j '\000';
-        if listed && active j && not (use_cal && injected_.(j) = 0 && attempt_.(j) > t + 1)
-        then begin
+        if listed && active j && not (injected_.(j) = 0 && attempt_.(j) > t + 1) then begin
           vis.(!kept) <- j;
           incr kept
         end
@@ -2086,7 +2045,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       done
     end;
     (* -- end of cycle: sanitizer, termination checks -- *)
-    sanitize t !vis_n use_cal;
+    sanitize t !vis_n;
     if !finished = nmsg then
       outcome :=
         Some
@@ -2095,12 +2054,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     else if t >= config.max_cycles then outcome := Some (Cutoff { at = t; messages = results () })
     (* with recovery on, a live message (one is, as not all finished) is
        future work: the watchdog will eventually abort it, so nothing is
-       permanently blocked *)
+       permanently blocked.  Without it, the calendar holds exactly the
+       sources before their window, and every held header is on the visit
+       list. *)
     else if (not !moved) && Option.is_none config.recovery then begin
-      scan_flag := false;
-      for j = 0 to nmsg - 1 do
-        if active j && ((injected_.(j) = 0 && t < attempt_.(j)) || hold_.(j) > 0) then
-          scan_flag := true
+      scan_flag := ar.cal_n > 0;
+      for li = 0 to !vis_n - 1 do
+        let j = vis.(li) in
+        if active j && hold_.(j) > 0 then scan_flag := true
       done;
       (* a stall window about to close or an unfired event can unblock *)
       if Fault.change_after faults t then scan_flag := true;
