@@ -1159,9 +1159,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let on_carved j c = Bytes.unsafe_get carved_mark.(j) c <> '\000' in
   (* adaptive: classify the header's current option source into [opt_tag_]
      and return its first usable option, -1 when the filtered set is empty,
-     without allocating.  Tags: -1 = no options (inactive, arrived,
-     fault-pinned or source-side before its attempt window); -2 =
-     forced-next (reroute pin, the single channel
+     without allocating (a source before its window is never asked: it
+     sleeps in the calendar).  Tags: -1 = no options (inactive, arrived
+     or fault-pinned); -2 = forced-next (reroute pin, the single channel
      [forced_.(j).(plen_.(j))]); -3 = inject options; otherwise the head
      channel whose (channel, destination) row applies.  A row tag also
      caches its row in [opt_row_].  Channels that are down are not offered:
@@ -1191,8 +1191,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         let forced = forced_.(j) in
         let nf = Array.length forced in
         if h = -1 then begin
-          if injected_.(j) <> 0 || t < attempt_.(j) then begin opt_tag_.(j) <- -1; -1 end
-          else if nf > 0 then
+          if nf > 0 then
             if plen_.(j) < nf then begin
               opt_tag_.(j) <- -2;
               let c = forced.(plen_.(j)) in
