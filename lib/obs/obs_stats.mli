@@ -43,11 +43,11 @@ type t = {
   mutable st_runs : int;
   mutable st_cycles : int;
   (* -- per-phase counters, summed over cycles: the load a phase faces,
-     not its cost (parked waiters and sources asleep before their window
-     are counted but not visited, DESIGN.md section 16) -- *)
+     not its cost (parked waiters are counted but not visited; sources
+     asleep before their window are neither, DESIGN.md section 16) -- *)
   mutable st_ph_arb : int;
-      (** oblivious: awake unfinished messages, parked or not (every
-          unfinished one without static windows) *)
+      (** oblivious: awake unfinished messages, on the visit list or
+          parked *)
   mutable st_ph_claim : int;  (** adaptive claimants sorted and served *)
   mutable st_ph_advance : int;  (** the same awake count as [st_ph_arb], in both modes *)
   mutable st_ph_fault : int;

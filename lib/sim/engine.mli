@@ -301,10 +301,8 @@ val run :
     {b Steady cycle.}  Arbitration, movement and the watchdog visit the
     unfinished messages in schedule order, except the ones that could do
     nothing.  A source joins them only when its attempt window opens:
-    without recovery, on a schedule in injection-time order (as every
-    generator emits), through a cursor; otherwise the oblivious kernel
-    keeps each sleeping source in a calendar, a heap keyed by the cycle
-    its window opens, which an abort may move.  A message that holds no
+    until then it sleeps in a calendar, a heap keyed by the cycle its
+    window opens, which an abort may move.  A message that holds no
     channel and waits for a first channel another message owns is parked
     on that channel's waiter list and left out of the loops until the
     owner gives the channel up (release, or an abort, drop or give-up that
@@ -317,8 +315,9 @@ val run :
     cannot move.  The watchdog sweeps the visited messages merged with
     the deadlines due.  None of this moves an award, event or outcome, and
     a cycle costs what the worms in flight cost, not the backlog queued
-    behind them or the sources still asleep.  The adaptive kernel neither
-    parks nor keeps a calendar.  See DESIGN.md section 15. *)
+    behind them or the sources still asleep.  Both kernels keep the
+    calendar; the adaptive one never parks, so its calendar holds only
+    sleeping sources.  See DESIGN.md section 15. *)
 
 val run_adaptive :
   ?config:config ->

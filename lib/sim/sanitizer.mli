@@ -16,8 +16,8 @@
       the window, so only its bounds are invariant)
     - [E104] wait-for consistency: a waiting message's seniority entry
       matches the channel it currently wants; a parked message waits for
-      a channel another message owns; and the oblivious kernel's
-      calendar holds what it should: every live source before its
+      a channel another message owns; and the calendar holds what it
+      should, in both kernels: every live source before its
       attempt window (but one retried for the very next cycle) sleeps
       there at its attempt cycle, off the visit list and the waiter
       lists, and under recovery every parked message has its watchdog
