@@ -158,14 +158,10 @@ let is_deadlock = function
    the calendar [cal], an indexed binary min-heap over (key, schedule
    index) with the slot of each message in [cal_pos_] (-1 = no entry) and
    its key in [cal_key_]; its window's opening moves it to the woken
-   buffer.  The heap occupies [cal] from slot [cal_lo].  While its slots
-   are in order ([cal_sorted]), as the sources of a schedule in injection
-   order enter them, its first entry leaves by moving [cal_lo], so those
-   sources wake in constant time.  Under recovery a parked or woken
-   source waiter has its watchdog deadline there instead: it holds
-   nothing, so its last progress, and with it the deadline, cannot move
-   while it waits, and the watchdog sweep needs to see it only at that
-   cycle.  A key orders the phases of a cycle: [2t]
+   buffer.  Under recovery a parked or woken source waiter has its
+   watchdog deadline there instead: it holds nothing, so its last progress, and with it the
+   deadline, cannot move while it waits, and the watchdog sweep needs to
+   see it only at that cycle.  A key orders the phases of a cycle: [2t]
    wakes at the top of cycle [t], [2t + 1] is due in cycle [t]'s sweep.
    So a message has at most one entry, and the heap never grows past the
    arena. *)
@@ -270,11 +266,9 @@ type msgs = {
   woken : int array;  (* messages woken this cycle, merged into [vis] next cycle *)
   mutable woken_n : int;
   mutable parked_n : int;
-  (* the calendar (see above), in [cal.(cal_lo .. cal_lo + cal_n - 1)] *)
+  (* the calendar (see above) *)
   cal : int array;
-  mutable cal_lo : int;
   mutable cal_n : int;
-  mutable cal_sorted : bool;  (* its slots hold its entries in order *)
   cal_pos_ : int array;
   cal_key_ : int array;
   (* adaptive only (empty in oblivious kernels) *)
@@ -356,9 +350,7 @@ let make_msgs ~oblivious ~nchan cap =
     woken_n = 0;
     parked_n = 0;
     cal = Array.make cap 0;
-    cal_lo = 0;
     cal_n = 0;
-    cal_sorted = true;
     cal_pos_ = Array.make cap (-1);
     cal_key_ = Array.make cap 0;
     awarded_ = Array.make an (-1);
@@ -554,8 +546,8 @@ let cal_put (ar : msgs) i j =
   ar.cal_pos_.(j) <- i
 
 let rec cal_up (ar : msgs) i =
-  if i > ar.cal_lo then begin
-    let p = (i + ar.cal_lo - 1) / 2 in
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
     let j = ar.cal.(i) and q = ar.cal.(p) in
     if cal_less ar j q then begin
       cal_put ar p j;
@@ -565,9 +557,9 @@ let rec cal_up (ar : msgs) i =
   end
 
 let rec cal_down (ar : msgs) i =
-  let l = (2 * i) - ar.cal_lo + 1 and hi = ar.cal_lo + ar.cal_n in
-  if l < hi then begin
-    let c = if l + 1 < hi && cal_less ar ar.cal.(l + 1) ar.cal.(l) then l + 1 else l in
+  let l = (2 * i) + 1 in
+  if l < ar.cal_n then begin
+    let c = if l + 1 < ar.cal_n && cal_less ar ar.cal.(l + 1) ar.cal.(l) then l + 1 else l in
     let j = ar.cal.(i) and m = ar.cal.(c) in
     if cal_less ar m j then begin
       cal_put ar i m;
@@ -576,51 +568,28 @@ let rec cal_down (ar : msgs) i =
     end
   end
 
-(* enter message [j], which has no entry, at [key], after the last slot
-   (the heap moves to the front of [cal] when [cal] ends there).  A heap
-   whose slots are in order, as a schedule in injection order leaves it,
-   needs no sift while entries come in order. *)
+(* enter message [j], which has no entry, at [key] *)
 let cal_add (ar : msgs) j key =
   ar.cal_key_.(j) <- key;
-  if ar.cal_lo + ar.cal_n = Array.length ar.cal then begin
-    for r = 0 to ar.cal_n - 1 do
-      cal_put ar r ar.cal.(ar.cal_lo + r)
-    done;
-    ar.cal_lo <- 0
-  end;
-  let i = ar.cal_lo + ar.cal_n in
-  cal_put ar i j;
+  cal_put ar ar.cal_n j;
   ar.cal_n <- ar.cal_n + 1;
-  if ar.cal_sorted && i > ar.cal_lo && cal_less ar j ar.cal.(i - 1) then ar.cal_sorted <- false;
-  if not ar.cal_sorted then cal_up ar i
+  cal_up ar (ar.cal_n - 1)
 
-(* take message [j]'s entry out: the first entry of a heap in order by
-   moving the heap's start, any other by a sift, which leaves the slots
-   out of order until the calendar empties *)
+(* take message [j]'s entry out *)
 let cal_remove (ar : msgs) j =
   let i = ar.cal_pos_.(j) in
   ar.cal_pos_.(j) <- -1;
   ar.cal_n <- ar.cal_n - 1;
-  if ar.cal_sorted && i = ar.cal_lo then ar.cal_lo <- i + 1
-  else begin
-    ar.cal_sorted <- false;
-    let last = ar.cal_lo + ar.cal_n in
-    if i < last then begin
-      let m = ar.cal.(last) in
-      cal_put ar i m;
-      cal_up ar i;
-      cal_down ar ar.cal_pos_.(m)
-    end
-  end;
-  if ar.cal_n = 0 then begin
-    ar.cal_lo <- 0;
-    ar.cal_sorted <- true
+  if i < ar.cal_n then begin
+    let m = ar.cal.(ar.cal_n) in
+    cal_put ar i m;
+    cal_up ar i;
+    cal_down ar ar.cal_pos_.(m)
   end
 
 (* the message of the first entry when its key is at most [key], else -1 *)
 let cal_due (ar : msgs) key =
-  let j = if ar.cal_n > 0 then ar.cal.(ar.cal_lo) else -1 in
-  if j >= 0 && ar.cal_key_.(j) <= key then j else -1
+  if ar.cal_n > 0 && ar.cal_key_.(ar.cal.(0)) <= key then ar.cal.(0) else -1
 
 (* [j] sleeps in the calendar until its window opens *)
 let cal_asleep (ar : msgs) j = ar.cal_pos_.(j) >= 0 && ar.cal_key_.(j) land 1 = 0
@@ -937,9 +906,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   Array.fill park_head 0 nchan (-1);
   ar.woken_n <- 0;
   ar.parked_n <- 0;
-  ar.cal_lo <- 0;
   ar.cal_n <- 0;
-  ar.cal_sorted <- true;
   let vis_n = ref 0 in
   for j = 0 to nmsg - 1 do
     let s = specs.(j) in
@@ -1564,7 +1531,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           in the calendar.  A woken waiter's deadline entry goes: the
           watchdog sweeps the list. -- *)
     while cal_due ar (2 * t) >= 0 do
-      let j = ar.cal.(ar.cal_lo) in
+      let j = ar.cal.(0) in
       cal_remove ar j;
       last_progress_.(j) <- t - 1;
       push_woken ar j
