@@ -1383,6 +1383,18 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           incr steps
         done
       done;
+      (* E104, the calendar's heap: each of its slots holds the message
+         whose entry names that slot, no entry orders before its parent's,
+         and every entry names a slot of the heap that holds its message *)
+      for i = 0 to ar.cal_n - 1 do
+        let j = ar.cal.(i) in
+        if ar.cal_pos_.(j) <> i then
+          viol "E104" j
+            (Printf.sprintf "fills calendar slot %d, but its entry names slot %d" i
+               ar.cal_pos_.(j))
+        else if i > 0 && cal_less ar j ar.cal.((i - 1) / 2) then
+          viol "E104" j (Printf.sprintf "orders before its parent in calendar slot %d" i)
+      done;
       (* E104, the calendar: a live source before its window sleeps there at
          its attempt cycle, off the visit list and the waiter lists -- but
          for a retry due the very next cycle, which stays where the abort
@@ -1392,15 +1404,19 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         listed.(ar.vis.(li)) <- true
       done;
       for j = 0 to nmsg - 1 do
+        let p = ar.cal_pos_.(j) in
+        if p >= ar.cal_n || (p >= 0 && ar.cal.(p) <> j) then
+          viol "E104" j
+            (Printf.sprintf "names calendar slot %d, which the heap (%d slots) does not give it" p
+               ar.cal_n);
         let a = ar.attempt_.(j) in
         if active j && injected_.(j) = 0 && t < a then begin
-          let p = ar.cal_pos_.(j) in
           if p < 0 then begin
             if a > t + 1 then
               viol "E104" j
                 (Printf.sprintf "sleeps until cycle %d outside the calendar" a)
           end
-          else if ar.cal.(p) <> j || ar.cal_key_.(j) <> 2 * a then
+          else if ar.cal_key_.(j) <> 2 * a then
             viol "E104" j
               (Printf.sprintf "sleeps until cycle %d, but its calendar entry is not there" a)
           else if listed.(j) || ar.park_next_.(j) <> not_parked then

@@ -21,7 +21,9 @@
       attempt window (but one retried for the very next cycle) sleeps
       there at its attempt cycle, off the visit list and the waiter
       lists, and under recovery every parked message has its watchdog
-      deadline there
+      deadline there; its heap is well formed (each slot's message names
+      that slot, no entry orders before its parent's, and no message
+      names a slot outside the heap)
     - [E105] recovery monotonicity: retries never exceed the limit while a
       message is live, and the watchdog bound (the backstop under a
       [Detect] trigger) holds for every awake message after every abort
