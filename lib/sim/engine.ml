@@ -1997,8 +1997,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         let j = if listed then vis.(!li) else c in
         if listed then incr li else cal_remove ar j;
         if active j then begin
-          if Bytes.unsafe_get progressed_ j <> '\000' || (injected_.(j) = 0 && t < attempt_.(j))
-          then last_progress_.(j) <- t
+          if Bytes.unsafe_get progressed_ j <> '\000' then last_progress_.(j) <- t
           else if t - last_progress_.(j) >= wd then begin
             perturbed := true;
             abort_retry j r t ~reason:"watchdog";
