@@ -156,15 +156,15 @@ let is_deadlock = function
    Sleeping sources and the deadlines of waiters sit in the calendar.
    In both kernels a source before its attempt window is on no list but
    the calendar [cal], an indexed binary min-heap over (key, schedule
-   index) with the slot of each message in [cal_pos_] (-1 = no entry) and
-   its key in [cal_key_]; its window's opening moves it to the woken
+   index) with the slot of each message in [cal_pos_] (-1 = no entry)
+   and its key in [cal_key_]; its window's opening moves it to the woken
    buffer.  Under recovery a parked or woken source waiter has its
-   watchdog deadline there instead: it holds nothing, so its last progress, and with it the
-   deadline, cannot move while it waits, and the watchdog sweep needs to
-   see it only at that cycle.  A key orders the phases of a cycle: [2t]
-   wakes at the top of cycle [t], [2t + 1] is due in cycle [t]'s sweep.
-   So a message has at most one entry, and the heap never grows past the
-   arena. *)
+   watchdog deadline there instead: it holds nothing, so its last
+   progress, and with it the deadline, cannot move while it waits, and
+   the watchdog sweep needs to see it only at that cycle.  A key orders
+   the phases of a cycle: [2t] wakes at the top of cycle [t], [2t + 1]
+   is due in cycle [t]'s sweep.  So a message has at most one entry, and
+   the heap never grows past the arena. *)
 
 (* fate encoding for [fate_] *)
 let f_live = 0
