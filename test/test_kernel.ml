@@ -597,6 +597,66 @@ let special_cases =
     };
   ]
 
+(* Online detection where the stall horizon and the victim policy decide.
+   A clockwise 6-ring (20 messages, bound 3) whose two planned stalls
+   park worms behind stalled links: a detector that ignored the stalls
+   would confirm knots that the stalls' end resolves.  A fully adaptive
+   4x4 mesh (91 messages, bound 3) under the [Oldest] policy, where a
+   link failure and a stall make blocked headers advertise a new first
+   option: a member's victim key is the cycle its current wait edge
+   appeared, not the cycle its claim started.  And the tornado knot
+   under [Youngest]. *)
+let ring6 = Builders.ring ~unidirectional:true 6
+let ring6_rt = Ring_routing.clockwise ring6
+
+let detect_cases =
+  let detect ?(policy = Obs_detect.Minimal_victim) bound faults topo =
+    let trigger = Engine.Detect { Obs_detect.default_config with bound; policy } in
+    {
+      Engine.default_config with
+      faults = Result.get_ok (Fault.parse topo faults);
+      recovery = Some { Engine.default_recovery with trigger };
+    }
+  in
+  let uniform coords ~seed ~rate ~length ~horizon =
+    let rng = Rng.create seed in
+    let pattern = Traffic.uniform rng coords in
+    Traffic.bernoulli_schedule rng pattern ~coords ~rate ~length ~horizon
+  in
+  let ring6_stalls policy () =
+    spec_of
+      ~config:(detect 3 "stall:n(0)>n(1)@4+7, stall:n(3)>n(4)@24+7" ring6.Builders.topo)
+      ring6.Builders.topo policy
+      (uniform ring6 ~seed:1328 ~rate:0.08 ~length:4 ~horizon:45)
+  in
+  [
+    { id = "obl/ring6-detect-stalls"; spec = ring6_stalls (Oblivious ring6_rt) };
+    {
+      id = "adp/ring6-detect-stalls";
+      spec = ring6_stalls (Adaptive (Adaptive.of_oblivious ring6_rt));
+    };
+    {
+      id = "adp/mesh4x4-fully-detect-oldest";
+      spec =
+        (fun () ->
+          let topo = mesh4.Builders.topo in
+          spec_of
+            ~config:
+              (detect ~policy:Obs_detect.Oldest 3
+                 "fail:n(0,2)>n(0,3)@25, stall:n(3,1)>n(3,2)@26+8" topo)
+            topo (Adaptive mesh4_fully)
+            (uniform mesh4 ~seed:1137 ~rate:0.2 ~length:8 ~horizon:29));
+    };
+    {
+      id = "obl/torus5-tornado-detect-youngest";
+      spec =
+        (fun () ->
+          spec_of
+            ~config:(detect ~policy:Obs_detect.Youngest 16 "" torus5.Builders.topo)
+            torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
+    };
+  ]
+
 let cases =
   special_cases
   @ oblivious_family "figure1" 1 fig1.Paper_nets.topo fig1_rt ~store_forward_ok:true ~seeds:6
@@ -629,7 +689,7 @@ let cases =
       Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
       Engine.Store_and_forward "saf" ~seeds:4
-  @ saturated_cases @ backlog_cases @ recovery_cases
+  @ saturated_cases @ backlog_cases @ recovery_cases @ detect_cases
 
 (* ---- pins: load, compare, regenerate ---- *)
 
