@@ -1,16 +1,16 @@
-(* Online deadlock detection; see obs_detect.mli for the contract and
-   DESIGN.md section 13 for the bounded-latency argument.
+(* Deadlock detection over the wait-for state; see obs_detect.mli for the
+   contract and DESIGN.md section 13 for the bounded-latency argument.
 
    The wait-for graph is functional (a blocked message wants exactly one
    channel, a channel has exactly one owner), which buys two structural
    facts the whole module leans on:
 
-   - The chronologically last edge of any cycle is a Wait_add: an
+   - The chronologically last edge of any cycle is a wait edge: an
      acquisition clears the acquirer's own out-edge, so ownership changes
      alone cannot close a cycle -- the acquirer must block again first.
-     Walking from the label of each incoming Wait_add ([Waitfor.cycle]
-     with that one start) therefore finds every cycle exactly when it
-     closes.
+     Every member keeps its edge from the moment the cycle closes until
+     it breaks, so the cycle's latest wait edge and its members' moves
+     since say when the knot last changed.
 
    - Distinct cycles are vertex-disjoint, so aborting any one member of a
      knot breaks that knot completely and victims for different knots
@@ -42,174 +42,67 @@ type detection = {
   dk_class : Waitfor.deadlock_class;
 }
 
-(* A closed wait-for cycle awaiting quiescence confirmation.  [formed] is
-   the cycle of the last event touching any member; any member activity
-   resets it.  [mset] is the sorted member list used as dedupe key and
-   for O(members) membership tests. *)
-type candidate = {
-  mutable formed : int;
-  members : (string * Topology.channel) list;  (* rotated to smallest label *)
-  mset : string list;  (* sorted labels *)
-}
+type view = { wait : int array; owner : int array; since : int array; moved : int array }
 
-type t = {
-  cfg : config;
-  owners : (Topology.channel, string) Hashtbl.t;  (* channel -> holder *)
-  waits : (string, Topology.channel * int) Hashtbl.t;  (* label -> wanted, since *)
-  mutable candidates : candidate list;
-  mutable stall_horizon : int;
-  mutable delivered : int;  (* Delivered events seen since Run_start *)
-}
+(* the cycle message [m] last acted: its wait edge appeared or it moved *)
+let last_active v m = max v.since.(m) v.moved.(m)
 
-let create cfg =
-  if cfg.bound < 1 then invalid_arg "Obs_detect.create: bound < 1";
-  if cfg.backstop < 1 then invalid_arg "Obs_detect.create: backstop < 1";
-  {
-    cfg;
-    owners = Hashtbl.create 64;
-    waits = Hashtbl.create 64;
-    candidates = [];
-    stall_horizon = 0;
-    delivered = 0;
-  }
+(* the functional wait-for edge out of [m]: the holder of the channel it
+   waits for, -1 when none *)
+let holder v m = if v.wait.(m) < 0 then -1 else v.owner.(v.wait.(m))
 
-let member label k = List.mem label k.mset
-let wants channel k = List.exists (fun (_, c) -> c = channel) k.members
+(* Follow the holders from [m] back to [j], which acted last at [a];
+   [acc] is the walk so far, newest first.  [] when the walk ends, meets
+   a member younger than [j] (or as young with a smaller index), or runs
+   [n] steps into a cycle from outside it. *)
+let rec walk v j a m acc n =
+  if m = j then acc
+  else if m < 0 || n = 0 then []
+  else
+    let am = last_active v m in
+    if am > a || (am = a && m < j) then [] else walk v j a (holder v m) (m :: acc) (n - 1)
 
-let kill t pred = t.candidates <- List.filter (fun k -> not (pred k)) t.candidates
+let knot cfg v ~horizon ~after ~now j =
+  if v.wait.(j) < 0 then []
+  else begin
+    let a = last_active v j in
+    let quiet_from = max a horizon in
+    if now - quiet_from < cfg.bound || after - quiet_from >= cfg.bound then []
+    else List.rev (walk v j a (holder v j) [ j ] (Array.length v.since))
+  end
 
-(* Any event naming a member proves the knot candidate was not yet
-   quiescent at [cycle]: restart its silence clock. *)
-let touch t label cycle =
-  List.iter (fun k -> if member label k then k.formed <- cycle) t.candidates
-
-(* The functional wait-for edge out of [label]: the holder of the channel
-   it waits for. *)
-let holder t label =
-  match Hashtbl.find_opt t.waits label with
-  | None -> None
-  | Some (channel, _) -> Hashtbl.find_opt t.owners channel
-
-let feed t (e : Obs_event.t) =
-  match e with
-  | Run_start _ ->
-    Hashtbl.reset t.owners;
-    Hashtbl.reset t.waits;
-    t.candidates <- [];
-    t.stall_horizon <- 0;
-    t.delivered <- 0
-  | Fault { kind = Planned_stall; cycle; duration; _ } ->
-    t.stall_horizon <- max t.stall_horizon (cycle + duration)
-  | Fault _ -> ()
-  | Wait_add { cycle; label; channel; _ } -> (
-    (* A retargeted edge invalidates candidates built through the old
-       one (defensive: engines emit Wait_drop first). *)
-    (match Hashtbl.find_opt t.waits label with
-    | Some (c, _) when c <> channel -> kill t (member label)
-    | _ -> ());
-    Hashtbl.replace t.waits label (channel, cycle);
-    match Waitfor.cycle ~next:(holder t) [ label ] with
-    | [] -> ()
-    | cyc ->
-      let members =
-        List.map (fun l -> (l, fst (Hashtbl.find t.waits l))) (Waitfor.rotate cyc)
-      in
-      let mset = List.sort compare cyc in
-      if not (List.exists (fun k -> k.mset = mset) t.candidates) then
-        t.candidates <- { formed = cycle; members; mset } :: t.candidates)
-  | Channel_acquire { cycle; label; channel; _ } ->
-    Hashtbl.replace t.owners channel label;
-    Hashtbl.remove t.waits label;
-    (* The acquirer's out-edge is gone and the channel's owner changed:
-       both break any candidate routed through them. *)
-    kill t (fun k -> member label k || wants channel k);
-    touch t label cycle
-  | Channel_release { cycle; label; channel } ->
-    Hashtbl.remove t.owners channel;
-    (* Releasing a wanted channel severs the cycle; releasing any other
-       channel (tail cascade) is still member activity. *)
-    kill t (wants channel);
-    touch t label cycle
-  | Wait_drop { label; _ } | Abort { label; _ } | Gave_up { label; _ } ->
-    Hashtbl.remove t.waits label;
-    kill t (member label)
-  | Delivered { label; _ } ->
-    t.delivered <- t.delivered + 1;
-    Hashtbl.remove t.waits label;
-    kill t (member label)
-  | Flit { cycle; label; _ } -> touch t label cycle
-  | Retry _ | Run_end _ | Deadlock_detected _ | Victim_aborted _ -> ()
-
-(* Confirmation-time structural re-check: every member still wants its
-   recorded channel and every wanted channel is still held by the next
-   member around the cycle. *)
-let verify t members =
-  let arr = Array.of_list members in
-  let n = Array.length arr in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let l, c = arr.(i) in
-    let l', _ = arr.((i + 1) mod n) in
-    (match Hashtbl.find_opt t.waits l with
-    | Some (c', _) when c' = c -> ()
-    | _ -> ok := false);
-    match Hashtbl.find_opt t.owners c with
-    | Some o when o = l' -> ()
-    | _ -> ok := false
+(* the channels [m] owns, ascending *)
+let held v m =
+  let acc = ref [] in
+  for c = Array.length v.owner - 1 downto 0 do
+    if v.owner.(c) = m then acc := c :: !acc
   done;
-  !ok
+  !acc
 
-let held_sorted t label =
-  Hashtbl.fold (fun c o acc -> if o = label then c :: acc else acc) t.owners []
-  |> List.sort compare
-
-let wait_since t label =
-  match Hashtbl.find_opt t.waits label with Some (_, s) -> s | None -> max_int
-
-(* All policies reduce to "smallest key wins" over a (int, int, label)
+(* All policies reduce to "smallest key wins" over an (int, int, label)
    triple, so ties always fall through to the label and the choice is
-   independent of member order, hash layout, and domain count. *)
-let choose_victim t members =
-  let key l =
-    let s = wait_since t l in
-    match t.cfg.policy with
-    | Minimal_victim -> (List.length (held_sorted t l), -s, l)
-    | Youngest -> (0, -s, l)
-    | Oldest -> (0, s, l)
+   independent of member order, index assignment and domain count. *)
+let detection cfg v ~now ~label ~delivered ms =
+  let ring = List.map snd (Waitfor.rotate (List.map (fun m -> (label m, m)) ms)) in
+  let members = List.map (fun m -> (label m, v.wait.(m))) ring in
+  let key m =
+    let s = v.since.(m) in
+    match cfg.policy with
+    | Minimal_victim -> (List.length (held v m), -s, label m)
+    | Youngest -> (0, -s, label m)
+    | Oldest -> (0, s, label m)
   in
-  match List.map fst members with
-  | [] -> []
-  | l0 :: rest ->
-    [ snd (List.fold_left
-             (fun (bk, bl) l ->
-               let k = key l in
-               if k < bk then (k, l) else (bk, bl))
-             (key l0, l0) rest) ]
-
-let tick t ~now =
-  let ready, rest =
-    List.partition
-      (fun k -> now - max k.formed t.stall_horizon >= t.cfg.bound)
-      t.candidates
-  in
-  t.candidates <- rest;
-  List.filter_map
-    (fun k ->
-      if verify t k.members then
-        Some
-          {
-            dk_cycle = now;
-            dk_formed = k.formed;
-            dk_members = k.members;
-            dk_held = List.map (fun (l, _) -> (l, held_sorted t l)) k.members;
-            dk_victims = choose_victim t k.members;
-            (* provisional: a message still in flight may yet deliver; the
-               run-end kernel classification is authoritative *)
-            dk_class = Waitfor.classify ~cycle:k.members ~delivered:(t.delivered > 0);
-          }
-      else None)
-    ready
-  |> List.sort (fun a b -> compare a.dk_members b.dk_members)
+  let victim = List.fold_left (fun b m -> if key m < key b then m else b) (List.hd ring) ring in
+  {
+    dk_cycle = now;
+    dk_formed = List.fold_left (fun f m -> max f (last_active v m)) 0 ms;
+    dk_members = members;
+    dk_held = List.map (fun m -> (label m, held v m)) ring;
+    dk_victims = [ label victim ];
+    (* provisional: a message still in flight may yet deliver; the run-end
+       kernel classification is authoritative *)
+    dk_class = Waitfor.classify ~cycle:members ~delivered;
+  }
 
 (* Offline replay.  Plan-announcement Fault events carry their FUTURE
    fire cycle, so they must not advance the replay clock. *)
@@ -219,22 +112,82 @@ let event_now (e : Obs_event.t) =
   | _ -> Obs_event.cycle_of e
 
 let scan cfg events =
-  let t = create cfg in
+  (* a message's index is the order of its label's first wait edge or
+     channel event; channels are indices already *)
+  let ids = Hashtbl.create 64 and nchan = ref 1 in
+  List.iter
+    (function
+      | Obs_event.Wait_add { label; channel; _ }
+      | Channel_acquire { label; channel; _ }
+      | Channel_release { label; channel; _ }
+      | Flit { label; channel; _ } ->
+        if not (Hashtbl.mem ids label) then Hashtbl.add ids label (Hashtbl.length ids);
+        nchan := max !nchan (channel + 1)
+      | _ -> ())
+    events;
+  let n = Hashtbl.length ids in
+  let labels = Array.make n "" in
+  Hashtbl.iter (fun l i -> labels.(i) <- l) ids;
+  let v =
+    { wait = Array.make n (-1); owner = Array.make !nchan (-1); since = Array.make n 0;
+      moved = Array.make n 0 }
+  in
+  let set a label x = match Hashtbl.find_opt ids label with Some i -> a.(i) <- x | None -> () in
+  let horizon = ref 0 and delivered = ref false and ticked = ref (-1) in
+  let feed (e : Obs_event.t) =
+    match e with
+    | Run_start _ ->
+      Array.fill v.wait 0 n (-1);
+      Array.fill v.owner 0 !nchan (-1);
+      Array.fill v.moved 0 n 0;
+      horizon := 0;
+      delivered := false;
+      ticked := -1
+    | Fault { kind = Planned_stall; cycle; duration; _ } ->
+      horizon := max !horizon (cycle + duration)
+    | Wait_add { cycle; label; channel; _ } ->
+      set v.wait label channel;
+      set v.since label cycle
+    | Channel_acquire { cycle; label; channel; _ } ->
+      v.owner.(channel) <- Hashtbl.find ids label;
+      set v.wait label (-1);
+      set v.moved label cycle
+    | Channel_release { cycle; label; channel } ->
+      v.owner.(channel) <- -1;
+      set v.moved label cycle
+    | Flit { cycle; label; _ } -> set v.moved label cycle
+    | Delivered { label; _ } ->
+      delivered := true;
+      set v.wait label (-1)
+    | Wait_drop { label; _ } | Abort { label; _ } | Gave_up { label; _ } -> set v.wait label (-1)
+    | Fault _ | Retry _ | Run_end _ | Deadlock_detected _ | Victim_aborted _ -> ()
+  in
+  let tick now =
+    let found = ref [] in
+    for j = 0 to n - 1 do
+      match knot cfg v ~horizon:!horizon ~after:!ticked ~now j with
+      | [] -> ()
+      | ms ->
+        found :=
+          detection cfg v ~now ~label:(Array.get labels) ~delivered:!delivered ms :: !found
+    done;
+    ticked := now;
+    List.sort (fun a b -> compare a.dk_members b.dk_members) !found
+  in
   let dets = ref [] in
   let now = ref 0 in
   let step upto =
     while !now < upto do
       incr now;
-      dets := List.rev_append (List.rev (tick t ~now:!now)) !dets
+      dets := List.rev_append (List.rev (tick !now)) !dets
     done
   in
   List.iter
     (fun e ->
       (match event_now e with Some c when c > !now -> step (c - 1); now := c | _ -> ());
-      feed t e)
+      feed e)
     events;
   (* Trailing ticks: the stream stops at the final event but quiescent
-     candidates still need [bound] silent cycles (past any stall) to
-     confirm. *)
-  step (max !now t.stall_horizon + cfg.bound);
+     knots still need [bound] silent cycles (past any stall) to confirm. *)
+  step (max !now !horizon + cfg.bound);
   List.rev !dets

@@ -1,35 +1,37 @@
-(** Online deadlock detection over the live [Obs_event] stream.
+(** Deadlock detection as a predicate on the wait-for state.
 
-    The detector maintains the message wait-for graph incrementally from
-    acquire / release / wait-edge / abort events.  Because a blocked
-    message wants exactly one channel at a time and a channel has exactly
-    one owner, the graph
+    A blocked message wants exactly one channel at a time and a channel
+    has exactly one owner, so the message wait-for graph
 
       waiter --wants--> channel --held by--> next waiter
 
-    is functional (out-degree at most one per message), so every cycle is
-    vertex-disjoint from every other and a single {!Waitfor.cycle} walk
-    from the label of each incoming wait edge finds any cycle that edge
-    closes -- no global rescan is ever needed.  A freshly closed cycle is
-    only a {e candidate}: worm tails may still cascade forward and release
-    the very channel the cycle turns on.  A candidate is confirmed as a
-    genuine deadlock knot once its members have been silent (no flit,
-    acquire, release, or edge change touching them) for [bound]
-    consecutive cycles AND the cycle re-verifies structurally against the
-    live tables at confirmation time.
-    Resolution of a real wait cycle necessarily emits member events, so
-    [bound] cycles of member silence over an intact cycle implies the knot
-    is permanent; detection latency is bounded by [bound] cycles past the
-    last member activity.
+    is functional (out-degree at most one per message), and every cycle is
+    vertex-disjoint from every other.  The detector keeps no copy of that
+    graph.  It reads four facts per message from a {!view}: the channel
+    the message waits for, that channel's owner, the cycle its wait edge
+    appeared and the cycle of its last move.  The engine's view is its own
+    columns; {!scan} replays a recorded event stream into the same four
+    facts.
 
-    Planned stalls announced at [Run_start] push out a {e stall horizon}:
-    no candidate confirms before every planned stall has expired, which
-    prevents false positives from messages parked behind a stalled link.
+    A wait-for cycle is only a {e candidate} while worm tails may still
+    cascade forward.  It is confirmed as a genuine deadlock knot once
+    every member has been quiet (no new wait edge, no move) for [bound]
+    cycles past the {e stall horizon}, the end of the last stall the
+    run's fault plan announced (so no message parked behind a stalled
+    link is mistaken for a knot).  A member's quiet age only grows, one
+    per cycle, until it acts, so the knot's age is its youngest member's
+    and reaches [bound] at one cycle: {!knot} confirms a knot from that
+    member at the first check where its age has reached [bound].
+    Resolving a wait cycle necessarily moves a member, so [bound] quiet
+    cycles over an intact cycle mean the knot is permanent, and a knot is
+    reported once per formation: from the wait edge that closes it until
+    it breaks.  A message that waits on a knot from outside it confirms
+    nothing.
 
-    Determinism contract: given the same event stream, [tick] returns the
-    same detections with the same victims regardless of platform or domain
-    count -- candidate order, cycle rotation, and victim tie-breaks all
-    resolve through label comparisons, never hash or allocation order. *)
+    Determinism contract: the same state gives the same detections with
+    the same victims regardless of platform or domain count -- cycle
+    rotation and victim tie-breaks resolve through label comparisons,
+    never hash or allocation order. *)
 
 (** How to choose the message(s) to abort out of a confirmed knot.  Every
     cycle of the functional wait-for graph is broken by removing any one
@@ -50,7 +52,7 @@ val victim_policy_of_string : string -> victim_policy option
 
 type config = {
   bound : int;
-      (** Confirm a candidate cycle after this many member-quiet cycles.
+      (** Confirm a wait-for cycle after this many member-quiet cycles.
           Also the detection-latency guarantee: a genuine knot is flagged
           within [bound] cycles of its last member activity.  Must be
           >= 1. *)
@@ -87,30 +89,40 @@ type detection = {
           authoritative. *)
 }
 
-type t
+(** The wait-for state, by message and channel index. *)
+type view = {
+  wait : int array;  (** per message: the channel it waits for, [-1] for none *)
+  owner : int array;  (** per channel: the message that owns it, [-1] for none *)
+  since : int array;  (** per message: the cycle its wait edge appeared *)
+  moved : int array;  (** per message: the cycle of its last move *)
+}
 
-val create : config -> t
-(** Raises [Invalid_argument] if [bound < 1] or [backstop < 1]. *)
+val knot : config -> view -> horizon:int -> after:int -> now:int -> int -> int list
+(** [knot cfg v ~horizon ~after ~now j] is the wait-for cycle through
+    message [j], in walk order from [j], when [j] is its youngest member
+    (the latest wait edge or move, the smallest index among ties) and
+    [j]'s quiet age past [horizon] reached [bound] in the cycles
+    [after + 1 .. now]; [[]] otherwise.  The holder of [j]'s wanted
+    channel is the next member, so a message waiting on a channel it owns
+    is a one-member cycle.  Allocates only the knot it returns. *)
 
-val feed : t -> Obs_event.t -> unit
-(** Consume one event.  O(1) except when a [Wait_add] closes a cycle, in
-    which case one walk bounded by the number of blocked messages runs.
-    [Run_start] resets all detector state. *)
-
-val tick : t -> now:int -> detection list
-(** End-of-cycle check: confirm and return every candidate whose members
-    have been quiet for [bound] cycles (and past the stall horizon),
-    re-verified against the live wait/ownership tables.  Confirmed and
-    stale candidates are both retired.  Results are sorted by smallest
-    member label. *)
+val detection :
+  config -> view -> now:int -> label:(int -> string) -> delivered:bool -> int list -> detection
+(** The record of a knot {!knot} returned at [now]: [label] names the
+    messages, [delivered] says whether any message was delivered before
+    [now], and the victim is the smallest of the policy's keys over the
+    members, which read their wait edges' cycles and, for
+    [Minimal_victim], their held channels. *)
 
 val scan : config -> Obs_event.t list -> detection list
-(** Offline replay: feed a recorded stream in order.  The replay ticks
-    only at cycles that carry no event (the gaps between event cycles:
-    an event at cycle [c] ticks up to [c - 1], and [c] itself is never
-    ticked), then for [bound] trailing cycles past the final event and
-    any stall horizon, so candidates that were quiescent when the run
-    ended still confirm.  The engine's online detector ticks at the end
-    of every cycle, so an offline confirmation can come later than the
-    online one.  Plan-announcement [Fault] events do not advance the
-    replay clock. *)
+(** Offline replay: feed a recorded stream in order into a {!view}
+    (messages indexed at the first sight of their label) and confirm
+    with {!knot}.  The replay ticks only at cycles that carry no event
+    (the gaps between event cycles: an event at cycle [c] ticks up to
+    [c - 1], and [c] itself is never ticked), then for [bound] trailing
+    cycles past the final event and any stall horizon, so knots that were
+    quiescent when the run ended still confirm.  The engine confirms at
+    the end of every cycle, so an offline confirmation can come later
+    than the online one.  A tick's confirmations are listed in descending
+    order of [dk_members].  Plan-announcement [Fault] events do not
+    advance the replay clock; [Run_start] clears the replayed state. *)

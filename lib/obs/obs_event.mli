@@ -3,9 +3,9 @@
     Every dynamic phenomenon of one engine run is reported as one of these
     constructors to the {!sink} the run was given as its [?obs] argument
     ([Engine.run], [Engine.run_adaptive]); a run without one emits nothing.
-    Events are plain data -- consumers (the online knot detector, the
-    Chrome-trace exporter, the deadlock post-mortem, {!recorder}) never
-    call back into the emitting engine.  Per-run counters are not derived
+    Events are plain data -- consumers (the offline knot detector
+    [Obs_detect.scan], the Chrome-trace exporter, the deadlock
+    post-mortem, {!recorder}) never call back into the emitting engine.  Per-run counters are not derived
     from events: the kernel accumulates them in {!Obs_stats}.
 
     Channels are topology ids; messages are identified by their schedule

@@ -131,12 +131,14 @@ let is_deadlock = function
    is the one wait-for column of both kernels: the channel an oblivious
    message requests and has not won, or the first option an adaptive
    claimant advertises after winning nothing; next to [owner] it is the
-   live wait-for graph.
-   Booleans sit in {!Bitset}s ([arrived_], [hold_fresh_]) or a byte row
-   ([progressed_], set on every move and cleared by the watchdog sweep,
-   its only reader).  Jagged rows ([path_], [occ_], [holds_], [forced_])
-   are plain int arrays replaced wholesale on reroute and grown by
-   doubling when an adaptive header carves.
+   live wait-for graph, and the cycle each edge appeared is the oblivious
+   [wait_since_] or the adaptive [edge_at_].  [last_progress_] is stamped
+   at every move.  Each fact has one home: a message has arrived when
+   [head_] = [plen_], and a hold is stored one above its length, so the
+   countdown of the cycle that set it takes nothing off.  Jagged rows
+   ([path_], [occ_], [holds_], [forced_]) are plain int arrays replaced
+   wholesale on reroute and grown by doubling when an adaptive header
+   carves.
 
    Source waiters are parked.  An oblivious message that holds no channel
    and waits for a first channel another message owns can neither win
@@ -239,11 +241,9 @@ type msgs = {
   holds_ : int array array;
   plen_ : int array;
   head_ : int array;
-  arrived_ : Bitset.t;
   injected_ : int array;
   consumed_ : int array;
   hold_ : int array;
-  hold_fresh_ : Bitset.t;
   injected_at_ : int array;
   delivered_at_ : int array;
   released_ : int array;
@@ -251,7 +251,6 @@ type msgs = {
   retries_ : int array;
   fate_ : int array;
   last_progress_ : int array;
-  progressed_ : Bytes.t;
   wait_since_ : int array;
   wait_edge_ : int array;
   rank_of : int array;
@@ -273,6 +272,7 @@ type msgs = {
   cal_key_ : int array;
   (* adaptive only (empty in oblivious kernels) *)
   awarded_ : int array;
+  edge_at_ : int array;
   forced_ : int array array;
   inject_opts : int array array;
   carved_mark : Bytes.t array;
@@ -324,11 +324,9 @@ let make_msgs ~oblivious ~nchan cap =
     holds_ = Array.make cap [||];
     plen_ = Array.make cap 0;
     head_ = Array.make cap (-1);
-    arrived_ = Bitset.create cap;
     injected_ = Array.make cap 0;
     consumed_ = Array.make cap 0;
     hold_ = Array.make cap 0;
-    hold_fresh_ = Bitset.create cap;
     injected_at_ = Array.make cap (-1);
     delivered_at_ = Array.make cap (-1);
     released_ = Array.make cap 0;
@@ -336,7 +334,6 @@ let make_msgs ~oblivious ~nchan cap =
     retries_ = Array.make cap 0;
     fate_ = Array.make cap f_live;
     last_progress_ = Array.make cap 0;
-    progressed_ = Bytes.make cap '\000';
     wait_since_ = Array.make cap 0;
     wait_edge_ = Array.make cap (-1);
     rank_of = Array.make cap 0;
@@ -354,6 +351,7 @@ let make_msgs ~oblivious ~nchan cap =
     cal_pos_ = Array.make cap (-1);
     cal_key_ = Array.make cap 0;
     awarded_ = Array.make an (-1);
+    edge_at_ = Array.make an 0;
     forced_ = Array.make an [||];
     inject_opts = Array.make an [||];
     carved_mark = Array.init an (fun _ -> Bytes.make (max nchan 1) '\000');
@@ -728,9 +726,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   (* ---- flat message state (see the struct-of-arrays note above), drawn
      from the kernel's arena and reset over the [nmsg] prefix below ---- *)
   let nmsg = List.length sched in
-  let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; arrived_; injected_;
-         consumed_; hold_; hold_fresh_; injected_at_; delivered_at_; released_; attempt_;
-         retries_; fate_; last_progress_; progressed_; wait_since_; awarded_; wait_edge_;
+  let ({ specs; len_; dst_; path_; occ_; holds_; plen_; head_; injected_; consumed_; hold_;
+         injected_at_; delivered_at_; released_; attempt_; retries_; fate_; last_progress_;
+         wait_since_; awarded_; edge_at_; wait_edge_;
          forced_; rank_of; rank_labels; vis; park_head; park_next_; woken; inject_opts;
          carved_mark; opt_tag_; first_opt_; opt_row_; opt_h_; claim_order; _ } as ar : msgs) =
     arena k nmsg
@@ -775,43 +773,21 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let cap_ = k.k_cap in
   Array.fill cap_ 0 (Array.length cap_) chan_cap;
   Atomic.incr runs_started;
-  (* -- observability: every emission site is guarded by [obs_on], so a
-        run with neither a sink nor a detector builds no events.  Emission
-        is pure observation -- the run takes identical decisions with any
-        sink attached (QCheck-checked in test_obs). -- *)
-  (* -- online detection: a [Detect] trigger instantiates the detector and
-        forces event construction for this run (the detector IS engine
-        semantics, so unlike user sinks its cost is accepted when chosen);
-        with [Watchdog] and no sink, the hot path stays event-free. -- *)
-  let det =
-    match config.recovery with
-    | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
-    | Some { trigger = Watchdog _; _ } | None -> None
-  in
-  (* the detector names its victims by label, and a fault plan the
-     messages it drops: the schedule positions sorted by label, built once
-     per run (validation made the labels unique), find each by binary
-     search *)
-  let plan_drops =
-    if Fault.is_empty config.faults then []
-    else
+  (* the plan's drops as (cycle, schedule index), in the order they fire.
+     A fault plan names the messages it drops by label: the schedule
+     positions sorted by label, built once per run (validation made the
+     labels unique), find each by binary search, and a drop of a label the
+     schedule lacks never fires. *)
+  let drops =
+    match
       List.filter_map
         (function Fault.Message_drop { label; at } -> Some (label, at) | _ -> None)
         (Fault.events config.faults)
-  in
-  let by_label =
-    if det = None && plan_drops = [] then [||]
-    else begin
-      let a = Array.init nmsg Fun.id in
-      Array.sort (fun x y -> String.compare (label x) (label y)) a;
-      a
-    end
-  in
-  (* the plan's drops as (cycle, schedule index), in the order they fire;
-     a drop of a label the schedule lacks never fires *)
-  let drops =
-    if plan_drops = [] then [||]
-    else
+    with
+    | [] -> [||]
+    | plan_drops ->
+      let by_label = Array.init nmsg Fun.id in
+      Array.sort (fun x y -> String.compare (label x) (label y)) by_label;
       Array.of_list
         (List.sort_uniq compare
            (List.filter_map
@@ -820,11 +796,12 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                 if j >= 0 then Some (at, j) else None)
               plan_drops))
   in
-  let obs_on = obs <> None || det <> None in
-  let emit e =
-    (match det with Some d -> Obs_detect.feed d e | None -> ());
-    match obs with Some s -> s.Obs_event.emit e | None -> ()
-  in
+  (* -- observability: every emission site is guarded by [obs_on], so a
+        run without a sink builds no events.  Emission is pure observation
+        -- the run takes identical decisions with any sink attached
+        (QCheck-checked in test_obs). -- *)
+  let obs_on = obs <> None in
+  let emit e = match obs with Some s -> s.Obs_event.emit e | None -> () in
   if obs_on then begin
     emit
       (Obs_event.Run_start
@@ -901,8 +878,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
      list [vis] when its window opens at cycle 0 and sleeps in the
      calendar otherwise; arbitration drops finished messages from [vis]
      and parks source waiters off it. *)
-  Bitset.clear arrived_;
-  Bitset.clear hold_fresh_;
   Array.fill park_head 0 nchan (-1);
   ar.woken_n <- 0;
   ar.parked_n <- 0;
@@ -934,7 +909,6 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     retries_.(j) <- 0;
     fate_.(j) <- f_live;
     last_progress_.(j) <- 0;
-    Bytes.unsafe_set progressed_ j '\000';
     wait_since_.(j) <- (if oblivious then 0 else max_int);
     wait_edge_.(j) <- -1;
     park_next_.(j) <- not_parked;
@@ -948,6 +922,23 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   done;
   let owner = k.k_owner in
   Array.fill owner 0 nchan (-1);
+  (* -- online detection reads the kernel's own wait-for state: a [Detect]
+        run builds the detector's view of the columns once, with the end of
+        the last planned stall, and no other run builds anything for it -- *)
+  let detect =
+    match config.recovery with
+    | Some { trigger = Detect dcfg; _ } ->
+      let horizon =
+        List.fold_left
+          (fun h -> function
+            | Fault.Transient_stall { at; duration; _ } -> max h (at + duration)
+            | Fault.Link_failure _ | Fault.Message_drop _ -> h)
+          0 (Fault.events config.faults)
+      in
+      let since = if oblivious then wait_since_ else edge_at_ in
+      Some (dcfg, horizon, { Obs_detect.wait = wait_edge_; owner; since; moved = last_progress_ })
+    | Some { trigger = Watchdog _; _ } | None -> None
+  in
   (* arbitration rank per schedule position.  The priority variant used to
      build a per-run Hashtbl and hash every label; a sorted index over the
      order list with a leftmost binary search gives the same
@@ -1120,8 +1111,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   in
   let set_hold j pos =
     let h = holds_.(j).(pos) in
-    hold_.(j) <- h;
-    if h > 0 then Bitset.unsafe_add hold_fresh_ j else Bitset.unsafe_remove hold_fresh_ j
+    hold_.(j) <- (if h > 0 then h + 1 else 0)
   in
   let on_carved j c = Bytes.unsafe_get carved_mark.(j) c <> '\000' in
   (* adaptive: classify the header's current option source into [opt_tag_]
@@ -1276,7 +1266,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           viol "E101" j
             (Printf.sprintf "flit conservation broken: injected %d <> consumed %d + buffered %d"
                injected_.(j) consumed_.(j) !buffered);
-        let release_bound = if Bitset.mem arrived_ j then k else max head_.(j) 0 in
+        let release_bound = if head_.(j) = k then k else max head_.(j) 0 in
         if released_.(j) < 0 || released_.(j) > release_bound then
           viol "E103" j
             (Printf.sprintf "release watermark %d outside [0, %d]" released_.(j) release_bound);
@@ -1446,8 +1436,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     end;
     if ar.cal_pos_.(j) >= 0 then cal_remove ar j;
     (* retract the advertised wait-for edge: without this, a message
-       aborted mid-wait leaves a dangling edge on the stream that the
-       online detector would keep chasing (sanitizer E106) *)
+       aborted mid-wait leaves a dangling edge that the detector and the
+       stream's consumers would keep chasing (sanitizer E106) *)
     if obs_on && wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
     wait_edge_.(j) <- -1;
     if not oblivious then begin
@@ -1458,11 +1448,9 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
     end;
     Array.fill occ_.(j) 0 (Array.length occ_.(j)) 0;
     head_.(j) <- -1;
-    Bitset.unsafe_remove arrived_ j;
     injected_.(j) <- 0;
     consumed_.(j) <- 0;
     hold_.(j) <- 0;
-    Bitset.unsafe_remove hold_fresh_ j;
     released_.(j) <- 0
   in
   let give_up j fate t =
@@ -1519,7 +1507,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let consume j t last =
     consumed_.(j) <- consumed_.(j) + 1;
     moved := true;
-    Bytes.unsafe_set progressed_ j '\001';
+    last_progress_.(j) <- t;
     if obs_on then emit (flit_event t ar j last Obs_event.Consume);
     if consumed_.(j) = len_.(j) then begin
       delivered_at_.(j) <- t;
@@ -1655,7 +1643,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               (Obs_event.Channel_acquire
                  { cycle = t; label = label j; channel = c; waited = t - cand_since.(c) });
           wait_edge_.(j) <- -1;
-          Bytes.unsafe_set progressed_ j '\001';
+          last_progress_.(j) <- t;
           moved := true
         end
       done
@@ -1722,7 +1710,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           (* the acquisition resolves the advertised edge (Channel_acquire
              implies resolution; no Wait_drop is emitted) *)
           wait_edge_.(j) <- -1;
-          Bytes.unsafe_set progressed_ j '\001';
+          last_progress_.(j) <- t;
           moved := true
         end
       done;
@@ -1741,7 +1729,8 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
               if wait_edge_.(j) >= 0 then emit (wait_drop_event t ar j wait_edge_.(j));
               emit (wait_add_event t ar owner j c)
             end;
-            wait_edge_.(j) <- c
+            wait_edge_.(j) <- c;
+            edge_at_.(j) <- t
           end
         end
       done
@@ -1768,14 +1757,11 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
            let k = plen_.(j) in
            if
              occ.(k - 1) > 0
-             && (Bitset.unsafe_mem arrived_ j || (head_.(j) = k - 1 && hold_.(j) = 0))
+             && (head_.(j) = k || (head_.(j) = k - 1 && hold_.(j) = 0))
              && not (have_faults && Fault.down faults path.(k - 1) t)
            then begin
              occ.(k - 1) <- occ.(k - 1) - 1;
-             if head_.(j) = k - 1 then begin
-               head_.(j) <- k;
-               Bitset.unsafe_add arrived_ j
-             end;
+             if head_.(j) = k - 1 then head_.(j) <- k;
              consume j t path.(k - 1)
            end;
            (* header advance: hop into the fixed next channel once acquired
@@ -1792,7 +1778,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
              head_.(j) <- h + 1;
              set_hold j (h + 1);
              moved := true;
-             Bytes.unsafe_set progressed_ j '\001';
+             last_progress_.(j) <- t;
              if obs_on then emit (flit_event t ar j path.(h + 1) Obs_event.Hop)
            end
          end
@@ -1803,10 +1789,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
            if k > 0 && head_.(j) >= k - 1 then begin
              let last = path_.(j).(k - 1) in
              if chan_dst_.(last) = dst_.(j) then begin
-               if head_.(j) = k - 1 then begin
-                 Bitset.unsafe_add arrived_ j;
-                 head_.(j) <- k
-               end;
+               if head_.(j) = k - 1 then head_.(j) <- k;
                if occ_.(j).(k - 1) > 0 && not (have_faults && Fault.down faults last t) then begin
                  occ_.(j).(k - 1) <- occ_.(j).(k - 1) - 1;
                  consume j t last
@@ -1825,7 +1808,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                injected_.(j) <- 1;
                injected_at_.(j) <- t;
                moved := true;
-               Bytes.unsafe_set progressed_ j '\001';
+               last_progress_.(j) <- t;
                if obs_on then emit (flit_event t ar j c Obs_event.Inject)
              end
              else begin
@@ -1836,7 +1819,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
                occ.(h + 1) <- 1;
                head_.(j) <- h + 1;
                moved := true;
-               Bytes.unsafe_set progressed_ j '\001';
+               last_progress_.(j) <- t;
                if obs_on then emit (flit_event t ar j c Obs_event.Hop)
              end
            end
@@ -1856,7 +1839,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             occ.(i) <- occ.(i) - 1;
             occ.(i + 1) <- occ.(i + 1) + 1;
             moved := true;
-            Bytes.unsafe_set progressed_ j '\001';
+            last_progress_.(j) <- t;
             if obs_on then emit (flit_event t ar j path.(i + 1) Obs_event.Cascade)
           end
         done;
@@ -1873,7 +1856,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
             injected_at_.(j) <- t;
             set_hold j 0;
             moved := true;
-            Bytes.unsafe_set progressed_ j '\001';
+            last_progress_.(j) <- t;
             if obs_on then emit (flit_event t ar j path.(0) Obs_event.Inject)
           end
         end
@@ -1888,7 +1871,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           occ.(0) <- occ.(0) + 1;
           injected_.(j) <- injected_.(j) + 1;
           moved := true;
-          Bytes.unsafe_set progressed_ j '\001';
+          last_progress_.(j) <- t;
           if obs_on then emit (flit_event t ar j path.(0) Obs_event.Inject)
         end;
         (* release: channels the whole message has passed through *)
@@ -1898,12 +1881,12 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           scan_flag := true;
           while !scan_flag && !rel_i < k do
             let i = !rel_i in
-            if occ.(i) = 0 && owner.(path.(i)) = j && (i < h || Bitset.unsafe_mem arrived_ j)
+            if occ.(i) = 0 && owner.(path.(i)) = j && (i < h || h = k)
             then begin
               owner.(path.(i)) <- -1;
               wake_waiters ar path.(i);
               moved := true;
-              Bytes.unsafe_set progressed_ j '\001';
+              last_progress_.(j) <- t;
               if obs_on then
                 emit
                   (Obs_event.Channel_release
@@ -1915,16 +1898,14 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           released_.(j) <- !rel_i
         end;
         if delivered_at_.(j) = t then incr finished;
-        (* hold countdown (skip the cycle the hold was set); expiry is
-           progress: the header will act next cycle.  Adaptive mode never
-           sets holds, so this is a no-op there. *)
+        (* hold countdown (a hold is stored one above its length, so the
+           cycle that set it takes nothing off); expiry is progress: the
+           header will act next cycle.  Adaptive mode never sets holds, so
+           this is a no-op there. *)
         if hold_.(j) > 0 then begin
-          Bytes.unsafe_set progressed_ j '\001';
-          if Bitset.unsafe_mem hold_fresh_ j then Bitset.unsafe_remove hold_fresh_ j
-          else begin
-            hold_.(j) <- hold_.(j) - 1;
-            if hold_.(j) = 0 then moved := true
-          end
+          last_progress_.(j) <- t;
+          hold_.(j) <- hold_.(j) - 1;
+          if hold_.(j) = 0 then moved := true
         end
       end
     done;
@@ -1949,35 +1930,45 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
           resettle ar j t ~asleep
       end
     done;
-    (* -- online detection: end-of-cycle tick confirms quiescent wait-for
-          knots; only the policy-chosen victim is aborted, so the rest of
-          the knot unwinds through the freed channels instead of being
-          drained wholesale like a watchdog abort. -- *)
-    (match (config.recovery, det) with
-    | Some r, Some d ->
-      let policy_name =
-        match r.trigger with
-        | Detect c -> Obs_detect.victim_policy_string c.Obs_detect.policy
-        | Watchdog _ -> "minimal"
-      in
-      List.iter
-        (fun (dk : Obs_detect.detection) ->
-          emit
-            (Obs_event.Deadlock_detected
-               { cycle = t; members = List.map fst dk.Obs_detect.dk_members;
-                 channels = List.map snd dk.Obs_detect.dk_members;
-                 victims = dk.Obs_detect.dk_victims });
-          List.iter
-            (fun v ->
-              let j = find_sorted label by_label v in
-              if j >= 0 && active j then begin
-                perturbed := true;
-                emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
-                abort_retry j r t ~reason:"deadlock";
-                resettle ar j t ~asleep:false
-              end)
-            dk.Obs_detect.dk_victims)
-        (Obs_detect.tick d ~now:t)
+    (* -- online detection: every knot lists its members (they hold
+          channels, so none is parked or asleep), and a knot's quiet age is
+          its youngest member's, which grows by one per cycle until that
+          member acts.  So each listed waiter whose quiet age reaches the
+          bound this cycle walks the wait-for graph, and the knot it closes
+          as its youngest member is confirmed.  Only the policy-chosen
+          victim is aborted, so the rest of the knot unwinds through the
+          freed channels instead of being drained wholesale like a
+          watchdog abort. -- *)
+    (match (config.recovery, detect) with
+    | Some r, Some (dcfg, horizon, view) ->
+      let knots = ref [] in
+      for li = 0 to !vis_n - 1 do
+        match Obs_detect.knot dcfg view ~horizon ~after:(t - 1) ~now:t vis.(li) with
+        | [] -> ()
+        | ms -> knots := ms :: !knots
+      done;
+      if !knots <> [] then begin
+        let delivered = Array.exists (fun d -> d >= 0) (Array.sub delivered_at_ 0 nmsg) in
+        let policy = Obs_detect.victim_policy_string dcfg.Obs_detect.policy in
+        List.map (fun ms -> (Obs_detect.detection dcfg view ~now:t ~label ~delivered ms, ms)) !knots
+        |> List.sort (fun (a, _) (b, _) ->
+               compare a.Obs_detect.dk_members b.Obs_detect.dk_members)
+        |> List.iter (fun ((dk : Obs_detect.detection), ms) ->
+               if obs_on then
+                 emit
+                   (Obs_event.Deadlock_detected
+                      { cycle = t; members = List.map fst dk.dk_members;
+                        channels = List.map snd dk.dk_members; victims = dk.dk_victims });
+               List.iter
+                 (fun v ->
+                   let j = List.find (fun m -> label m = v) ms in
+                   perturbed := true;
+                   if obs_on then
+                     emit (Obs_event.Victim_aborted { cycle = t; label = v; policy });
+                   abort_retry j r t ~reason:"deadlock";
+                   resettle ar j t ~asleep:false)
+                 dk.dk_victims)
+      end
     | (Some _ | None), _ -> ());
     (* -- the watchdog: the visit list, merged in schedule order with the
           waiters whose deadline is due.  Every other unfinished message is
@@ -1996,17 +1987,12 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         let listed = !li < n && (c < 0 || vis.(!li) < c) in
         let j = if listed then vis.(!li) else c in
         if listed then incr li else cal_remove ar j;
-        if active j then begin
-          if Bytes.unsafe_get progressed_ j <> '\000' then last_progress_.(j) <- t
-          else if t - last_progress_.(j) >= wd then begin
-            perturbed := true;
-            abort_retry j r t ~reason:"watchdog";
-            resettle ar j t ~asleep:false
-          end
+        (* a move this cycle stamped [t] *)
+        if active j && t - last_progress_.(j) >= wd then begin
+          perturbed := true;
+          abort_retry j r t ~reason:"watchdog";
+          resettle ar j t ~asleep:false
         end;
-        (* every message that moved this cycle is on the list: clearing
-           here readies the flag for the next cycle *)
-        Bytes.unsafe_set progressed_ j '\000';
         if listed && active j && not (injected_.(j) = 0 && attempt_.(j) > t + 1) then begin
           vis.(!kept) <- j;
           incr kept
@@ -2023,7 +2009,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
       st.Obs_stats.st_ph_advance <- st.Obs_stats.st_ph_advance + nact;
       if have_faults then
         st.Obs_stats.st_ph_fault <- st.Obs_stats.st_ph_fault + unfinished;
-      (match det with
+      (match detect with
       | Some _ -> st.Obs_stats.st_ph_detect <- st.Obs_stats.st_ph_detect + 1
       | None -> ());
       (* Waiters are charged where they sit: on the visit list, among this

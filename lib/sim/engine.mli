@@ -102,8 +102,8 @@ type trigger =
           (no flit moved, no channel acquired); >= 1.  Blunt: every
           member of a deadlock knot times out and is drained. *)
   | Detect of Obs_detect.config
-      (** online wait-for cycle detection: an {!Obs_detect.t} consumes
-          this run's event stream and confirms genuine knots within
+      (** online wait-for cycle detection: {!Obs_detect.knot} reads the
+          kernel's own wait-for state and confirms genuine knots within
           [bound] cycles of quiescence; only the policy-chosen victim is
           aborted, so the rest of the knot unwinds through the freed
           channels.  [backstop] keeps a watchdog sweep alive for acyclic
@@ -257,10 +257,10 @@ val run :
     ["adaptive"].  A process-wide {!Sanitizer.install}ed sanitizer arms
     the per-cycle invariant sweep (codes E101-E106).  Both are pure
     observation: the run takes identical decisions with any sink or
-    sanitizer attached.  A [Detect]
-    recovery trigger is different: the detector is part of the engine's
-    semantics, so it is fed the event stream unconditionally (event
-    construction is forced for the run even without a sink).
+    sanitizer attached.  A [Detect] recovery trigger is engine
+    semantics, not observation: the detector reads the kernel's own
+    wait-for columns at the end of every cycle, so a [Detect] run
+    without a sink builds no events either.
 
     Fault semantics: a channel that is down ({!Fault.down}) accepts no new
     acquisition and moves no flits in or out.  An oblivious header waits for

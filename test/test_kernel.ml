@@ -794,6 +794,16 @@ let watchdog_b1 =
     recovery = Some { Engine.trigger; retry_limit = 1_000; backoff = 1; reroute = None };
   }
 
+(* Both schedules under online detection with the same backoff and a
+   16-cycle backstop: the detector reads the kernel's own columns, so its
+   cycles allocate nothing either. *)
+let detect_b1 =
+  let trigger = Engine.Detect { Obs_detect.default_config with backstop = 16 } in
+  {
+    Engine.default_config with
+    recovery = Some { Engine.trigger; retry_limit = 1_000; backoff = 1; reroute = None };
+  }
+
 let alloc_per_run ?config policy sched =
   (* one warm-up run (fills any per-state memo tables), then measure *)
   ignore (run_policy ?config policy (sched ()));
@@ -805,8 +815,8 @@ let alloc_per_run ?config policy sched =
   | o, _ -> Alcotest.failf "unexpected outcome %s" (Engine.outcome_string o));
   delta
 
-(* the three schedules on either kernel; under the watchdog, retries
-   after the first sleep in the calendar and wake from it *)
+(* the schedules on either kernel; under recovery, retries after the
+   first sleep in the calendar and wake from it *)
 let check_steady_cycle kernel policy =
   if sanitize_on then ()
   else
@@ -820,6 +830,8 @@ let check_steady_cycle kernel policy =
         ("two worms", None, long_sched);
         ("five queued worms", None, queued_sched);
         ("five queued worms, watchdog backoff 1", Some watchdog_b1, queued_sched);
+        ("two worms, detect backoff 1", Some detect_b1, long_sched);
+        ("five queued worms, detect backoff 1", Some detect_b1, queued_sched);
       ]
 
 let test_steady_cycle_allocation_oblivious () = check_steady_cycle "oblivious" (Oblivious line4_rt)
