@@ -54,7 +54,8 @@ let holder v m = if v.wait.(m) < 0 then -1 else v.owner.(v.wait.(m))
 (* Follow the holders from [m] back to [j], which acted last at [a];
    [acc] is the walk so far, newest first.  [] when the walk ends, meets
    a member younger than [j] (or as young with a smaller index), or runs
-   [n] steps into a cycle from outside it. *)
+   [n] more steps: every member owns a channel, so a cycle through [j]
+   closes within one step per channel. *)
 let rec walk v j a m acc n =
   if m = j then acc
   else if m < 0 || n = 0 then []
@@ -68,7 +69,7 @@ let knot cfg v ~horizon ~after ~now j =
     let a = last_active v j in
     let quiet_from = max a horizon in
     if now - quiet_from < cfg.bound || after - quiet_from >= cfg.bound then []
-    else List.rev (walk v j a (holder v j) [ j ] (Array.length v.since))
+    else List.rev (walk v j a (holder v j) [ j ] (Array.length v.owner))
   end
 
 (* the channels [m] owns, ascending *)
