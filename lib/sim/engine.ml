@@ -681,6 +681,11 @@ let find_sorted (key : int -> string) (sorted : int array) v =
   done;
   if !lo < Array.length sorted && key sorted.(!lo) = v then sorted.(!lo) else -1
 
+(* whether any of the first [n] messages was delivered, without
+   allocating: a knot record's class needs it, in runs of thousands *)
+let rec any_delivered (delivered_at : int array) n =
+  n > 0 && (delivered_at.(n - 1) >= 0 || any_delivered delivered_at (n - 1))
+
 let run_on k ?(config = default_config) ?obs ?stats policy sched =
   let oblivious = k.k_oblivious in
   let caller = if oblivious then "Engine.run: " else "Engine.run_adaptive: " in
@@ -1948,7 +1953,7 @@ let run_on k ?(config = default_config) ?obs ?stats policy sched =
         | ms -> knots := ms :: !knots
       done;
       if !knots <> [] then begin
-        let delivered = Array.exists (fun d -> d >= 0) (Array.sub delivered_at_ 0 nmsg) in
+        let delivered = any_delivered delivered_at_ nmsg in
         let policy = Obs_detect.victim_policy_string dcfg.Obs_detect.policy in
         List.map (fun ms -> (Obs_detect.detection dcfg view ~now:t ~label ~delivered ms, ms)) !knots
         |> List.sort (fun (a, _) (b, _) ->
