@@ -86,19 +86,21 @@ let held v m =
 let detection cfg v ~now ~label ~delivered ms =
   let ring = List.map snd (Waitfor.rotate (List.map (fun m -> (label m, m)) ms)) in
   let members = List.map (fun m -> (label m, v.wait.(m))) ring in
-  let key m =
+  let held_by = List.map (fun m -> (m, held v m)) ring in
+  let key (m, h) =
     let s = v.since.(m) in
     match cfg.policy with
-    | Minimal_victim -> (List.length (held v m), -s, label m)
+    | Minimal_victim -> (List.length h, -s, label m)
     | Youngest -> (0, -s, label m)
     | Oldest -> (0, s, label m)
   in
-  let victim = List.fold_left (fun b m -> if key m < key b then m else b) (List.hd ring) ring in
+  let victim = snd (List.fold_left min (key (List.hd held_by), List.hd ring)
+                      (List.map (fun mh -> (key mh, fst mh)) held_by)) in
   {
     dk_cycle = now;
     dk_formed = List.fold_left (fun f m -> max f (last_active v m)) 0 ms;
     dk_members = members;
-    dk_held = List.map (fun m -> (label m, held v m)) ring;
+    dk_held = List.map (fun (m, h) -> (label m, h)) held_by;
     dk_victims = [ label victim ];
     (* provisional: a message still in flight may yet deliver; the run-end
        kernel classification is authoritative *)
