@@ -601,11 +601,12 @@ let special_cases =
    A clockwise 6-ring (20 messages, bound 3) whose two planned stalls
    park worms behind stalled links: a detector that ignored the stalls
    would confirm knots that the stalls' end resolves.  A fully adaptive
-   4x4 mesh (91 messages, bound 3) under the [Oldest] policy, where a
-   link failure and a stall make blocked headers advertise a new first
-   option: a member's victim key is the cycle its current wait edge
-   appeared, not the cycle its claim started.  And the tornado knot
-   under [Youngest]. *)
+   4x4 mesh (91 messages, bound 3) under the [Oldest] and the [Youngest]
+   policy, where a link failure and a stall make blocked headers
+   advertise a new first option: a member's victim key is the cycle its
+   current wait edge appeared, not the cycle its claim started.  And the
+   tornado knot under [Youngest] (its members all wait from the same
+   cycle, so every policy picks the same victims there). *)
 let ring6 = Builders.ring ~unidirectional:true 6
 let ring6_rt = Ring_routing.clockwise ring6
 
@@ -623,6 +624,13 @@ let detect_cases =
     let pattern = Traffic.uniform rng coords in
     Traffic.bernoulli_schedule rng pattern ~coords ~rate ~length ~horizon
   in
+  let mesh4_fully_detect policy () =
+    let topo = mesh4.Builders.topo in
+    spec_of
+      ~config:(detect ~policy 3 "fail:n(0,2)>n(0,3)@25, stall:n(3,1)>n(3,2)@26+8" topo)
+      topo (Adaptive mesh4_fully)
+      (uniform mesh4 ~seed:1137 ~rate:0.2 ~length:8 ~horizon:29)
+  in
   let ring6_stalls policy () =
     spec_of
       ~config:(detect 3 "stall:n(0)>n(1)@4+7, stall:n(3)>n(4)@24+7" ring6.Builders.topo)
@@ -635,18 +643,7 @@ let detect_cases =
       id = "adp/ring6-detect-stalls";
       spec = ring6_stalls (Adaptive (Adaptive.of_oblivious ring6_rt));
     };
-    {
-      id = "adp/mesh4x4-fully-detect-oldest";
-      spec =
-        (fun () ->
-          let topo = mesh4.Builders.topo in
-          spec_of
-            ~config:
-              (detect ~policy:Obs_detect.Oldest 3
-                 "fail:n(0,2)>n(0,3)@25, stall:n(3,1)>n(3,2)@26+8" topo)
-            topo (Adaptive mesh4_fully)
-            (uniform mesh4 ~seed:1137 ~rate:0.2 ~length:8 ~horizon:29));
-    };
+    { id = "adp/mesh4x4-fully-detect-oldest"; spec = mesh4_fully_detect Obs_detect.Oldest };
     {
       id = "obl/torus5-tornado-detect-youngest";
       spec =
@@ -654,6 +651,10 @@ let detect_cases =
           spec_of
             ~config:(detect ~policy:Obs_detect.Youngest 16 "" torus5.Builders.topo)
             torus5.Builders.topo (Oblivious torus5_rt) (tornado5 ()));
+    };
+    {
+      id = "adp/mesh4x4-fully-detect-youngest";
+      spec = mesh4_fully_detect Obs_detect.Youngest;
     };
   ]
 
