@@ -115,8 +115,10 @@ let entries =
       (let st = Obs_stats.create ~nchan:(Topology.num_channels mesh8.Builders.topo) in
        fun () -> Engine.run ~stats:st mesh8_rt mesh_schedule);
     (* the hot-path workload with online deadlock detection armed and no
-       event sink: the gap against engine-hotpath is the price of
-       building events for the detector's feed plus its per-cycle tick *)
+       event sink: the detector reads the kernel's own wait-for columns,
+       so the gap against engine-hotpath is the price of its per-cycle
+       scan of the visit list for waiters whose quiet age reaches the
+       bound *)
     case "sim/detect-overhead"
       (let config =
          {
