@@ -115,6 +115,7 @@ let event_now (e : Obs_event.t) =
   | _ -> Obs_event.cycle_of e
 
 let scan cfg events =
+  if cfg.bound < 1 then invalid_arg "Obs_detect.scan: bound < 1";
   (* a message's index is the order of its label's first wait edge or
      channel event; channels are indices already *)
   let ids = Hashtbl.create 64 and nchan = ref 1 in

@@ -125,4 +125,5 @@ val scan : config -> Obs_event.t list -> detection list
     the end of every cycle, so an offline confirmation can come later
     than the online one.  A tick's confirmations are listed in descending
     order of [dk_members].  Plan-announcement [Fault] events do not
-    advance the replay clock; [Run_start] clears the replayed state. *)
+    advance the replay clock; [Run_start] clears the replayed state.
+    Raises [Invalid_argument] if [bound < 1]. *)
