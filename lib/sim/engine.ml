@@ -681,8 +681,9 @@ let find_sorted (key : int -> string) (sorted : int array) v =
   done;
   if !lo < Array.length sorted && key sorted.(!lo) = v then sorted.(!lo) else -1
 
-(* whether any of the first [n] messages was delivered, without
-   allocating: a knot record's class needs it, in runs of thousands *)
+(* whether any of the first [n] messages was delivered, for a knot
+   record's class; no copy of the column, which in a run of thousands of
+   messages would land in the major heap every cycle that confirms one *)
 let rec any_delivered (delivered_at : int array) n =
   n > 0 && (delivered_at.(n - 1) >= 0 || any_delivered delivered_at (n - 1))
 
