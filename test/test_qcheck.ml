@@ -852,6 +852,83 @@ module Oracle = struct
   let channel_users t c = t.users.(c)
 
   let path_of t msg = match Hashtbl.find_opt t.paths msg with Some p -> p | None -> []
+
+  (* The schedule sweep as [Explorer.explore] documents it, one engine run
+     per point and no shortcut: orders in [Combinat.iter_permutations]
+     order, then priorities, gap vectors, lengths, offsets, holds and
+     buffers, each per-message product with the first message most
+     significant.  It stops at the first deadlock. *)
+  let sweep rt (sp : Explorer.space) =
+    let tpls = sp.Explorer.messages in
+    let n = List.length tpls in
+    let perms =
+      let acc = ref [] in
+      Combinat.iter_permutations (fun p -> acc := Array.to_list p :: !acc) (Array.init n Fun.id);
+      List.rev !acc
+    in
+    let label mi = (List.nth tpls mi).Explorer.t_label in
+    let by_rank p = Engine.Priority (List.map label p) in
+    let orders = if sp.try_all_orders then perms else [ List.init n Fun.id ] in
+    let arbitrations order =
+      match sp.priorities with
+      | Explorer.Fifo_only -> [ Engine.Fifo ]
+      | Explorer.Follow_order -> [ by_rank order ]
+      | Explorer.All_permutations -> List.map by_rank perms
+    in
+    let each f = Combinat.cartesian (List.map f tpls) in
+    let runs = ref 0 in
+    let exception Found of Explorer.witness in
+    let point arbitration base lengths offsets holds buffer =
+      let w_schedule =
+        List.mapi
+          (fun mi (t : Explorer.msg_template) ->
+            {
+              Schedule.ms_label = t.t_label;
+              ms_src = t.t_src;
+              ms_dst = t.t_dst;
+              ms_length = List.nth lengths mi;
+              ms_inject_at = base.(mi) + List.nth offsets mi;
+              ms_holds = List.nth holds mi;
+            })
+          tpls
+      in
+      let w_config =
+        { Engine.default_config with
+          buffer_capacity = buffer; arbitration; max_cycles = sp.max_cycles }
+      in
+      incr runs;
+      match Engine.run ~config:w_config rt w_schedule with
+      | Engine.Deadlock w_info -> raise (Found { Explorer.w_schedule; w_config; w_info })
+      | _ -> ()
+    in
+    try
+      List.iter
+        (fun order ->
+          List.iter
+            (fun arbitration ->
+              List.iter
+                (fun gaps ->
+                  (* the order's first message at cycle 0, each next one a
+                     gap after the one before *)
+                  let base = Array.make n 0 in
+                  List.iteri
+                    (fun j mi -> if j > 0 then base.(mi) <- base.(List.nth order (j - 1)) + List.nth gaps (j - 1))
+                    order;
+                  List.iter
+                    (fun lengths ->
+                      List.iter
+                        (fun offsets ->
+                          List.iter
+                            (fun holds ->
+                              List.iter (point arbitration base lengths offsets holds) sp.buffers)
+                            (each (fun t -> t.Explorer.t_holds)))
+                        (each (fun t -> t.Explorer.t_offsets)))
+                    (each (fun t -> t.Explorer.t_lengths)))
+                (Combinat.cartesian (List.init (n - 1) (fun _ -> sp.gaps))))
+            (arbitrations order))
+        orders;
+      Explorer.No_deadlock { runs = !runs }
+    with Found witness -> Explorer.Deadlock_found { runs = !runs; witness }
 end
 
 (* The first disagreement between the library's static chain and the
@@ -1036,6 +1113,130 @@ let prop_theorem5_matches_search =
         | Cycle_analysis.Needs_search _ -> true)
       | _ -> QCheck.assume_fail ())
 
+(* ---- Explorer against the reference sweep ---- *)
+
+let sweep_nets =
+  List.map
+    (fun (name, net) -> (name, net, Cd_algorithm.of_net net))
+    [
+      ("figure1", Paper_nets.figure1 ()); ("figure2", Paper_nets.figure2 ());
+      ("figure3a", Paper_nets.figure3 `A); ("figure3b", Paper_nets.figure3 `B);
+      ("figure3c", Paper_nets.figure3 `C); ("figure3d", Paper_nets.figure3 `D);
+      ("figure3e", Paper_nets.figure3 `E); ("figure3f", Paper_nets.figure3 `F);
+      ("family1", Paper_nets.family 1);
+    ]
+
+(* Points per drawn space at most; larger draws are cut down by [fit]. *)
+let sweep_limit = 2000
+
+(* Cut a space down to [sweep_limit] points: per-message candidates first,
+   then the gaps, buffers, orders and priorities, one step at a time. *)
+let rec fit (sp : Explorer.space) =
+  if Explorer.space_size sp <= sweep_limit then sp
+  else
+    let first l = [ List.hd l ] in
+    let trimmed f =
+      let rec go = function
+        | [] -> None
+        | t :: rest -> (
+          let t' = f t in
+          if t' <> t then Some (t' :: rest)
+          else match go rest with Some rest' -> Some (t :: rest') | None -> None)
+      in
+      go sp.Explorer.messages
+    in
+    let steps =
+      [
+        (fun () -> trimmed (fun t -> { t with Explorer.t_lengths = first t.Explorer.t_lengths }));
+        (fun () -> trimmed (fun t -> { t with Explorer.t_offsets = first t.Explorer.t_offsets }));
+        (fun () -> trimmed (fun t -> { t with Explorer.t_holds = first t.Explorer.t_holds }));
+      ]
+    in
+    match List.find_map (fun step -> step ()) steps with
+    | Some messages -> fit { sp with messages }
+    | None ->
+      if List.length sp.gaps > 1 then fit { sp with gaps = first sp.gaps }
+      else if List.length sp.buffers > 1 then fit { sp with buffers = first sp.buffers }
+      else if sp.try_all_orders then fit { sp with try_all_orders = false }
+      else fit { sp with priorities = Explorer.Fifo_only }
+
+let sweep_case_gen =
+  let open QCheck.Gen in
+  let* ni = 0 -- (List.length sweep_nets - 1) in
+  let name, net, _ = List.nth sweep_nets ni in
+  let template (intent : Paper_nets.intent) =
+    let full = Explorer.intent_template net intent in
+    let* lengths = list_size (1 -- 2) (oneofl full.Explorer.t_lengths) in
+    let* offsets =
+      oneof [ return [ 0 ]; map (fun w -> List.init w (fun i -> 2 * i)) (2 -- 3) ]
+    in
+    let* holds =
+      match Paper_nets.in_cycle_channels net intent with
+      | [] -> return [ [] ]
+      | entry :: _ -> oneof [ return [ [] ]; map (fun h -> [ []; [ (entry, h) ] ]) (1 -- 3) ]
+    in
+    return { full with t_lengths = lengths; t_offsets = offsets; t_holds = holds }
+  in
+  let rec templates = function
+    | [] -> return []
+    | i :: rest ->
+      let* t = template i in
+      let* ts = templates rest in
+      return (t :: ts)
+  in
+  let* messages = templates net.Paper_nets.intents in
+  let* gaps = list_size (1 -- 3) (0 -- 2) in
+  let* buffers = oneofl [ [ 1 ]; [ 2 ]; [ 1; 2 ] ] in
+  let* try_all_orders = bool in
+  let* priorities =
+    oneofl [ Explorer.Fifo_only; Explorer.Follow_order; Explorer.All_permutations ]
+  in
+  return
+    ( ni,
+      fit { (Explorer.default_space messages) with gaps; buffers; try_all_orders; priorities },
+      name )
+
+let show_sweep_case (_, (sp : Explorer.space), name) =
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  Printf.sprintf "%s: gaps %s, buffers %s, all orders %b, %s, %d points; %s" name
+    (ints sp.gaps) (ints sp.buffers) sp.try_all_orders
+    (match sp.priorities with
+    | Explorer.Fifo_only -> "fifo"
+    | Explorer.Follow_order -> "follow order"
+    | Explorer.All_permutations -> "all priorities")
+    (Explorer.space_size sp)
+    (String.concat "; "
+       (List.map
+          (fun (t : Explorer.msg_template) ->
+            Printf.sprintf "%s lengths %s offsets %s holds %d" t.t_label (ints t.t_lengths)
+              (ints t.t_offsets) (List.length t.t_holds))
+          sp.messages))
+
+let show_verdict = function
+  | Explorer.No_deadlock { runs } -> Printf.sprintf "no deadlock in %d runs" runs
+  | Explorer.Deadlock_found { runs; witness } ->
+    Printf.sprintf "deadlock after %d runs at %s" runs
+      (String.concat ", "
+         (List.map
+            (fun (m : Schedule.message_spec) ->
+              Printf.sprintf "%s len %d at %d" m.ms_label m.ms_length m.ms_inject_at)
+            witness.Explorer.w_schedule))
+
+let prop_explore_matches_reference_sweep =
+  QCheck.Test.make ~name:"explore agrees with the reference sweep (paper nets, 1 and 2 domains)"
+    ~count:(count 100)
+    (QCheck.make ~print:show_sweep_case sweep_case_gen)
+    (fun (ni, sp, _) ->
+      let _, _, rt = List.nth sweep_nets ni in
+      let want = Oracle.sweep rt sp in
+      List.for_all
+        (fun domains ->
+          let got = Explorer.explore ~domains rt sp in
+          got = want
+          || QCheck.Test.fail_reportf "domains %d: got %s, want %s" domains (show_verdict got)
+               (show_verdict want))
+        [ 1; 2 ])
+
 (* ---- fault-plan parse/print round-trip ---- *)
 
 (* Parenthesized mesh node names ("n(0,2)") carry commas, and vcs:2 puts
@@ -1102,5 +1303,6 @@ let () =
         [ Alcotest.test_case "registry routings agree with the reference walkers" `Quick
             test_registry_matches_oracle ] );
       suite "theorem5" [ prop_theorem5_matches_search ];
+      suite "explorer" [ prop_explore_matches_reference_sweep ];
       suite "synthesis" [ prop_synth_differential ];
     ]
