@@ -125,6 +125,10 @@ type task_result = { t_runs : int; t_started : int; t_witness : witness option }
 let explore ?(stop_at_first = true) ?domains rt sp =
   let n = List.length sp.messages in
   if n = 0 then invalid_arg "Explorer.explore: empty message set";
+  (* an empty candidate list leaves no point to run: refuse it rather than
+     report "no deadlock in 0 runs" *)
+  if n > 1 && sp.gaps = [] then invalid_arg "Explorer.explore: empty gap list";
+  if sp.buffers = [] then invalid_arg "Explorer.explore: empty buffer list";
   List.iter
     (fun t ->
       if t.t_lengths = [] || t.t_holds = [] || t.t_offsets = [] then

@@ -115,6 +115,9 @@ val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdi
     {!Engine.note_runs_cancelled}, so the engine's run tally stays exact at
     any domain count.  A sweep takes no event sink: neither it nor the
     engine runs inside it emit events.
+    @raise Invalid_argument when the space has no point to run: no
+    messages, a template with an empty candidate list, no buffer size, or
+    no gap for two or more messages.
     @raise Engine_bug on [E090]/[E091] internal-consistency failures. *)
 
 val space_size : space -> int

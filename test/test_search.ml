@@ -98,7 +98,17 @@ let test_empty_space_rejected () =
   in
   Alcotest.check_raises "empty candidates"
     (Invalid_argument "Explorer.explore: template with empty candidate list") (fun () ->
-      ignore (Explorer.explore rt (Explorer.default_space [ bad ])))
+      ignore (Explorer.explore rt (Explorer.default_space [ bad ])));
+  let sp = Explorer.default_space (fig2_templates net) in
+  Alcotest.check_raises "no gaps" (Invalid_argument "Explorer.explore: empty gap list")
+    (fun () -> ignore (Explorer.explore rt { sp with gaps = [] }));
+  Alcotest.check_raises "no buffers" (Invalid_argument "Explorer.explore: empty buffer list")
+    (fun () -> ignore (Explorer.explore rt { sp with buffers = [] }));
+  (* a single message has no gap to choose *)
+  let single = { (Explorer.default_space [ List.hd (fig2_templates net) ]) with gaps = [] } in
+  match Explorer.explore rt single with
+  | Explorer.No_deadlock { runs } -> check ci "single message, no gaps" (Explorer.space_size single) runs
+  | Explorer.Deadlock_found _ -> Alcotest.fail "one message cannot deadlock"
 
 let test_min_delay_family1 () =
   let net = Paper_nets.family 1 in
