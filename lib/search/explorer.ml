@@ -113,6 +113,38 @@ let engine_bug code ~rt ~sched ~cycle msg =
   in
   raise (Engine_bug (Diagnostic.error ~context code (Diagnostic.Algorithm (Routing.name rt)) msg))
 
+(* The (injection order, gap vector) pairs, numbered order-major with the
+   gap vectors in the sweep's enumeration order (first gap most
+   significant), that no earlier pair matches in every message's injection
+   cycle before its offset.  Built once per sweep; the tasks only read it. *)
+let first_pairs orders gaps nvecs =
+  let n = Array.length orders.(0) in
+  let first = Bitset.create (Array.length orders * nvecs) in
+  let seen = Hashtbl.create 256 in
+  let at = Array.make n 0 in
+  Array.iteri
+    (fun oi order ->
+      let pair = ref (oi * nvecs) in
+      let rec place j =
+        if j = n then begin
+          if not (Hashtbl.mem seen at) then begin
+            Hashtbl.add seen (Array.copy at) ();
+            Bitset.unsafe_add first !pair
+          end;
+          incr pair
+        end
+        else
+          Array.iter
+            (fun g ->
+              at.(order.(j)) <- at.(order.(j - 1)) + g;
+              place (j + 1))
+            gaps
+      in
+      at.(order.(0)) <- 0;
+      place 1)
+    orders;
+  first
+
 (* One task of the parallel sweep: a single (order, priority) cell of the
    outer product, with the whole gap/length/offset/hold/buffer enumeration
    run inside it.  [t_started] counts every [Engine.run] call the task
@@ -157,6 +189,28 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     | Fifo_only | Follow_order -> 1
   in
   let ntasks = Array.length orders * prios_per_order in
+  (* A run is a function of the routing, the schedule and the config, and
+     the schedule lists the messages in template order.  Unless the priority
+     follows the order, two (order, gap vector) pairs that give every message
+     the same injection cycle before its offset make the same runs point for
+     point, and the first deadlocking point of a sweep is always the first of
+     its repeats.  So a sweep that stops at its first witness runs the points
+     of the first such pair only and counts a later pair's points as decided;
+     one that goes on runs every point, since its last witness may be a
+     repeat. *)
+  let nvecs = pow (Array.length gap_arr) (n - 1) in
+  let first =
+    if stop_at_first && sp.priorities <> Follow_order then
+      Some (first_pairs orders gap_arr nvecs)
+    else None
+  in
+  (* the points below one gap vector: lengths x offsets x holds x buffers *)
+  let per_vec =
+    Array.fold_left
+      (fun acc t ->
+        acc * List.length t.t_lengths * List.length t.t_offsets * List.length t.t_holds)
+      (Array.length buffers) templates
+  in
   (* Every Engine.run call across all tasks and domains, whether or not its
      task's result survives the canonical reduce. *)
   let started = Atomic.make 0 in
@@ -243,12 +297,16 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     let len_choice = Array.make n 0 in
     let hold_choice = Array.make n 0 in
     let off_choice = Array.make n 0 in
-    let rec gaps j =
-      if j = Array.length gap_choice then lens 0
+    let order_pairs = ti / prios_per_order * nvecs in
+    let rec gaps j v =
+      if j = Array.length gap_choice then
+        match first with
+        | Some set when not (Bitset.mem set (order_pairs + v)) -> runs := !runs + per_vec
+        | _ -> lens 0
       else
         for g = 0 to Array.length gap_arr - 1 do
           gap_choice.(j) <- gap_arr.(g);
-          gaps (j + 1)
+          gaps (j + 1) ((v * Array.length gap_arr) + g)
         done
     and lens mi =
       if mi = n then offs 0
@@ -275,7 +333,7 @@ let explore ?(stop_at_first = true) ?domains rt sp =
           holds (mi + 1)
         done
     in
-    (try gaps 0 with Task_done -> ());
+    (try gaps 0 0 with Task_done -> ());
     { t_runs = !runs; t_started = !my_started; t_witness = !witness }
   in
   let results =

@@ -99,9 +99,28 @@ exception Engine_bug of Diagnostic.t
     verdict. *)
 
 val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdict
-(** Enumerate the space in a deterministic order.  With [stop_at_first]
-    (default true) stop at the first confirmed witness; otherwise the last
-    witness found is returned and [runs] counts the full space.
+(** Enumerate the space in a deterministic order: injection orders in
+    [Combinat.iter_permutations] order, then priorities, gap vectors
+    (first gap most significant), lengths, offsets, holds and buffers
+    (first message most significant).  With [stop_at_first] (default true)
+    stop at the first confirmed witness; otherwise the last witness found
+    is returned and [runs] counts the full space.
+
+    [runs] counts the points decided, not the engine runs.  A run is a
+    function of the routing, the schedule and the config, and the schedule
+    lists the messages in template order.  So when the priority does not
+    follow the order ([Fifo_only], [All_permutations]) and the sweep stops
+    at its first witness, a point whose (injection order, gap vector) pair
+    gives every message the same injection cycle before its offset as an
+    earlier pair does is a repeat: it is decided by its first occurrence's
+    run and makes no engine run.  Every other point runs the engine.  The
+    first deadlocking point is always a first occurrence, so the witness
+    and [runs] are those of the sweep that runs every point.  At gap 0
+    every order gives one schedule; with gaps [[0; 1]] a four-message space
+    has 75 distinct pairs out of 192.  The pairs are flagged before the
+    tasks start, n! x |gaps|^(n-1) flags: 192 for Figure 1 and 23,040 at
+    [Verify]'s six-message cap.  [~stop_at_first:false] runs every point,
+    since its last witness may be a repeat.
 
     The outer order x priority product is partitioned into tasks run on a
     {!Wr_pool} ([domains] defaults to [Wr_pool.default_domains ()]).  The
@@ -121,7 +140,8 @@ val explore : ?stop_at_first:bool -> ?domains:int -> Routing.t -> space -> verdi
     @raise Engine_bug on [E090]/[E091] internal-consistency failures. *)
 
 val space_size : space -> int
-(** Number of simulator runs [explore] would perform without early exit. *)
+(** Number of points in the space: the [runs] of a sweep that decides
+    every point, and an upper bound on its engine runs. *)
 
 val is_deadlock_found : verdict -> bool
 
