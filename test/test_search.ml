@@ -62,6 +62,13 @@ let test_figure2_witness_found () =
       witness.Explorer.w_schedule
   | Explorer.No_deadlock { runs } -> Alcotest.failf "no deadlock in %d runs" runs
 
+(* [f ()] and the engine runs it made, less the speculative ones a parallel
+   sweep discarded *)
+let with_engine_runs f =
+  let r0 = Engine.run_count () and c0 = Engine.cancelled_count () in
+  let v = f () in
+  (v, Engine.run_count () - r0 - (Engine.cancelled_count () - c0))
+
 let test_figure1_trimmed_safe () =
   (* the full sweep lives in the experiments; here a representative slice *)
   let net = Paper_nets.figure1 () in
@@ -75,17 +82,24 @@ let test_figure1_trimmed_safe () =
       priorities = Explorer.Follow_order;
       gaps = [ 0; 1 ] }
   in
-  match Explorer.explore rt sp with
-  | Explorer.No_deadlock { runs } -> check ci "exhausted" (Explorer.space_size sp) runs
-  | Explorer.Deadlock_found _ -> Alcotest.fail "figure 1 must be deadlock-free"
+  match with_engine_runs (fun () -> Explorer.explore rt sp) with
+  | Explorer.No_deadlock { runs }, engine ->
+    check ci "exhausted" (Explorer.space_size sp) runs;
+    (* the priority follows the order, so two orders never share a run *)
+    check ci "every point runs the engine" runs engine
+  | Explorer.Deadlock_found _, _ -> Alcotest.fail "figure 1 must be deadlock-free"
 
 let test_stop_at_first_false_counts_all () =
   let net = Paper_nets.figure2 () in
   let rt = Cd_algorithm.of_net net in
   let sp = Explorer.default_space (fig2_templates net) in
-  match Explorer.explore ~stop_at_first:false rt sp with
-  | Explorer.Deadlock_found { runs; _ } -> check ci "full space" (Explorer.space_size sp) runs
-  | Explorer.No_deadlock _ -> Alcotest.fail "expected witnesses"
+  match with_engine_runs (fun () -> Explorer.explore ~stop_at_first:false rt sp) with
+  | Explorer.Deadlock_found { runs; _ }, engine ->
+    check ci "full space" (Explorer.space_size sp) runs;
+    (* the last witness may be a repeat, so every point runs, and each
+       witness is replayed once more *)
+    check cb "every point runs the engine" true (engine > runs)
+  | Explorer.No_deadlock _, _ -> Alcotest.fail "expected witnesses"
 
 let test_empty_space_rejected () =
   let net = Paper_nets.figure2 () in
