@@ -912,7 +912,9 @@ module Oracle = struct
                      gap after the one before *)
                   let base = Array.make n 0 in
                   List.iteri
-                    (fun j mi -> if j > 0 then base.(mi) <- base.(List.nth order (j - 1)) + List.nth gaps (j - 1))
+                    (fun j mi ->
+                      if j > 0 then
+                        base.(mi) <- base.(List.nth order (j - 1)) + List.nth gaps (j - 1))
                     order;
                   List.iter
                     (fun lengths ->
