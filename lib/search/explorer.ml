@@ -90,15 +90,17 @@ let pow b e =
   let rec go acc k = if k = 0 then acc else go (acc * b) (k - 1) in
   go 1 e
 
+(* the points below one gap vector: lengths x offsets x holds x buffers *)
+let points_per_gap_vector sp =
+  List.fold_left
+    (fun acc t -> acc * List.length t.t_lengths * List.length t.t_offsets * List.length t.t_holds)
+    (List.length sp.buffers) sp.messages
+
 let space_size sp =
   let n = List.length sp.messages in
   let orders = if sp.try_all_orders then fact n else 1 in
   let prios = match sp.priorities with All_permutations -> fact n | Fifo_only | Follow_order -> 1 in
-  let gaps = pow (List.length sp.gaps) (max 0 (n - 1)) in
-  let lengths = List.fold_left (fun acc t -> acc * List.length t.t_lengths) 1 sp.messages in
-  let holds = List.fold_left (fun acc t -> acc * List.length t.t_holds) 1 sp.messages in
-  let offsets = List.fold_left (fun acc t -> acc * List.length t.t_offsets) 1 sp.messages in
-  orders * prios * gaps * lengths * holds * offsets * List.length sp.buffers
+  orders * prios * pow (List.length sp.gaps) (max 0 (n - 1)) * points_per_gap_vector sp
 
 exception Engine_bug of Diagnostic.t
 
@@ -204,13 +206,7 @@ let explore ?(stop_at_first = true) ?domains rt sp =
       Some (first_pairs orders gap_arr nvecs)
     else None
   in
-  (* the points below one gap vector: lengths x offsets x holds x buffers *)
-  let per_vec =
-    Array.fold_left
-      (fun acc t ->
-        acc * List.length t.t_lengths * List.length t.t_offsets * List.length t.t_holds)
-      (Array.length buffers) templates
-  in
+  let per_vec = points_per_gap_vector sp in
   (* Every Engine.run call across all tasks and domains, whether or not its
      task's result survives the canonical reduce. *)
   let started = Atomic.make 0 in
