@@ -1239,6 +1239,26 @@ let prop_explore_matches_reference_sweep =
                (show_verdict want))
         [ 1; 2 ])
 
+(* Figure 3e at its longest lengths, all orders, gaps {0,1}, FIFO and
+   one-flit buffers: the first deadlock lies in a gap vector that a flag
+   table numbered with the first gap least significant would skip, which
+   random draws seldom reach. *)
+let test_explore_pinned_space () =
+  let _, net, rt = List.find (fun (name, _, _) -> name = "figure3e") sweep_nets in
+  let longest (t : Explorer.msg_template) =
+    { t with t_lengths = [ List.nth t.t_lengths (List.length t.t_lengths - 1) ] }
+  in
+  let messages = List.map (fun i -> longest (Explorer.intent_template net i)) net.Paper_nets.intents in
+  let sp = { (Explorer.default_space messages) with buffers = [ 1 ]; priorities = Explorer.Fifo_only } in
+  let want = Oracle.sweep rt sp in
+  Alcotest.(check bool) "the reference finds a witness" true (Explorer.is_deadlock_found want);
+  List.iter
+    (fun domains ->
+      let got = Explorer.explore ~domains rt sp in
+      if got <> want then
+        Alcotest.failf "domains %d: got %s, want %s" domains (show_verdict got) (show_verdict want))
+    [ 1; 2 ]
+
 (* ---- fault-plan parse/print round-trip ---- *)
 
 (* Parenthesized mesh node names ("n(0,2)") carry commas, and vcs:2 puts
@@ -1305,6 +1325,9 @@ let () =
         [ Alcotest.test_case "registry routings agree with the reference walkers" `Quick
             test_registry_matches_oracle ] );
       suite "theorem5" [ prop_theorem5_matches_search ];
-      suite "explorer" [ prop_explore_matches_reference_sweep ];
+      ( "explorer",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_explore_matches_reference_sweep;
+          Alcotest.test_case "explore agrees with the reference sweep on figure3e" `Quick
+            test_explore_pinned_space ] );
       suite "synthesis" [ prop_synth_differential ];
     ]
